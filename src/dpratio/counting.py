@@ -5,7 +5,9 @@ Three counters with nested domains:
 * count_bruteforce -- checks all n! bijections, n <= 10 (ground truth);
 * count_permanent  -- Ryser permanents of A and A+I, n <= 30;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
-  workhorse for blow-up subgraphs (cost exponential in k, not in k*ell).
+  workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
+  each layer's matrix entries come from one perfect-matching DP over its
+  rows per fixed-set size, with about C(k+t, t) states at row t.
 
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
@@ -82,20 +84,21 @@ def permanent(matrix) -> int:
             if a:
                 mask |= 1 << j
         rows.append(mask)
-    return _permanent_bitrows(rows, (1 << n) - 1, n)
+    return _permanent_bitrows(rows, n)
 
 
-def _permanent_bitrows(rows: list[int], col_mask: int, n: int) -> int:
-    """Permanent of the minor with the given rows and column mask.
+def _permanent_bitrows(rows: list[int], n: int) -> int:
+    """Permanent of the n x n 0/1 matrix whose row i has column bits rows[i].
 
-    len(rows) must equal popcount(col_mask) = n.  Ryser in the form
+    Ryser in the form
     perm = sum over S subset of columns of (-1)^(n-|S|) prod_i |row_i & S|.
     """
     if n == 0:
         return 1
+    full = (1 << n) - 1
     total = 0
-    s = col_mask
-    # enumerate all non-empty subsets of col_mask
+    s = full
+    # enumerate all non-empty column subsets
     while s:
         prod = 1
         for r in rows:
@@ -107,7 +110,7 @@ def _permanent_bitrows(rows: list[int], col_mask: int, n: int) -> int:
                 total -= prod
             else:
                 total += prod
-        s = (s - 1) & col_mask
+        s = (s - 1) & full
     return total
 
 
@@ -119,9 +122,8 @@ def count_permanent(g: Digraph) -> CountPair:
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
-    full = (1 << n) - 1
-    der = _permanent_bitrows(adj, full, n)
-    per = _permanent_bitrows([adj[i] | (1 << i) for i in range(n)], full, n)
+    der = _permanent_bitrows(adj, n)
+    per = _permanent_bitrows([adj[i] | (1 << i) for i in range(n)], n)
     return CountPair(derangements=der, permutations=per)
 
 
@@ -136,8 +138,12 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     where T_c^(i) is indexed by pairs of i-subsets (F of part c, F' of part
     c+1) with entry = number of perfect matchings of layer c avoiding F and
-    F' (a permanent of a (k-i) x (k-i) minor).  The i = 0 term is the
-    derangement count, a product of per-layer permanents.
+    F'.  All C(k,i)^2 entries of T_c^(i) come from one matching DP over the
+    rows of layer c (see _layer_minors), about C(k+t, t) states at row t:
+    O(k * C(2k, k)) dict updates per layer and i, where one Ryser
+    permanent per entry would cost C(k,i)^2 * 2^(k-i) * (k-i).  The i = 0
+    term is the derangement count, a product of per-layer perfect-matching
+    counts.
     """
     base = g.base
     k, ell = base.k, base.ell
@@ -157,9 +163,12 @@ def count_layered(g: SampledSubgraph) -> CountPair:
         if any(cnt < need for cnt in layer_edge_counts):
             continue
         fixed_sets = subsets_by_size[i]
-        mats = [
-            _layer_matrix(g.layers[c], fixed_sets, need, full) for c in range(ell)
-        ]
+        row_keys = [f << k for f in fixed_sets]
+        col_keys = [full ^ f for f in fixed_sets]
+        mats = []
+        for rows in g.layers:
+            minors = _layer_minors(rows, k, i)
+            mats.append([[minors.get(r | c, 0) for c in col_keys] for r in row_keys])
         term = _trace_product(mats)
         permutations += term
         if i == 0:
@@ -167,18 +176,41 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     return CountPair(derangements=derangements, permutations=permutations)
 
 
-def _layer_matrix(rows, fixed_sets: list[int], need: int, full: int):
-    """Matrix of minor permanents over all (row fixed set, col fixed set) pairs."""
-    mat = []
-    for f_rows in fixed_sets:
-        active = [rows[r] for r in range(len(rows)) if not (f_rows >> r) & 1]
-        row_out = []
-        for f_cols in fixed_sets:
-            row_out.append(
-                _permanent_bitrows([r & ~f_cols for r in active], full & ~f_cols, need)
-            )
-        mat.append(row_out)
-    return mat
+def _layer_minors(rows, k: int, i: int) -> dict[int, int]:
+    """Perfect-matching counts of every minor of one layer that drops i rows
+    and i columns, keyed by F << k | U.
+
+    Walks the k rows in order; each row is either fixed (its bit joins F)
+    or matched to a free column it has an edge to (that bit joins U).  The
+    state F << k | U counts the partial assignments reaching it; states
+    with |F| > i or |U| > k - i are never made.  After the last row every
+    state has |F| = i and |U| = k - i, and the entry for rows F and columns
+    F' dropped is the count of state F << k | (full & ~F'), absent if 0.
+    """
+    need = k - i
+    # by_fixed[f] holds the states with |F| = f, so |U| = t - f at row t
+    by_fixed: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(i)]
+    for t, row in enumerate(rows):
+        fix_bit = 1 << (k + t)
+        col_bits = [1 << j for j in range(k) if (row >> j) & 1]
+        nxt: list[dict[int, int]] = [{} for _ in range(i + 1)]
+        for f in range(min(t, i) + 1):
+            cur = by_fixed[f]
+            if not cur:
+                continue
+            if f < i:
+                # fixing row t gives distinct keys no match move can reach
+                nxt[f + 1].update({key | fix_bit: cnt for key, cnt in cur.items()})
+            if t - f < need:
+                out = nxt[f]
+                get = out.get
+                for key, cnt in cur.items():
+                    for b in col_bits:
+                        if not key & b:
+                            nk = key | b
+                            out[nk] = get(nk, 0) + cnt
+        by_fixed = nxt
+    return by_fixed[i]
 
 
 def _trace_product(mats) -> int:

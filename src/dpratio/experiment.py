@@ -38,8 +38,13 @@ DEFAULT_SEED = 0
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Counter-mode seed split: 64-bit hash of (master seed, trial index)."""
-    digest = hashlib.sha256(struct.pack("<QQ", master & (2**64 - 1), index)).digest()
+    """Counter-mode seed split: 64-bit hash of (master seed, trial index).
+
+    The master seed must lie in [0, 2^64); distinct masters never alias.
+    """
+    if not 0 <= master < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {master}")
+    digest = hashlib.sha256(struct.pack("<QQ", master, index)).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -23,7 +23,8 @@ def f_eval(ell: int, x: float, tol: float = 1e-12) -> SeriesValue:
 
     Truncates once the next term is < tol/2 and the term ratio
     (x/(i+1))^ell has dropped below 1/2, so the geometric tail is
-    certified < tol/2 as well.
+    certified < tol/2 as well.  Raises ValueError when a term is not a
+    finite float (x too large for ell, or x not a number).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -35,8 +36,13 @@ def f_eval(ell: int, x: float, tol: float = 1e-12) -> SeriesValue:
     term = 1.0
     i = 0
     while True:
-        nxt = term * (x / (i + 1)) ** ell
-        ratio = (x / (i + 2)) ** ell  # bounds all later term ratios
+        try:
+            nxt = term * (x / (i + 1)) ** ell
+            ratio = (x / (i + 2)) ** ell  # bounds all later term ratios
+        except OverflowError:
+            nxt = math.inf
+        if not math.isfinite(nxt):
+            raise ValueError(f"f_{ell}({x}): term {i + 1} is not a finite float")
         if nxt < tol / 2 and ratio <= 0.5:
             tail = nxt / (1.0 - ratio)
             return SeriesValue(

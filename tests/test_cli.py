@@ -99,6 +99,17 @@ def test_expect_bad_args(capsys):
     assert main(["expect", "--k", "2"]) == 2
 
 
+def test_value_error_exits_2_without_traceback(capsys):
+    for argv in (
+        ["expect", "--k", "30", "--ell", "2", "--m", "1000"],
+        ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--seed", str(2**70)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 def test_mc(capsys, tmp_path):
     csv_path = tmp_path / "trials.csv"
     code, out = run_cli(

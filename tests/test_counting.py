@@ -14,6 +14,7 @@ from dpratio.counting import (
     count_layered,
     count_permanent,
     permanent,
+    _layer_minors,
 )
 from dpratio.digraph import (
     Digraph,
@@ -145,11 +146,40 @@ def test_closed_form_examples():
 
 
 def test_closed_form_vs_layered_grid():
-    for k in range(1, 7):
-        for ell in range(2, 5):
-            assert closed_form_counts(k, ell) == count_layered(
-                build_blowup(k, ell).full_subgraph()
-            )
+    shapes = [(k, ell) for k in range(1, 7) for ell in range(2, 5)]
+    shapes += [(k, 2) for k in range(7, 11)]
+    for k, ell in shapes:
+        assert closed_form_counts(k, ell) == count_layered(
+            build_blowup(k, ell).full_subgraph()
+        )
+
+
+def test_layer_minors_match_permanents():
+    # every entry of the per-layer matching DP equals the Ryser permanent of
+    # the minor keeping rows outside F and columns outside F'
+    rng = random.Random(2024)
+    for t in range(40):
+        k = rng.randrange(1, 7)
+        density = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+        rows = [
+            sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)
+        ]
+        if t % 4 == 1:
+            rows[rng.randrange(k)] = 0  # an empty row
+        full = (1 << k) - 1
+        for i in range(k + 1):
+            minors = _layer_minors(rows, k, i)
+            fixed_sets = [f for f in range(1 << k) if f.bit_count() == i]
+            for key in minors:
+                assert (key >> k).bit_count() == i
+                assert (key & full).bit_count() == k - i
+            for f_rows in fixed_sets:
+                keep_rows = [r for r in range(k) if not (f_rows >> r) & 1]
+                for f_cols in fixed_sets:
+                    keep_cols = [j for j in range(k) if not (f_cols >> j) & 1]
+                    minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
+                    key = (f_rows << k) | (full & ~f_cols)
+                    assert minors.get(key, 0) == permanent(minor)
 
 
 def test_closed_form_ratio():

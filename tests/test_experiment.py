@@ -23,6 +23,16 @@ def test_derive_seed_deterministic_and_spread():
     assert all(0 <= s < 2**64 for s in list(seeds)[:50])
 
 
+def test_derive_seed_rejects_out_of_range_masters():
+    # a mod-2^64 reduction would alias 2**70 with 0 and -1 with 2**64 - 1
+    assert 0 <= derive_seed(0, 3) < 2**64
+    assert 0 <= derive_seed(2**64 - 1, 3) < 2**64
+    assert derive_seed(2**64 - 1, 3) != derive_seed(0, 3)
+    for bad in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError):
+            derive_seed(bad, 3)
+
+
 def test_run_mc_deterministic():
     cp = plan(0.3, 4)
     a = run_mc(cp, 40, seed=7, epsilon=0.05)

@@ -74,6 +74,13 @@ def test_plan_rejects():
         plan(0.3, 1)
 
 
+def test_plan_tiny_ratio_raises_instead_of_hanging():
+    # bracketing the root of f_2(x) = 1e300 doubles x up to 512, where
+    # f_2's terms overflow a float
+    with pytest.raises(ValueError):
+        plan(1e-300, 8)
+
+
 def test_plan_json_roundtrip():
     cp = plan(0.25, 6)
     d = cp.to_json_dict()

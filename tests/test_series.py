@@ -50,6 +50,16 @@ def test_f_eval_rejects_bad_args():
         f_eval(2, 1.0, tol=0.0)
 
 
+def test_f_eval_overflow_raises():
+    # terms overflow to inf long before they would drop below tol
+    with pytest.raises(ValueError):
+        f_eval(2, 400.0)
+    with pytest.raises(ValueError):
+        f_eval(200, 400.0)
+    with pytest.raises(ValueError):
+        f_eval(2, float("nan"))
+
+
 def test_f_tail_bound_honest():
     # tail_bound dominates the truncation error against a longer evaluation
     for ell in (1, 2, 3):
