@@ -28,7 +28,6 @@ from .experiment import (
     convergence_sweep,
     derive_seed,
     run_mc,
-    verify_all,
 )
 from .moments import (
     AsymptoticValue,
@@ -53,5 +52,6 @@ from .series import (
     h_asymptotic,
     h_exact,
 )
+from .verify import verify_all
 
 __version__ = "0.1.0"

@@ -19,10 +19,10 @@ from .experiment import (
     convergence_sweep,
     run_mc,
     sweep_csv,
-    verify_all,
 )
 from .moments import moment_report
 from .params import DEFAULT_TOL, plan, ConstructionPlan
+from .verify import PROFILES, verify_all
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the cross-check suite")
-    p.add_argument("--profile", choices=["tiny", "small", "full"], default="small")
+    p.add_argument("--profile", choices=list(PROFILES), default="small")
     p.set_defaults(func=_cmd_verify)
 
     return ap

@@ -60,6 +60,9 @@ def choose_ell(r: float) -> int:
 def solve_p(r: float, ell: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Find x > 1 with f_ell(x) = 1/r by bisection; return (p, x) with p = 1/x.
 
+    The root is accepted once |f_ell(x) - 1/r| <= tol/r: the tolerance is
+    relative, since 1/r is unbounded as r -> 0.
+
     Requires f_ell(1) < 1/r so the intermediate value theorem applies on
     (1, infinity); f_ell is strictly increasing there.
     """
@@ -85,7 +88,7 @@ def solve_p(r: float, ell: int, tol: float = DEFAULT_TOL) -> tuple[float, float]
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm - target) <= tol:
+        if abs(fm - target) <= tol * target:
             x = mid
             break
         if fm < target:
@@ -94,7 +97,7 @@ def solve_p(r: float, ell: int, tol: float = DEFAULT_TOL) -> tuple[float, float]
             hi = mid
     else:
         x = 0.5 * (lo + hi)
-        if abs(f(x) - target) > tol:
+        if abs(f(x) - target) > tol * target:
             raise ValueError(f"bisection failed to reach tol={tol} for r={r}")
     return 1.0 / x, x
 

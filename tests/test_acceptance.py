@@ -5,39 +5,28 @@ as monotone trends at desk scale; stochastic claims run under pinned seeds
 with frozen regression thresholds.
 """
 
-import itertools
 import json
 import math
-import random
 from fractions import Fraction
 
-import pytest
-
-from dpratio.counting import (
-    closed_form_counts,
-    count_bruteforce,
-    count_layered,
-    count_permanent,
-)
-from dpratio.digraph import build_blowup, sample_subgraph, to_general
-from dpratio.experiment import (
-    _exhaustive_moments,
-    derive_seed,
-    h_window_error,
-    run_mc,
-)
+from dpratio.counting import CountPair
+from dpratio.experiment import run_mc
 from dpratio.moments import (
     expected_x_exact,
     expected_y_exact,
     second_moment_x_exact,
-    second_moment_y_upper,
 )
-from dpratio.params import ConstructionPlan, choose_ell, plan, solve_p
-from dpratio.series import (
-    falling_ratio_asymptotic,
-    falling_ratio_exact,
-    h_exact,
-    f_eval,
+from dpratio.params import ConstructionPlan, plan
+from dpratio.verify import (
+    PROFILES,
+    check_closed_form_bruteforce,
+    check_closed_form_layered,
+    check_counters,
+    check_falling_ratio,
+    check_h,
+    check_moments,
+    check_solver,
+    ratio_bound_holds,
 )
 
 # Every CountPair produced anywhere in this module is funneled through here
@@ -46,10 +35,7 @@ _RATIO_BOUND_VIOLATIONS = []
 
 
 def _record(counts):
-    if not (
-        2 * counts.derangements <= counts.permutations
-        and counts.permutations >= counts.derangements + 1
-    ):
+    if not ratio_bound_holds(counts):
         _RATIO_BOUND_VIOLATIONS.append(counts)
     return counts
 
@@ -59,101 +45,37 @@ def _report(criterion: str, passed: bool):
     assert passed, criterion
 
 
+def _report_checks(criterion: str, *checks):
+    # criteria 1, 2 and 4-7 run the verify suite's checks at its small profile
+    results = [r for check in checks for r in check(PROFILES["small"], _record)]
+    _report(criterion, all(r.passed for r in results))
+
+
 def test_criterion_1_closed_form_fidelity():
-    ok = True
-    for k, ell in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]:
-        cf = closed_form_counts(k, ell)
-        bf = _record(count_bruteforce(to_general(build_blowup(k, ell))))
-        ok &= cf == bf
-    for k in range(1, 7):
-        for ell in range(2, 5):
-            cf = closed_form_counts(k, ell)
-            ly = _record(count_layered(build_blowup(k, ell).full_subgraph()))
-            ok &= cf == ly
-    _report("1 closed-form fidelity", ok)
+    _report_checks(
+        "1 closed-form fidelity", check_closed_form_bruteforce, check_closed_form_layered
+    )
 
 
 def test_criterion_2_counter_cross_validation():
-    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (4, 3), (3, 4), (4, 4), (8, 2)]
-    weights = [30, 30, 30, 25, 25, 25, 12, 10, 8, 5]  # 200 total
-    ok = True
-    trial = 0
-    for (k, ell), reps in zip(shapes, weights):
-        base = build_blowup(k, ell)
-        for _ in range(reps):
-            seed = derive_seed(777, trial)
-            m = derive_seed(seed, 0) % (base.edge_count + 1)
-            g = sample_subgraph(base, m, seed)
-            ly = _record(count_layered(g))
-            pm = count_permanent(to_general(g))
-            ok &= ly == pm
-            if base.vertex_count <= 9:
-                ok &= ly == count_bruteforce(to_general(g))
-            trial += 1
-    assert trial == 200
-    _report("2 counter cross-validation (200 subgraphs)", ok)
+    assert len(PROFILES["small"].cross_shapes) == 200
+    _report_checks("2 counter cross-validation (200 subgraphs)", check_counters)
 
 
 def test_criterion_4_fact1_identity_and_decay():
-    ok = True
-    for a in range(41):
-        for b in range(a + 1):
-            for x in range(b + 1):
-                ok &= falling_ratio_exact(a, b, x) == Fraction(
-                    math.comb(a - x, b - x), math.comb(a, b)
-                )
-    errs = []
-    for k in (4, 8, 16):
-        cp = plan(0.3, k)
-        a, b, x = k * k * cp.ell, cp.m, k * cp.ell
-        exact = float(falling_ratio_exact(a, b, x))
-        errs.append(abs(falling_ratio_asymptotic(a, b, x) / exact - 1.0))
-    ok &= errs[0] > errs[1] > errs[2]
-    _report("4 falling-factorial identity + asymptotic decay", ok)
+    _report_checks("4 falling-factorial identity + asymptotic decay", check_falling_ratio)
 
 
 def test_criterion_5_h_function():
-    ok = True
-    for a in range(8):
-        for b in range(a + 1):
-            brute = sum(
-                1
-                for sigma in itertools.permutations(range(a))
-                if all(sigma[i] != i for i in range(b))
-            )
-            ok &= h_exact(a, b) == brute
-    errs = [h_window_error(a) for a in (10, 20, 40)]
-    ok &= errs[0] > errs[1] > errs[2]
-    _report("5 h-function oracle + window decay", ok)
+    _report_checks("5 h-function oracle + window decay", check_h)
 
 
 def test_criterion_6_solver():
-    ok = True
-    for t in range(50):
-        r = 0.01 + (0.49 - 0.01) * t / 49
-        ell = choose_ell(r)
-        p, _ = solve_p(r, ell)
-        ok &= abs(f_eval(ell, 1.0 / p, 1e-14).value * r - 1.0) <= 1e-9
-    ok &= choose_ell(0.3) == 2
-    ok &= choose_ell(0.45) == 3
-    _report("6 solver residuals on 50-point r-grid", ok)
+    _report_checks("6 solver residuals on 50-point r-grid", check_solver)
 
 
 def test_criterion_7_exact_moment_oracle():
-    ok = True
-    for m in range(9):
-        ox, oy, ox2, oy2 = _exhaustive_moments(2, 2, m)
-        ok &= expected_x_exact(2, 2, m) == ox
-        ok &= expected_y_exact(2, 2, m) == oy
-        ok &= second_moment_x_exact(2, 2, m) == ox2
-        ok &= second_moment_y_upper(2, 2, m) >= oy2
-    for m in range(13):
-        ox, oy, _, _ = _exhaustive_moments(2, 3, m)
-        ok &= expected_x_exact(2, 3, m) == ox
-        ok &= expected_y_exact(2, 3, m) == oy
-    ok &= expected_x_exact(2, 2, 6) == Fraction(6, 7)
-    ok &= expected_y_exact(2, 2, 6) == 4
-    _report("7 exact-moment oracle at (2,2) and (2,3)", ok)
+    _report_checks("7 exact-moment oracle at (2,2) and (2,3)", check_moments)
 
 
 def test_criterion_8_convergence_trend():
@@ -200,8 +122,6 @@ def test_criterion_9_concentration():
 
 
 def _record_pair(x, y):
-    from dpratio.counting import CountPair
-
     return _record(CountPair(derangements=x, permutations=y))
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -9,9 +8,7 @@ from dpratio.experiment import (
     derive_seed,
     run_mc,
     sweep_csv,
-    verify_all,
 )
-from dpratio.moments import expected_x_exact, second_moment_x_exact
 from dpratio.params import ConstructionPlan, plan
 
 
@@ -73,18 +70,6 @@ def test_run_mc_rejects():
         run_mc(cp, 0)
 
 
-def test_unbiasedness_of_x():
-    # empirical mean of X within 5 standard errors of the exact expectation
-    trials = 5000
-    cp = ConstructionPlan(r=0.0, ell=2, p=0.5, x=2.0, k=3, m=9)
-    rep = run_mc(cp, trials, seed=0)
-    ex = float(expected_x_exact(3, 2, 9))
-    var = float(second_moment_x_exact(3, 2, 9)) - ex * ex
-    se = math.sqrt(var / trials)
-    mean_x = sum(x for _, x, _, _ in rep.per_trial) / trials
-    assert abs(mean_x - ex) <= 5 * se
-
-
 def test_per_trial_csv_shape():
     cp = plan(0.3, 4)
     rep = run_mc(cp, 5, seed=1)
@@ -114,15 +99,3 @@ def test_sweep_single_k_matches_report():
 def test_sweep_uses_choose_ell():
     rows = convergence_sweep(0.45, [4], trials=0)
     assert rows[0]["ell"] == 3
-
-
-def test_verify_tiny_passes():
-    summary = verify_all("tiny")
-    assert summary.passed, summary.render()
-    rendered = summary.render()
-    assert "PASS" in rendered and "FAIL" not in rendered
-
-
-def test_verify_rejects_unknown_profile():
-    with pytest.raises(ValueError):
-        verify_all("huge")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from dpratio.counting import closed_form_counts
-from dpratio.experiment import _exhaustive_moments
 from dpratio.moments import (
     expected_x_asymptotic,
     expected_x_exact,
@@ -43,23 +42,6 @@ def test_expected_y_empty_and_full():
             expected_y_exact(k, ell, k * k * ell)
             == closed_form_counts(k, ell).permutations
         )
-
-
-def test_first_moments_vs_exhaustive_22():
-    for m in range(9):
-        ox, oy, ox2, oy2 = _exhaustive_moments(2, 2, m)
-        assert expected_x_exact(2, 2, m) == ox
-        assert expected_y_exact(2, 2, m) == oy
-        assert second_moment_x_exact(2, 2, m) == ox2
-        assert second_moment_y_upper(2, 2, m) >= oy2
-
-
-def test_first_moments_vs_exhaustive_23():
-    for m in range(13):
-        ox, oy, _, oy2 = _exhaustive_moments(2, 3, m)
-        assert expected_x_exact(2, 3, m) == ox
-        assert expected_y_exact(2, 3, m) == oy
-        assert second_moment_y_upper(2, 3, m) >= oy2
 
 
 def test_ey_dominates_ex_and_monotone_in_m():

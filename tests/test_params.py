@@ -25,16 +25,6 @@ def test_choose_ell_rejects():
             choose_ell(r)
 
 
-def test_solve_p_residual_grid():
-    for t in range(50):
-        r = 0.01 + (0.49 - 0.01) * t / 49
-        ell = choose_ell(r)
-        p, x = solve_p(r, ell)
-        assert 0.0 < p < 1.0
-        assert x > 1.0
-        assert abs(f_eval(ell, 1.0 / p, 1e-14).value * r - 1.0) <= 1e-9
-
-
 def test_solve_p_monotone_in_target():
     # larger 1/r gives larger root x at fixed ell
     xs = [solve_p(r, 4)[1] for r in (0.4, 0.3, 0.2, 0.1)]
@@ -79,6 +69,13 @@ def test_plan_tiny_ratio_raises_instead_of_hanging():
     # f_2's terms overflow a float
     with pytest.raises(ValueError):
         plan(1e-300, 8)
+
+
+def test_plan_small_ratios_meet_relative_tolerance():
+    # 1/r = 1e20 and 1e100 lie far beyond an absolute tolerance of 1e-10
+    for r in (1e-20, 1e-100):
+        cp = plan(r, 8)
+        assert abs(f_eval(cp.ell, 1.0 / cp.p).value * r - 1.0) <= 1e-9
 
 
 def test_plan_json_roundtrip():

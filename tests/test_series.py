@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpratio.experiment import h_window_error
+from dpratio.oracles import h_bruteforce
 from dpratio.series import (
     edge_prob_exact,
     f_at_one_bounds,
@@ -99,16 +99,9 @@ def test_h_exact_bounds():
 
 
 def test_h_exact_matching_oracle():
-    import itertools
-
     for a in range(8):
         for b in range(a + 1):
-            brute = sum(
-                1
-                for sigma in itertools.permutations(range(a))
-                if all(sigma[i] != i for i in range(b))
-            )
-            assert h_exact(a, b) == brute
+            assert h_exact(a, b) == h_bruteforce(a, b)
 
 
 def test_h_exact_rejects():
@@ -127,11 +120,6 @@ def test_h_asymptotic():
         return abs(h_exact(a, a) * math.e / math.factorial(a) - 1)
 
     assert rel(20) < rel(10)
-
-
-def test_h_window_error_decay():
-    errs = [h_window_error(a) for a in (10, 20, 40)]
-    assert errs[0] > errs[1] > errs[2]
 
 
 def test_falling_ratio_exact_examples():
