@@ -44,7 +44,6 @@ from .moments import (
 from .params import ConstructionPlan, choose_ell, plan, solve_p
 from .series import (
     SeriesValue,
-    edge_prob_exact,
     f_at_one_bounds,
     f_eval,
     falling_ratio_asymptotic,

@@ -7,10 +7,9 @@ c*k*k + i*k + j, meaning part-c vertex i -> part-(c+1 mod ell) vertex j.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 SCHEMA_VERSION = 1
@@ -265,11 +264,3 @@ def subgraph_from_json(d: dict) -> SampledSubgraph:
         indices.append(c * k * k + i * k + j)
     return SampledSubgraph.from_edge_indices(base, indices)
 
-
-def dump_json(g, f: TextIO) -> None:
-    json.dump(to_json_dict(g), f, indent=2)
-    f.write("\n")
-
-
-def load_json(f: TextIO) -> dict:
-    return json.load(f)

@@ -1,10 +1,12 @@
 """Exact (rational) and asymptotic moments of the derangement count X and
 permutation count Y under uniform m-edge sampling of the blow-up.
 
-Exact formulas work entirely with the falling-factorial probability kernel,
-so denominators stay small even though C(k^2*ell, m) is astronomical.
-Composition sums over layer profiles are evaluated as coefficients of
-ell-fold self-convolutions, never by enumerating the compositions.
+Every exact moment is a weighted sum of P[x] = C(T-x, m-x) / C(T, m), the
+probability that x specified edges all survive, with T = k^2*ell edges in
+the blow-up.  `_edge_expectation` takes it as one integer sum over the common
+denominator C(T, m) and reduces a single Fraction at the end.  Composition
+sums over layer profiles are evaluated as coefficients of ell-fold
+self-convolutions, never by enumerating the compositions.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .params import ConstructionPlan
-from .series import edge_prob_exact, f_eval, h_exact
+from .series import f_eval, h_exact
 
-FIRST_MOMENT_MAX_K = 40
 SECOND_MOMENT_MAX_K = 25
 
 
@@ -104,18 +105,29 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Fraction:
+    """sum_x weights[x] * P[x specified edges survive uniform m-edge sampling
+    of the k^2*ell blow-up edges], with P[x] = C(T-x, m-x) / C(T, m) and 0
+    when x > m."""
+    total = k * k * ell
+    if not 0 <= m <= total:
+        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
+    num = sum(w * math.comb(total - x, m - x) for x, w in weights.items() if x <= m)
+    return Fraction(num, math.comb(total, m))
+
+
 def expected_x_exact(k: int, ell: int, m: int) -> Fraction:
     """E[X] = (k!)^ell * P[k*ell specified edges survive]."""
-    return math.factorial(k) ** ell * edge_prob_exact(k, ell, m, k * ell)
+    return _edge_expectation(k, ell, m, {k * ell: math.factorial(k) ** ell})
 
 
 def expected_y_exact(k: int, ell: int, m: int) -> Fraction:
     """E[Y] = sum_i (C(k,i)(k-i)!)^ell * P[(k-i)*ell specified edges survive]."""
-    total = Fraction(0)
-    for i in range(k + 1):
-        count = (math.comb(k, i) * math.factorial(k - i)) ** ell
-        total += count * edge_prob_exact(k, ell, m, (k - i) * ell)
-    return total
+    weights = {
+        (k - i) * ell: (math.comb(k, i) * math.factorial(k - i)) ** ell
+        for i in range(k + 1)
+    }
+    return _edge_expectation(k, ell, m, weights)
 
 
 def expected_x_asymptotic(k: int, ell: int, p: float) -> AsymptoticValue:
@@ -163,14 +175,13 @@ def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     of g at index b.  The union of the pair has 2k*ell - b edges.
     """
     g = [math.comb(k, t) * h_exact(k - t, k - t) for t in range(k + 1)]
-    conv = _self_convolve(g, ell)
-    total = Fraction(0)
-    for b in range(min(k * ell, len(conv) - 1) + 1):
-        coeff = conv[b]
-        if not coeff:
-            continue
-        total += coeff * edge_prob_exact(k, ell, m, 2 * k * ell - b)
-    return math.factorial(k) ** ell * total
+    scale = math.factorial(k) ** ell
+    weights = {
+        2 * k * ell - b: scale * coeff
+        for b, coeff in enumerate(_self_convolve(g, ell))
+        if coeff
+    }
+    return _edge_expectation(k, ell, m, weights)
 
 
 def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
@@ -182,14 +193,14 @@ def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     evaluating to 0 and the h second argument clamped at 0.
     """
     kl = k * ell
-    total = Fraction(0)
+    weights: dict[int, int] = {}
     for i in range(k + 1):
         prefactor = (math.factorial(k) // math.factorial(i)) ** ell
         for j in range(k + 1):
             g = []
             for t in range(k + 1):
-                c1 = math.comb(k - i, t) if t <= k - i else 0
-                c2 = math.comb(k - t, j) if j <= k - t else 0
+                c1 = math.comb(k - i, t)
+                c2 = math.comb(k - t, j)
                 if not c1 or not c2:
                     g.append(0)
                     continue
@@ -198,21 +209,17 @@ def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
                 g.append(c1 * c2 * h_exact(a, min(a, b2)))
             if not any(g):
                 continue
-            conv = _self_convolve(g, ell)
-            for b, coeff in enumerate(conv):
-                if not coeff or b > kl:
-                    continue
-                x = max(0, 2 * kl - (i + j) * ell - b)
-                total += prefactor * coeff * edge_prob_exact(k, ell, m, x)
-    return total
+            for b, coeff in enumerate(_self_convolve(g, ell)):
+                if coeff:
+                    x = 2 * kl - (i + j) * ell - b
+                    weights[x] = weights.get(x, 0) + prefactor * coeff
+    return _edge_expectation(k, ell, m, weights)
 
 
 def moment_report(
     k: int, ell: int, m: int, p: float | None = None, r: float | None = None
 ) -> MomentReport:
     """All exact and asymptotic moments plus derived concentration numbers."""
-    if k > FIRST_MOMENT_MAX_K:
-        raise ValueError(f"ex/ey exact computation limited to k <= {FIRST_MOMENT_MAX_K}")
     if k > SECOND_MOMENT_MAX_K:
         raise ValueError(f"ex2/ey2 exact computation limited to k <= {SECOND_MOMENT_MAX_K}")
     if p is None:

@@ -1,5 +1,5 @@
 """Special functions: the entire series f_ell, the forbidden-matching count
-h(a, b), and exact/asymptotic falling-factorial edge probabilities.
+h(a, b), and the exact/asymptotic falling-factorial ratio (b)_x / (a)_x.
 """
 
 from __future__ import annotations
@@ -106,15 +106,3 @@ def falling_ratio_asymptotic(a: int, b: int, x: int) -> float:
         raise ValueError(f"need 0 <= x <= b <= a with b > 0, got a={a}, b={b}, x={x}")
     return (b / a) ** x * math.exp((x * x / 2.0) * (1.0 / a - 1.0 / b))
 
-
-def edge_prob_exact(k: int, ell: int, m: int, x: int) -> Fraction:
-    """Probability that x specified edges all survive uniform m-edge sampling
-    of the k^2*ell blow-up edges; 0 when x > m."""
-    total = k * k * ell
-    if not (0 <= x <= total):
-        raise ValueError(f"need 0 <= x <= {total}, got x={x}")
-    if not (0 <= m <= total):
-        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
-    if x > m:
-        return Fraction(0)
-    return falling_ratio_exact(total, m, x)

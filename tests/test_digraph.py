@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpratio.digraph import (
-    BlowupDigraph,
     Digraph,
     SampledSubgraph,
     build_blowup,

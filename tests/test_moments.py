@@ -5,6 +5,7 @@ import pytest
 
 from dpratio.counting import closed_form_counts
 from dpratio.moments import (
+    _edge_expectation,
     expected_x_asymptotic,
     expected_x_exact,
     expected_y_asymptotic,
@@ -15,7 +16,22 @@ from dpratio.moments import (
     second_moment_y_upper,
 )
 from dpratio.params import plan
-from dpratio.series import f_eval
+from dpratio.series import f_eval, falling_ratio_exact
+
+
+def test_edge_expectation_kernel():
+    # one weight of 1 at x gives P[x edges survive] = (m)_x / (T)_x, 0 for x > m
+    for k, ell in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+        total = k * k * ell
+        for m in range(total + 1):
+            for x in range(total + 1):
+                expect = falling_ratio_exact(total, m, x) if x <= m else 0
+                assert _edge_expectation(k, ell, m, {x: 1}) == expect
+    assert _edge_expectation(2, 2, 6, {4: 1}) == Fraction(360, 1680)
+    with pytest.raises(ValueError):
+        expected_x_exact(2, 2, 9)  # m beyond the edge count
+    with pytest.raises(ValueError):
+        moment_report(2, 2, -1)
 
 
 def test_expected_x_small_m_zero():

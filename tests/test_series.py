@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpratio.oracles import h_bruteforce
 from dpratio.series import (
-    edge_prob_exact,
     f_at_one_bounds,
     f_eval,
     falling_ratio_asymptotic,
@@ -98,12 +96,6 @@ def test_h_exact_bounds():
             assert 0 <= v <= math.factorial(a)
 
 
-def test_h_exact_matching_oracle():
-    for a in range(8):
-        for b in range(a + 1):
-            assert h_exact(a, b) == h_bruteforce(a, b)
-
-
 def test_h_exact_rejects():
     with pytest.raises(ValueError):
         h_exact(3, 4)
@@ -154,12 +146,3 @@ def test_falling_ratio_asymptotic():
     with pytest.raises(ValueError):
         falling_ratio_asymptotic(4, 0, 0)
 
-
-def test_edge_prob_exact():
-    # full graph: every edge set survives
-    assert edge_prob_exact(2, 2, 8, 4) == 1
-    assert edge_prob_exact(2, 2, 8, 8) == 1
-    assert edge_prob_exact(2, 2, 6, 4) == Fraction(360, 1680)
-    assert edge_prob_exact(2, 2, 3, 4) == 0  # x > m
-    with pytest.raises(ValueError):
-        edge_prob_exact(2, 2, 6, 9)  # x beyond the edge count
