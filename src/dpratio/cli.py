@@ -20,7 +20,7 @@ from .experiment import (
     run_mc,
     sweep_csv,
 )
-from .moments import moment_report
+from .moments import moment_report, moment_report_for_plan
 from .params import DEFAULT_TOL, plan, ConstructionPlan
 from .verify import PROFILES, verify_all
 
@@ -61,9 +61,6 @@ def _read_graph(path: str):
 def _cmd_count(args) -> int:
     g = _read_graph(args.infile)
     method = args.method
-    if method == "layered" and not isinstance(g, dg.SampledSubgraph):
-        print("error: layered counting needs JSON input with 'parts'", file=sys.stderr)
-        return 2
     c = count(g, method=method)
     text = (
         json.dumps(
@@ -71,7 +68,7 @@ def _cmd_count(args) -> int:
                 "schema": 1,
                 "derangements": str(c.derangements),
                 "permutations": str(c.permutations),
-                "ratio": float(c.ratio()) if c.permutations else None,
+                "ratio": float(c.ratio()),
                 "method": method,
             },
             indent=2,
@@ -98,14 +95,11 @@ def _cmd_solve(args) -> int:
 def _cmd_expect(args) -> int:
     if args.r is not None:
         if args.k is None:
-            print("error: --r requires --k", file=sys.stderr)
-            return 2
-        cplan = plan(args.r, args.k)
-        report = moment_report(cplan.k, cplan.ell, cplan.m, p=cplan.p, r=args.r)
+            raise ValueError("--r requires --k")
+        report = moment_report_for_plan(plan(args.r, args.k))
     else:
         if args.k is None or args.ell is None or args.m is None:
-            print("error: need --r --k, or --k --ell --m", file=sys.stderr)
-            return 2
+            raise ValueError("need --r --k, or --k --ell --m")
         report = moment_report(args.k, args.ell, args.m)
     if args.format == "csv":
         text = report.CSV_COLUMNS + "\n" + report.to_csv_row() + "\n"

@@ -141,9 +141,9 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     F'.  All C(k,i)^2 entries of T_c^(i) come from one matching DP over the
     rows of layer c (see _layer_minors), about C(k+t, t) states at row t:
     O(k * C(2k, k)) dict updates per layer and i, where one Ryser
-    permanent per entry would cost C(k,i)^2 * 2^(k-i) * (k-i).  The i = 0
-    term is the derangement count, a product of per-layer perfect-matching
-    counts.
+    permanent per entry would cost C(k,i)^2 * 2^(k-i) * (k-i).  The trace
+    then takes ell - 2 dense matrix products.  The i = 0 term is the
+    derangement count, a product of per-layer perfect-matching counts.
     """
     base = g.base
     k, ell = base.k, base.ell
@@ -214,19 +214,17 @@ def _layer_minors(rows, k: int, i: int) -> dict[int, int]:
 
 
 def _trace_product(mats) -> int:
-    """trace(M_1 * ... * M_t) for square big-int matrices."""
-    if len(mats) == 2:
-        a, b = mats
-        n = len(a)
-        return sum(a[x][y] * b[y][x] for x in range(n) for y in range(n))
-    m = mats[0]
+    """trace(M_1 * ... * M_t) for t >= 2 square big-int matrices: dense
+    products up to M_(t-1), then the diagonal sum of P[x][y] * M_t[y][x]."""
+    *head, last = mats
+    m = head[0]
     n = len(m)
-    for nxt in mats[1:]:
+    for nxt in head[1:]:
         m = [
             [sum(m[x][z] * nxt[z][y] for z in range(n)) for y in range(n)]
             for x in range(n)
         ]
-    return sum(m[x][x] for x in range(n))
+    return sum(m[x][y] * last[y][x] for x in range(n) for y in range(n))
 
 
 def closed_form_counts(k: int, ell: int) -> CountPair:

@@ -74,13 +74,6 @@ class BlowupDigraph:
         """Global index of the i-th vertex of part c."""
         return c * self.k + i
 
-    def edge_from_index(self, e: int) -> tuple[int, int]:
-        """Decode edge index into a (u, v) vertex pair."""
-        k = self.k
-        c, rem = divmod(e, k * k)
-        i, j = divmod(rem, k)
-        return self.vertex(c, i), self.vertex((c + 1) % self.ell, j)
-
     def full_subgraph(self) -> "SampledSubgraph":
         """The subgraph retaining every edge (all-ones layers)."""
         full_row = (1 << self.k) - 1
@@ -183,8 +176,7 @@ def enumerate_subgraphs(
 def to_general(g: SampledSubgraph | BlowupDigraph) -> Digraph:
     """Flatten to an edge-list digraph under the documented vertex numbering."""
     if isinstance(g, BlowupDigraph):
-        edges = frozenset(g.edge_from_index(e) for e in range(g.edge_count))
-        return Digraph(n=g.vertex_count, edges=edges)
+        g = g.full_subgraph()
     return Digraph(n=g.base.vertex_count, edges=frozenset(g.edge_list()))
 
 
@@ -214,9 +206,7 @@ def read_edgelist(f: TextIO) -> Digraph:
     return Digraph(n=n, edges=frozenset(edges))
 
 
-def to_json_dict(
-    g: Digraph | BlowupDigraph | SampledSubgraph, include_parts: bool = True
-) -> dict:
+def to_json_dict(g: Digraph | BlowupDigraph | SampledSubgraph) -> dict:
     parts = None
     if isinstance(g, (BlowupDigraph, SampledSubgraph)):
         base = g if isinstance(g, BlowupDigraph) else g.base
@@ -227,7 +217,7 @@ def to_json_dict(
         "n": g.n,
         "edges": sorted([list(e) for e in g.edges]),
     }
-    if parts is not None and include_parts:
+    if parts is not None:
         d["parts"] = parts
     return d
 

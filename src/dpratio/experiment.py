@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .counting import count_layered
 from .digraph import build_blowup, sample_subgraph
-from .moments import expected_x_exact, expected_y_exact, moment_report
+from .moments import expected_x_exact, expected_y_exact, moment_report_for_plan
 from .params import ConstructionPlan, plan
 
 DEFAULT_EPSILON = 0.05
@@ -141,7 +141,7 @@ def convergence_sweep(
     rows = []
     for k in sorted(k_list):
         cplan = plan(r, k)
-        report = moment_report(cplan.k, cplan.ell, cplan.m, p=cplan.p, r=r)
+        report = moment_report_for_plan(cplan)
         row = {
             "k": k,
             "ell": cplan.ell,

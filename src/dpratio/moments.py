@@ -4,9 +4,11 @@ permutation count Y under uniform m-edge sampling of the blow-up.
 Every exact moment is a weighted sum of P[x] = C(T-x, m-x) / C(T, m), the
 probability that x specified edges all survive, with T = k^2*ell edges in
 the blow-up.  `_edge_expectation` takes it as one integer sum over the common
-denominator C(T, m) and reduces a single Fraction at the end.  Composition
-sums over layer profiles are evaluated as coefficients of ell-fold
-self-convolutions, never by enumerating the compositions.
+denominator C(T, m) and reduces a single Fraction at the end.  The second
+moments share one pair sum over the fixed vertices (i, j) per part of two
+permutations (`_add_pair_weights`); E[X^2] is its (0, 0) term.  Sums over
+layer profiles are coefficients of ell-fold self-convolutions, never
+enumerations of the compositions.
 """
 
 from __future__ import annotations
@@ -159,60 +161,51 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _self_convolve(seq: list[int], times: int) -> list[int]:
-    out = [1]
-    for _ in range(times):
-        out = _convolve(out, seq)
-    return out
+def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int) -> None:
+    """Add the (i, j) term of the E[Y^2] pair sum into weights[x].
+
+    i and j are the fixed vertices per part of the two permutations.  The
+    per-layer weight g(t) = C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) counts
+    the ways to share t edges (out-of-range binomials are 0, the second h
+    argument is clamped to [0, k-j-t]).  The coefficient of the ell-fold
+    self-convolution of g at b sums over layer profiles with b shared edges
+    in total; scaled by (k!/i!)^ell, it weighs a union of
+    (2k-i-j)*ell - b edges.
+    """
+    g = []
+    for t in range(k + 1):
+        c = math.comb(k - i, t) * math.comb(k - t, j)
+        a = k - j - t
+        g.append(c * h_exact(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
+    conv = [1]
+    for _ in range(ell):
+        conv = _convolve(conv, g)
+    prefactor = (math.factorial(k) // math.factorial(i)) ** ell
+    shift = (2 * k - i - j) * ell
+    for b, coeff in enumerate(conv):
+        if coeff:
+            weights[shift - b] = weights.get(shift - b, 0) + prefactor * coeff
 
 
 def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
-    """E[X^2], exact.
-
-    Pairs of derangements sharing b edges in total, b_c per layer: the
-    per-layer weight is g(t) = C(k,t) h(k-t, k-t), and the sum over layer
-    profiles with total b is the coefficient of the ell-fold self-convolution
-    of g at index b.  The union of the pair has 2k*ell - b edges.
+    """E[X^2], exact: the (0, 0) term of the E[Y^2] pair sum, since a
+    derangement is a permutation with no fixed vertex.  Its per-layer
+    weight is g(t) = C(k,t) h(k-t, k-t), and the union of a pair of
+    derangements sharing b edges has 2k*ell - b edges.
     """
-    g = [math.comb(k, t) * h_exact(k - t, k - t) for t in range(k + 1)]
-    scale = math.factorial(k) ** ell
-    weights = {
-        2 * k * ell - b: scale * coeff
-        for b, coeff in enumerate(_self_convolve(g, ell))
-        if coeff
-    }
+    weights: dict[int, int] = {}
+    _add_pair_weights(weights, k, ell, 0, 0)
     return _edge_expectation(k, ell, m, weights)
 
 
 def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
-    """Exact-rational upper bound on E[Y^2].
-
-    Sums over (i, j) = fixed vertices per part of each permutation in the
-    pair and b = total shared edges; per-layer weight
-    C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) with out-of-range binomials
-    evaluating to 0 and the h second argument clamped at 0.
+    """Exact-rational upper bound on E[Y^2]: the pair sum over (i, j) =
+    fixed vertices per part of each permutation (see _add_pair_weights).
     """
-    kl = k * ell
     weights: dict[int, int] = {}
     for i in range(k + 1):
-        prefactor = (math.factorial(k) // math.factorial(i)) ** ell
         for j in range(k + 1):
-            g = []
-            for t in range(k + 1):
-                c1 = math.comb(k - i, t)
-                c2 = math.comb(k - t, j)
-                if not c1 or not c2:
-                    g.append(0)
-                    continue
-                a = k - j - t
-                b2 = max(0, k - i - t - 2 * j)
-                g.append(c1 * c2 * h_exact(a, min(a, b2)))
-            if not any(g):
-                continue
-            for b, coeff in enumerate(_self_convolve(g, ell)):
-                if coeff:
-                    x = 2 * kl - (i + j) * ell - b
-                    weights[x] = weights.get(x, 0) + prefactor * coeff
+            _add_pair_weights(weights, k, ell, i, j)
     return _edge_expectation(k, ell, m, weights)
 
 
@@ -228,9 +221,9 @@ def moment_report(
     ey = expected_y_exact(k, ell, m)
     ex2 = second_moment_x_exact(k, ell, m)
     ey2 = second_moment_y_upper(k, ell, m)
-    ratio = Fraction(ex, ey) if ey else Fraction(0)
+    ratio = ex / ey
     x_conc = float(ex2 / (ex * ex) - 1) if ex else float("nan")
-    y_conc = float(ey2 / (ey * ey) - 1) if ey else float("nan")
+    y_conc = float(ey2 / (ey * ey) - 1)
     return MomentReport(
         k=k,
         ell=ell,

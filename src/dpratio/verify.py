@@ -205,9 +205,10 @@ def check_moments(prof: Profile, record: Record) -> list[CheckResult]:
             ok &= moments.second_moment_y_upper(2, 2, m) >= oy2
     if prof.all_moments:
         for m in range(13):
-            ox, oy, _, oy2 = oracles.exhaustive_moments(2, 3, m)
+            ox, oy, ox2, oy2 = oracles.exhaustive_moments(2, 3, m)
             ok &= moments.expected_x_exact(2, 3, m) == ox
             ok &= moments.expected_y_exact(2, 3, m) == oy
+            ok &= moments.second_moment_x_exact(2, 3, m) == ox2
             ok &= moments.second_moment_y_upper(2, 3, m) >= oy2
     # frozen spot values
     ok &= moments.expected_x_exact(2, 2, 6) == Fraction(6, 7)

@@ -53,6 +53,7 @@ def test_count_layered_needs_parts(capsys, tmp_path):
     run_cli(capsys, "construct", "--k", "2", "--ell", "2", "--format", "edgelist", "--out", str(path))
     code = main(["count", "--in", str(path), "--method", "layered"])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve(capsys):
@@ -101,6 +102,8 @@ def test_value_error_exits_2_without_traceback(capsys):
     for argv in (
         ["expect", "--k", "30", "--ell", "2", "--m", "1000"],
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--seed", str(2**70)],
+        ["expect", "--k", "2"],
+        ["expect", "--r", "0.3"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

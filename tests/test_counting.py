@@ -148,6 +148,8 @@ def test_closed_form_examples():
 def test_closed_form_vs_layered_grid():
     shapes = [(k, ell) for k in range(1, 7) for ell in range(2, 5)]
     shapes += [(k, 2) for k in range(7, 11)]
+    # ell >= 5: the trace takes two or more dense products before its diagonal sum
+    shapes += [(k, ell) for k in range(1, 4) for ell in (5, 6)]
     for k, ell in shapes:
         assert closed_form_counts(k, ell) == count_layered(
             build_blowup(k, ell).full_subgraph()
