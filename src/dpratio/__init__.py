@@ -48,7 +48,6 @@ from .series import (
     f_eval,
     falling_ratio_asymptotic,
     falling_ratio_exact,
-    h_asymptotic,
     h_exact,
 )
 from .verify import verify_all

@@ -6,8 +6,9 @@ Three counters with nested domains:
 * count_permanent  -- Ryser permanents of A and A+I, n <= 30;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
-  each layer's matrix entries come from one perfect-matching DP over its
-  rows per fixed-set size, with about C(k+t, t) states at row t.
+  one perfect-matching DP per layer gives its matrix entries for every
+  fixed-set size i at once: C(k+t, t) states at row t, C(2k+1, k) state
+  visits per layer, no per-i pruning.
 
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
@@ -138,15 +139,16 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     where T_c^(i) is indexed by pairs of i-subsets (F of part c, F' of part
     c+1) with entry = number of perfect matchings of layer c avoiding F and
-    F'.  All C(k,i)^2 entries of T_c^(i) come from one matching DP over the
-    rows of layer c (see _layer_minors), about C(k+t, t) states at row t:
-    O(k * C(2k, k)) dict updates per layer and i, where one Ryser
-    permanent per entry would cost C(k,i)^2 * 2^(k-i) * (k-i).  The trace
-    then takes ell - 2 dense matrix products.  The i = 0 term is the
+    F'.  One matching DP over the rows of layer c (see _layer_minors) gives
+    the entries of T_c^(i) for every i at once: C(2k+1, k) state visits per
+    layer, with no per-i pruning, where one Ryser permanent per entry would
+    cost C(k,i)^2 * 2^(k-i) * (k-i).  Each size's states become its matrix
+    and are dropped; a size with no state in some layer adds nothing.  The
+    trace then takes ell - 2 dense matrix products.  The i = 0 term is the
     derangement count, a product of per-layer perfect-matching counts.
     """
     base = g.base
-    k, ell = base.k, base.ell
+    k = base.k
     if k > LAYERED_MAX_K:
         raise ValueError(f"layered counting limited to k <= {LAYERED_MAX_K}")
     full = (1 << k) - 1
@@ -154,63 +156,57 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     for mask in range(1 << k):
         subsets_by_size[mask.bit_count()].append(mask)
 
-    layer_edge_counts = [sum(r.bit_count() for r in rows) for rows in g.layers]
-
-    permutations = 0
-    derangements = 0
-    for i in range(k + 1):
-        need = k - i
-        if any(cnt < need for cnt in layer_edge_counts):
-            continue
-        fixed_sets = subsets_by_size[i]
-        row_keys = [f << k for f in fixed_sets]
-        col_keys = [full ^ f for f in fixed_sets]
-        mats = []
-        for rows in g.layers:
-            minors = _layer_minors(rows, k, i)
-            mats.append([[minors.get(r | c, 0) for c in col_keys] for r in row_keys])
-        term = _trace_product(mats)
-        permutations += term
-        if i == 0:
-            derangements = term
-    return CountPair(derangements=derangements, permutations=permutations)
+    # mats[i] holds T_c^(i) for the layers so far; None once a layer has none
+    mats: list[list | None] = [[] for _ in range(k + 1)]
+    for rows in g.layers:
+        minors = _layer_minors(rows, k)
+        for i, fixed_sets in enumerate(subsets_by_size):
+            states, minors[i] = minors[i], {}
+            if mats[i] is None:
+                continue
+            if not states:
+                mats[i] = None
+                continue
+            get = states.get
+            col_keys = [full ^ f for f in fixed_sets]
+            mats[i].append([[get(f << k | c, 0) for c in col_keys] for f in fixed_sets])
+    terms = [0 if m is None else _trace_product(m) for m in mats]
+    return CountPair(derangements=terms[0], permutations=sum(terms))
 
 
-def _layer_minors(rows, k: int, i: int) -> dict[int, int]:
-    """Perfect-matching counts of every minor of one layer that drops i rows
-    and i columns, keyed by F << k | U.
+def _layer_minors(rows, k: int) -> list[dict[int, int]]:
+    """Perfect-matching counts of every minor of one layer, keyed by F << k | U
+    and listed by i = |F|: the minor that drops rows F and columns F' is the
+    count of state F << k | (full & ~F') in entry i, absent if 0.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).  The
-    state F << k | U counts the partial assignments reaching it; states
-    with |F| > i or |U| > k - i are never made.  After the last row every
-    state has |F| = i and |U| = k - i, and the entry for rows F and columns
-    F' dropped is the count of state F << k | (full & ~F'), absent if 0.
+    state F << k | U counts the partial assignments reaching it.  One pass
+    serves every i, with no per-i pruning: row t has C(k+t, t) states, so
+    C(2k+1, k) over the layer, and after the last row every state has
+    |F| + |U| = k.
     """
-    need = k - i
     # by_fixed[f] holds the states with |F| = f, so |U| = t - f at row t
-    by_fixed: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(i)]
+    by_fixed: list[dict[int, int]] = [{0: 1}]
     for t, row in enumerate(rows):
         fix_bit = 1 << (k + t)
         col_bits = [1 << j for j in range(k) if (row >> j) & 1]
-        nxt: list[dict[int, int]] = [{} for _ in range(i + 1)]
-        for f in range(min(t, i) + 1):
-            cur = by_fixed[f]
+        nxt: list[dict[int, int]] = [{} for _ in range(t + 2)]
+        for f in range(t + 1):
+            cur, by_fixed[f] = by_fixed[f], {}  # freed once its moves are made
             if not cur:
                 continue
-            if f < i:
-                # fixing row t gives distinct keys no match move can reach
-                nxt[f + 1].update({key | fix_bit: cnt for key, cnt in cur.items()})
-            if t - f < need:
-                out = nxt[f]
-                get = out.get
-                for key, cnt in cur.items():
-                    for b in col_bits:
-                        if not key & b:
-                            nk = key | b
-                            out[nk] = get(nk, 0) + cnt
+            # fixing row t gives distinct keys no match move can reach
+            nxt[f + 1].update({key | fix_bit: cnt for key, cnt in cur.items()})
+            out = nxt[f]
+            get = out.get
+            for key, cnt in cur.items():
+                for b in col_bits:
+                    if not key & b:
+                        nk = key | b
+                        out[nk] = get(nk, 0) + cnt
         by_fixed = nxt
-    return by_fixed[i]
+    return by_fixed
 
 
 def _trace_product(mats) -> int:

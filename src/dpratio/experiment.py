@@ -11,7 +11,6 @@ import hashlib
 import math
 import statistics
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .counting import count_layered
@@ -98,6 +97,8 @@ def run_mc(
     seeds = [derive_seed(seed, t) for t in range(trials)]
     args = [(k, ell, m, s) for s in seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * workers))))
     else:

@@ -32,12 +32,6 @@ class AsymptoticValue:
     def to_float(self) -> float:
         return math.exp(self.log)
 
-    def mantissa_exponent(self) -> tuple[float, int]:
-        """Base-10 scientific representation (mantissa, exponent)."""
-        log10 = self.log / math.log(10.0)
-        exp10 = math.floor(log10)
-        return 10.0 ** (log10 - exp10), exp10
-
 
 @dataclass(frozen=True)
 class MomentReport:

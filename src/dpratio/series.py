@@ -73,19 +73,6 @@ def h_exact(a: int, b: int) -> int:
     )
 
 
-def h_asymptotic(a: int, b: int) -> float:
-    """Leading approximation a!/e, valid in the window a - a^(1/10) <= b <= a.
-
-    Computed via log-gamma to avoid overflow; diagnostics only, never used
-    in exact paths.
-    """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if not (a - a ** (1 / 10) <= b <= a):
-        raise ValueError(f"b={b} outside the window [a - a^(1/10), a] for a={a}")
-    return math.exp(math.lgamma(a + 1) - 1.0)
-
-
 def falling_ratio_exact(a: int, b: int, x: int) -> Fraction:
     """(b)_x / (a)_x as an exact rational; equals C(a-x, b-x) / C(a, b)."""
     if not (0 <= x <= b <= a):

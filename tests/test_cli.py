@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import dpratio
 from dpratio.cli import main
 
 
@@ -143,3 +147,17 @@ def test_verify_tiny(capsys):
     code, out = run_cli(capsys, "verify", "--profile", "tiny")
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the process pool is imported only when mc runs with --workers > 1
+    src = os.path.dirname(os.path.dirname(dpratio.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, dpratio.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -23,7 +23,8 @@ from dpratio.digraph import (
     sample_subgraph,
     to_general,
 )
-from dpratio.experiment import derive_seed
+from dpratio.experiment import derive_seed, run_mc
+from dpratio.params import plan
 
 
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
@@ -157,8 +158,8 @@ def test_closed_form_vs_layered_grid():
 
 
 def test_layer_minors_match_permanents():
-    # every entry of the per-layer matching DP equals the Ryser permanent of
-    # the minor keeping rows outside F and columns outside F'
+    # one matching DP per layer lists, for every i, the Ryser permanent of
+    # each minor keeping rows outside F and columns outside F' with |F| = i
     rng = random.Random(2024)
     for t in range(40):
         k = rng.randrange(1, 7)
@@ -169,8 +170,9 @@ def test_layer_minors_match_permanents():
         if t % 4 == 1:
             rows[rng.randrange(k)] = 0  # an empty row
         full = (1 << k) - 1
-        for i in range(k + 1):
-            minors = _layer_minors(rows, k, i)
+        by_fixed = _layer_minors(rows, k)
+        assert len(by_fixed) == k + 1
+        for i, minors in enumerate(by_fixed):
             fixed_sets = [f for f in range(1 << k) if f.bit_count() == i]
             for key in minors:
                 assert (key >> k).bit_count() == i
@@ -182,6 +184,21 @@ def test_layer_minors_match_permanents():
                     minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
                     key = (f_rows << k) | (full & ~f_cols)
                     assert minors.get(key, 0) == permanent(minor)
+
+
+def test_layered_frozen_mc_ell2_trials():
+    # (X, Y) of trials 0-3 of run_mc(plan(0.3, 8), 4, seed=0), ell = 2, m = 102:
+    # frozen values, recorded once and never recomputed from the counter
+    cp = plan(0.3, 8)
+    assert (cp.k, cp.ell, cp.m) == (8, 2, 102)
+    frozen = [
+        (32658840, 117349013),
+        (26202330, 97892750),
+        (41402336, 140268986),
+        (34431984, 119598932),
+    ]
+    report = run_mc(cp, 4, seed=0)  # trial t counts with count_layered
+    assert [(x, y) for _, x, y, _ in report.per_trial] == frozen
 
 
 def test_closed_form_ratio():

@@ -140,13 +140,6 @@ def test_exact_vs_asymptotic_converges():
         assert errs[0] > errs[1] > errs[2]
 
 
-def test_mantissa_exponent():
-    v = expected_x_asymptotic(20, 2, 0.8)
-    mant, exp10 = v.mantissa_exponent()
-    assert 1.0 <= mant < 10.0
-    assert math.log10(mant) + exp10 == pytest.approx(v.log / math.log(10))
-
-
 def test_moment_report_fields():
     cp = plan(0.3, 6)
     rep = moment_report_for_plan(cp)

@@ -11,7 +11,6 @@ from dpratio.series import (
     f_eval,
     falling_ratio_asymptotic,
     falling_ratio_exact,
-    h_asymptotic,
     h_exact,
 )
 
@@ -101,17 +100,6 @@ def test_h_exact_rejects():
         h_exact(3, 4)
     with pytest.raises(ValueError):
         h_exact(-1, 0)
-
-
-def test_h_asymptotic():
-    assert abs(h_asymptotic(10, 10) - math.factorial(10) / math.e) <= 1e-3
-    with pytest.raises(ValueError):
-        h_asymptotic(100, 50)  # outside the window
-    # relative error shrinks as a grows
-    def rel(a):
-        return abs(h_exact(a, a) * math.e / math.factorial(a) - 1)
-
-    assert rel(20) < rel(10)
 
 
 def test_falling_ratio_exact_examples():
