@@ -7,7 +7,6 @@ parameter solving from a target ratio, and exact/asymptotic moments.
 from .counting import (
     CountPair,
     closed_form_counts,
-    closed_form_ratio,
     count,
     count_bruteforce,
     count_layered,
@@ -30,7 +29,6 @@ from .experiment import (
     run_mc,
 )
 from .moments import (
-    AsymptoticValue,
     MomentReport,
     expected_x_asymptotic,
     expected_x_exact,

@@ -51,7 +51,7 @@ def _read_graph(path: str):
     if path.endswith(".json"):
         with open(path) as f:
             d = json.load(f)
-        if "parts" in d:
+        if isinstance(d, dict) and "parts" in d:
             return dg.subgraph_from_json(d)
         return dg.from_json_dict(d)
     with open(path) as f:
@@ -59,9 +59,7 @@ def _read_graph(path: str):
 
 
 def _cmd_count(args) -> int:
-    g = _read_graph(args.infile)
-    method = args.method
-    c = count(g, method=method)
+    method, c = count(_read_graph(args.infile))
     text = (
         json.dumps(
             {
@@ -157,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count derangements and permutations")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", choices=["brute", "permanent", "layered", "auto"], default="auto")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 
@@ -208,7 +205,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

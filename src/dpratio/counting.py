@@ -10,6 +10,10 @@ Three counters with nested domains:
   fixed-set size i at once: C(k+t, t) states at row t, C(2k+1, k) state
   visits per layer, no per-i pruning.
 
+`count` takes the counter from the graph: layered for a blow-up subgraph,
+brute force for a general digraph with n <= 10, Ryser above that.  The
+other two stay as oracles for the layered counter (see `dpratio.verify`).
+
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
 equals the permanent of adjacency-plus-identity, derangements the permanent
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import BlowupDigraph, Digraph, SampledSubgraph
+from .digraph import Digraph, SampledSubgraph
 
 BRUTEFORCE_MAX_N = 10
 PERMANENT_MAX_N = 30
@@ -72,8 +76,6 @@ def permanent(matrix) -> int:
     n = len(matrix)
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent limited to n <= {PERMANENT_MAX_N}, got {n}")
-    if n == 0:
-        return 1
     rows = []
     for row in matrix:
         if len(row) != n:
@@ -235,25 +237,12 @@ def closed_form_counts(k: int, ell: int) -> CountPair:
     return CountPair(derangements=der, permutations=per)
 
 
-def closed_form_ratio(k: int, ell: int) -> Fraction:
-    """Exact derangement-to-permutation ratio of the full blow-up."""
-    c = closed_form_counts(k, ell)
-    return Fraction(c.derangements, c.permutations)
-
-
-def count(g, method: str = "auto") -> CountPair:
-    """Dispatch to a counter by name; 'auto' picks the cheapest valid one."""
-    if method == "layered" or (method == "auto" and isinstance(g, SampledSubgraph)):
-        if isinstance(g, BlowupDigraph):
-            g = g.full_subgraph()
-        if not isinstance(g, SampledSubgraph):
-            raise ValueError("layered counting needs a blow-up subgraph")
-        return count_layered(g)
-    from .digraph import to_general
-
-    plain = to_general(g) if not isinstance(g, Digraph) else g
-    if method == "brute" or (method == "auto" and plain.n <= BRUTEFORCE_MAX_N):
-        return count_bruteforce(plain)
-    if method in ("permanent", "auto"):
-        return count_permanent(plain)
-    raise ValueError(f"unknown counting method {method!r}")
+def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:
+    """Count with the counter the graph calls for; return its name and the
+    counts: "layered" for a blow-up subgraph, "brute" for a digraph with
+    n <= BRUTEFORCE_MAX_N, "permanent" otherwise."""
+    if isinstance(g, SampledSubgraph):
+        return "layered", count_layered(g)
+    if g.n <= BRUTEFORCE_MAX_N:
+        return "brute", count_bruteforce(g)
+    return "permanent", count_permanent(g)

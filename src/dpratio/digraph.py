@@ -14,8 +14,8 @@ from typing import Iterator, TextIO
 
 SCHEMA_VERSION = 1
 
-#: Default cap on the number of subgraphs enumerate_subgraphs will stream.
-DEFAULT_ENUMERATION_CAP = 10**7
+#: Cap on the number of subgraphs enumerate_subgraphs will stream.
+ENUMERATION_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,18 @@ class BlowupDigraph:
         """The subgraph retaining every edge (all-ones layers)."""
         full_row = (1 << self.k) - 1
         layers = tuple(tuple(full_row for _ in range(self.k)) for _ in range(self.ell))
-        return SampledSubgraph(base=self, m=self.edge_count, layers=layers)
+        return SampledSubgraph(base=self, layers=layers)
 
 
 @dataclass(frozen=True)
 class SampledSubgraph:
-    """An m-edge subgraph of a blow-up, stored as per-layer bitmask rows.
+    """A subgraph of a blow-up, stored as per-layer bitmask rows.
 
     layers[c][i] has bit j set iff edge (part-c vertex i -> part-(c+1)
     vertex j) is retained.
     """
 
     base: BlowupDigraph
-    m: int
     layers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -98,14 +97,8 @@ class SampledSubgraph:
         if len(self.layers) != ell or any(len(rows) != k for rows in self.layers):
             raise ValueError("layers must be ell tuples of k row masks")
         full = (1 << k) - 1
-        bits = 0
-        for rows in self.layers:
-            for row in rows:
-                if row & ~full:
-                    raise ValueError("row mask has bits outside 0..k-1")
-                bits += row.bit_count()
-        if bits != self.m:
-            raise ValueError(f"mask bit count {bits} != declared m {self.m}")
+        if any(row & ~full for rows in self.layers for row in rows):
+            raise ValueError("row mask has bits outside 0..k-1")
 
     @classmethod
     def from_edge_indices(cls, base: BlowupDigraph, indices) -> "SampledSubgraph":
@@ -118,7 +111,7 @@ class SampledSubgraph:
             i, j = divmod(rem, k)
             rows[c][i] |= 1 << j
         layers = tuple(tuple(r) for r in rows)
-        return cls(base=base, m=len(set(indices)), layers=layers)
+        return cls(base=base, layers=layers)
 
     def edge_list(self) -> list[tuple[int, int]]:
         k, ell = self.base.k, self.base.ell
@@ -157,9 +150,7 @@ def sample_subgraph(base: BlowupDigraph, m: int, seed: int) -> SampledSubgraph:
     return SampledSubgraph.from_edge_indices(base, idx[:m])
 
 
-def enumerate_subgraphs(
-    base: BlowupDigraph, m: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[SampledSubgraph]:
+def enumerate_subgraphs(base: BlowupDigraph, m: int) -> Iterator[SampledSubgraph]:
     """Yield every m-edge subgraph exactly once (brute-force oracle)."""
     import itertools
 
@@ -167,8 +158,8 @@ def enumerate_subgraphs(
     if not (0 <= m <= total):
         raise ValueError(f"m must be in [0, {total}], got {m}")
     count = math.comb(total, m)
-    if count > cap:
-        raise ValueError(f"C({total}, {m}) = {count} exceeds cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise ValueError(f"C({total}, {m}) = {count} exceeds cap {ENUMERATION_CAP}")
     for combo in itertools.combinations(range(total), m):
         yield SampledSubgraph.from_edge_indices(base, combo)
 
@@ -222,7 +213,13 @@ def to_json_dict(g: Digraph | BlowupDigraph | SampledSubgraph) -> dict:
     return d
 
 
+def _check_graph_json(d) -> None:
+    if not isinstance(d, dict) or "n" not in d or "edges" not in d:
+        raise ValueError("graph JSON must be an object with 'n' and 'edges' fields")
+
+
 def from_json_dict(d: dict) -> Digraph:
+    _check_graph_json(d)
     return Digraph(n=d["n"], edges=frozenset(tuple(e) for e in d["edges"]))
 
 
@@ -232,6 +229,7 @@ def subgraph_from_json(d: dict) -> SampledSubgraph:
     Requires the standard contiguous part numbering (part c = range(c*k,
     (c+1)*k)) and all edges between consecutive parts.
     """
+    _check_graph_json(d)
     if "parts" not in d:
         raise ValueError("layered reconstruction requires a 'parts' field")
     parts = d["parts"]

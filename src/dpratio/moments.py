@@ -17,20 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digraph import BlowupDigraph
 from .params import ConstructionPlan
 from .series import f_eval, h_exact
 
 SECOND_MOMENT_MAX_K = 25
-
-
-@dataclass(frozen=True)
-class AsymptoticValue:
-    """A positive real stored by its natural log (values overflow floats)."""
-
-    log: float
-
-    def to_float(self) -> float:
-        return math.exp(self.log)
 
 
 @dataclass(frozen=True)
@@ -46,8 +37,8 @@ class MomentReport:
     ey: Fraction
     ex2: Fraction
     ey2_upper: Fraction
-    ex_asym: AsymptoticValue
-    ey_asym: AsymptoticValue
+    ex_asym_log: float  # natural logs: the values overflow floats
+    ey_asym_log: float
     ratio_exact: Fraction
     x_concentration: float
     y_concentration_bound: float
@@ -64,8 +55,8 @@ class MomentReport:
             "ey": _frac_str(self.ey),
             "ex2": _frac_str(self.ex2),
             "ey2_upper": _frac_str(self.ey2_upper),
-            "ex_asym_log": self.ex_asym.log,
-            "ey_asym_log": self.ey_asym.log,
+            "ex_asym_log": self.ex_asym_log,
+            "ey_asym_log": self.ey_asym_log,
             "ratio_exact": _frac_str(self.ratio_exact),
             "ratio_exact_float": float(self.ratio_exact),
             "x_concentration": self.x_concentration,
@@ -91,8 +82,8 @@ class MomentReport:
                 float(self.ey),
                 self.x_concentration,
                 self.y_concentration_bound,
-                self.ex_asym.log,
-                self.ey_asym.log,
+                self.ex_asym_log,
+                self.ey_asym_log,
             )
         )
 
@@ -105,7 +96,7 @@ def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Frac
     """sum_x weights[x] * P[x specified edges survive uniform m-edge sampling
     of the k^2*ell blow-up edges], with P[x] = C(T-x, m-x) / C(T, m) and 0
     when x > m."""
-    total = k * k * ell
+    total = BlowupDigraph(k, ell).edge_count  # rejects k < 1 and ell < 2
     if not 0 <= m <= total:
         raise ValueError(f"need 0 <= m <= {total}, got m={m}")
     num = sum(w * math.comb(total - x, m - x) for x, w in weights.items() if x <= m)
@@ -126,22 +117,20 @@ def expected_y_exact(k: int, ell: int, m: int) -> Fraction:
     return _edge_expectation(k, ell, m, weights)
 
 
-def expected_x_asymptotic(k: int, ell: int, p: float) -> AsymptoticValue:
-    """(k!)^ell p^(k*ell) exp{(ell/2)(1 - 1/p)}, carried in log-space."""
+def expected_x_asymptotic(k: int, ell: int, p: float) -> float:
+    """Natural log of (k!)^ell p^(k*ell) exp{(ell/2)(1 - 1/p)}."""
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    log = (
+    return (
         ell * math.lgamma(k + 1)
         + k * ell * math.log(p)
         + (ell / 2.0) * (1.0 - 1.0 / p)
     )
-    return AsymptoticValue(log=log)
 
 
-def expected_y_asymptotic(k: int, ell: int, p: float) -> AsymptoticValue:
-    """The E[X] asymptotic multiplied by f_ell(1/p)."""
-    base = expected_x_asymptotic(k, ell, p)
-    return AsymptoticValue(log=base.log + math.log(f_eval(ell, 1.0 / p).value))
+def expected_y_asymptotic(k: int, ell: int, p: float) -> float:
+    """Natural log of the E[X] asymptotic multiplied by f_ell(1/p)."""
+    return expected_x_asymptotic(k, ell, p) + math.log(f_eval(ell, 1.0 / p).value)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -207,6 +196,7 @@ def moment_report(
     k: int, ell: int, m: int, p: float | None = None, r: float | None = None
 ) -> MomentReport:
     """All exact and asymptotic moments plus derived concentration numbers."""
+    BlowupDigraph(k, ell)  # rejects k < 1 and ell < 2
     if k > SECOND_MOMENT_MAX_K:
         raise ValueError(f"ex2/ey2 exact computation limited to k <= {SECOND_MOMENT_MAX_K}")
     if p is None:
@@ -228,8 +218,8 @@ def moment_report(
         ey=ey,
         ex2=ex2,
         ey2_upper=ey2,
-        ex_asym=expected_x_asymptotic(k, ell, p),
-        ey_asym=expected_y_asymptotic(k, ell, p),
+        ex_asym_log=expected_x_asymptotic(k, ell, p),
+        ey_asym_log=expected_y_asymptotic(k, ell, p),
         ratio_exact=ratio,
         x_concentration=x_conc,
         y_concentration_bound=y_conc,

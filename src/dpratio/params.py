@@ -38,10 +38,6 @@ class ConstructionPlan:
             "m": self.m,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ConstructionPlan":
-        return cls(r=d["r"], ell=d["ell"], p=d["p"], x=d["x"], k=d["k"], m=d["m"])
-
 
 def choose_ell(r: float) -> int:
     """Minimal ell >= 2 with f_ell(1) < 1/r.
@@ -68,8 +64,8 @@ def solve_p(r: float, ell: int, tol: float = DEFAULT_TOL) -> tuple[float, float]
     """
     if not 0 < r < 0.5:
         raise ValueError(f"r must lie in (0, 1/2), got {r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     target = 1.0 / r
     series_tol = tol * _SERIES_TOL_FACTOR
 
@@ -109,9 +105,26 @@ def plan(r: float, k: int, tol: float = DEFAULT_TOL) -> ConstructionPlan:
     ell = choose_ell(r)
     p, x = solve_p(r, ell, tol=tol)
     total = k * k * ell
-    m = math.floor(p * total + 0.5)  # nearest integer, ties up
-    if m <= 0 or m >= total:
+    a, b = p.as_integer_ratio()
+    # nearest integer to p*total, ties up; in integers, so _smallest_k is exact
+    m = (2 * a * total + b) // (2 * b)
+    if not 0 < m < total:
+        k_min = _smallest_k(a, b, ell)
+        way_out = f"k >= {k_min} gives 0 < m < k^2*ell" if k_min else "no k works: p rounds to 1"
         raise ValueError(
-            f"rounded edge count m={m} is degenerate for k={k}, ell={ell}, p={p}"
+            f"rounded edge count m={m} is degenerate for k={k}, ell={ell}, p={p}; {way_out}"
         )
     return ConstructionPlan(r=r, ell=ell, p=p, x=x, k=k, m=m)
+
+
+def _smallest_k(a: int, b: int, ell: int) -> int | None:
+    """Smallest k >= 2 whose rounded edge count m lies in (0, k^2*ell) for
+    p = a/b, or None when p = 1 and no k has one.
+
+    With T = k^2*ell, 0 < m < T holds iff p*T >= 1/2 and (1-p)*T > 1/2.
+    Both grow with T, so every larger k works too.
+    """
+    if a >= b:
+        return None
+    t_min = max(-(-b // (2 * a)), b // (2 * (b - a)) + 1)
+    return max(2, math.isqrt(-(-t_min // ell) - 1) + 1)  # ceil(sqrt(ceil(t_min/ell)))

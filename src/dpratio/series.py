@@ -30,8 +30,8 @@ def f_eval(ell: int, x: float, tol: float = 1e-12) -> SeriesValue:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     terms = [1.0]
     term = 1.0
     i = 0

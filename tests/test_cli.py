@@ -36,28 +36,28 @@ def test_construct_edgelist(capsys, tmp_path):
 def test_count_edgelist(capsys, tmp_path):
     path = tmp_path / "g.txt"
     run_cli(capsys, "construct", "--k", "2", "--ell", "2", "--format", "edgelist", "--out", str(path))
-    code, out = run_cli(capsys, "count", "--in", str(path), "--method", "brute")
+    code, out = run_cli(capsys, "count", "--in", str(path))
     assert code == 0
     d = json.loads(out)
-    assert (d["derangements"], d["permutations"]) == ("4", "9")
+    assert (d["derangements"], d["permutations"], d["method"]) == ("4", "9", "brute")
+
+
+def test_count_large_edgelist_uses_permanent(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    run_cli(capsys, "construct", "--k", "3", "--ell", "4", "--format", "edgelist", "--out", str(path))
+    code, out = run_cli(capsys, "count", "--in", str(path))
+    assert code == 0
+    d = json.loads(out)
+    assert (d["derangements"], d["permutations"], d["method"]) == ("1296", "2674", "permanent")
 
 
 def test_count_layered_json(capsys, tmp_path):
     path = tmp_path / "g.json"
     run_cli(capsys, "construct", "--k", "2", "--ell", "2", "--out", str(path))
-    for method in ("brute", "permanent", "layered", "auto"):
-        code, out = run_cli(capsys, "count", "--in", str(path), "--method", method)
-        assert code == 0
-        d = json.loads(out)
-        assert (d["derangements"], d["permutations"]) == ("4", "9")
-
-
-def test_count_layered_needs_parts(capsys, tmp_path):
-    path = tmp_path / "g.txt"
-    run_cli(capsys, "construct", "--k", "2", "--ell", "2", "--format", "edgelist", "--out", str(path))
-    code = main(["count", "--in", str(path), "--method", "layered"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    code, out = run_cli(capsys, "count", "--in", str(path))
+    assert code == 0
+    d = json.loads(out)
+    assert (d["derangements"], d["permutations"], d["method"]) == ("4", "9", "layered")
 
 
 def test_solve(capsys):
@@ -108,6 +108,28 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--seed", str(2**70)],
         ["expect", "--k", "2"],
         ["expect", "--r", "0.3"],
+        ["expect", "--k", "0", "--ell", "2", "--m", "0"],
+        ["expect", "--k", "2", "--ell", "0", "--m", "0"],
+        ["expect", "--k", "2", "--ell", "1", "--m", "3"],
+        ["expect", "--k", "-1", "--ell", "2", "--m", "0"],
+        ["solve", "--r", "0.3", "--tol", "nan"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
+    no_keys = tmp_path / "no_edges.json"
+    no_keys.write_text('{"n": 3}')
+    not_object = tmp_path / "number.json"
+    not_object.write_text("3")
+    for argv in (
+        ["count", "--in", str(tmp_path / "missing.txt")],
+        ["construct", "--k", "2", "--ell", "2", "--out", str(tmp_path / "missing" / "g.json")],
+        ["count", "--in", str(no_keys)],
+        ["count", "--in", str(not_object)],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

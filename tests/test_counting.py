@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dpratio.counting import (
     closed_form_counts,
-    closed_form_ratio,
     count,
     count_bruteforce,
     count_layered,
@@ -202,16 +201,16 @@ def test_layered_frozen_mc_ell2_trials():
 
 
 def test_closed_form_ratio():
-    assert closed_form_ratio(1, 2) == Fraction(1, 2)
-    assert closed_form_ratio(1, 5) == Fraction(1, 2)
-    assert closed_form_ratio(2, 2) == Fraction(4, 9)
+    assert closed_form_counts(1, 2).ratio() == Fraction(1, 2)
+    assert closed_form_counts(1, 5).ratio() == Fraction(1, 2)
+    assert closed_form_counts(2, 2).ratio() == Fraction(4, 9)
 
 
 @given(k=st.integers(1, 6), ell=st.integers(2, 5))
 def test_closed_form_ratio_identity(k, ell):
     # 1 / sum_i (1/i!)^ell as an exact rational
     inv = sum(Fraction(1, math.factorial(i)) ** ell for i in range(k + 1))
-    assert closed_form_ratio(k, ell) == 1 / inv
+    assert closed_form_counts(k, ell).ratio() == 1 / inv
 
 
 @settings(max_examples=25, deadline=None)
@@ -240,12 +239,12 @@ def test_monotone_in_edges(seed, data):
 
 
 def test_count_dispatch():
-    base = build_blowup(2, 2)
-    g = sample_subgraph(base, 5, 3)
+    # the graph picks the counter: layered for a blow-up subgraph, brute
+    # force up to n = 10, Ryser above
+    g = sample_subgraph(build_blowup(2, 2), 5, 3)
     ref = count_layered(g)
-    assert count(g) == ref
-    assert count(g, "brute") == ref
-    assert count(g, "permanent") == ref
-    assert count(base, "layered") == closed_form_counts(2, 2)
-    with pytest.raises(ValueError):
-        count(g, "bogus")
+    assert count(g) == ("layered", ref)
+    assert count(to_general(g)) == ("brute", ref)
+    full = build_blowup(3, 4).full_subgraph()
+    assert count(full) == ("layered", closed_form_counts(3, 4))
+    assert count(to_general(full)) == ("permanent", closed_form_counts(3, 4))

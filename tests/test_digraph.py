@@ -64,7 +64,6 @@ def test_digraph_rejects_loops_and_range():
 def test_sample_full_and_empty():
     base = build_blowup(2, 2)
     full = sample_subgraph(base, 8, 7)
-    assert full.m == 8
     assert to_general(full).edges == to_general(base).edges
     empty = sample_subgraph(base, 0, 7)
     assert to_general(empty).edges == frozenset()
@@ -118,9 +117,6 @@ def test_enumerate_cap():
     assert math.comb(27, 13) == 20_058_300
     with pytest.raises(ValueError):
         next(iter(enumerate_subgraphs(base, 13)))
-    # raising the cap allows it
-    it = enumerate_subgraphs(base, 13, cap=math.comb(27, 13))
-    next(it)
 
 
 @settings(max_examples=30)
@@ -147,6 +143,16 @@ def test_json_roundtrip_plain():
     assert from_json_dict(json.loads(json.dumps(d))) == g
 
 
+def test_json_readers_reject_non_graphs():
+    layered = to_json_dict(build_blowup(2, 2))
+    for d in (3, [], {"n": 3}, {"edges": []}):
+        with pytest.raises(ValueError):
+            from_json_dict(d)
+    for d in (3, [], {"n": 4, "parts": layered["parts"]}):
+        with pytest.raises(ValueError):
+            subgraph_from_json(d)
+
+
 def test_json_roundtrip_layered():
     base = build_blowup(3, 2)
     g = sample_subgraph(base, 10, 5)
@@ -159,6 +165,6 @@ def test_json_roundtrip_layered():
 def test_subgraph_invariant_checks():
     base = build_blowup(2, 2)
     with pytest.raises(ValueError):
-        SampledSubgraph(base=base, m=3, layers=((1, 0), (0, 0)))  # bit count 1 != 3
+        SampledSubgraph(base=base, layers=((4, 0), (0, 0)))  # bit outside 0..k-1
     with pytest.raises(ValueError):
-        SampledSubgraph(base=base, m=1, layers=((4, 0), (0, 0)))  # bit outside 0..k-1
+        SampledSubgraph(base=base, layers=((1, 0),))  # one layer of two

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dpratio.counting import closed_form_ratio
+from dpratio.counting import closed_form_counts
 from dpratio.experiment import (
     convergence_sweep,
     derive_seed,
@@ -59,7 +59,7 @@ def test_run_mc_degenerate_full_graph():
     # m = k^2*ell directly (bypassing the plan rounding guard): no randomness
     cp = ConstructionPlan(r=0.4, ell=2, p=1.0, x=1.0, k=3, m=18)
     rep = run_mc(cp, 10, seed=0)
-    expected = float(closed_form_ratio(3, 2))
+    expected = float(closed_form_counts(3, 2).ratio())
     assert rep.empirical_sd == 0.0
     assert all(r == expected for _, _, _, r in rep.per_trial)
 

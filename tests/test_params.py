@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
-from dpratio.params import ConstructionPlan, choose_ell, plan, solve_p
+from dpratio import params
+from dpratio.params import choose_ell, plan, solve_p
 from dpratio.series import f_eval
 
 
@@ -62,6 +65,27 @@ def test_plan_rejects():
         plan(0.5, 8)
     with pytest.raises(ValueError):
         plan(0.3, 1)
+    for tol in (0.0, math.nan, math.inf):  # nan once never returned
+        with pytest.raises(ValueError):
+            solve_p(0.3, 2, tol=tol)
+        with pytest.raises(ValueError):
+            plan(0.3, 8, tol=tol)
+
+
+@pytest.mark.parametrize("r, k, k_min", [(0.49, 7, 8), (0.45, 2, 3), (0.4999, 25, 57)])
+def test_plan_degenerate_m_names_smallest_k(r, k, k_min):
+    with pytest.raises(ValueError, match=rf"k >= {k_min} gives 0 < m"):
+        plan(r, k)
+    cp = plan(r, k_min)
+    assert 0 < cp.m < k_min * k_min * cp.ell
+    with pytest.raises(ValueError):
+        plan(r, k_min - 1)
+
+
+def test_plan_p_one_says_no_k_works(monkeypatch):
+    monkeypatch.setattr(params, "solve_p", lambda r, ell, tol: (1.0, 1.0))
+    with pytest.raises(ValueError, match="no k works"):
+        plan(0.3, 8)
 
 
 def test_plan_tiny_ratio_raises_instead_of_hanging():
@@ -81,5 +105,4 @@ def test_plan_small_ratios_meet_relative_tolerance():
 def test_plan_json_roundtrip():
     cp = plan(0.25, 6)
     d = cp.to_json_dict()
-    assert d["schema"] == 1
-    assert ConstructionPlan.from_json_dict(json.loads(json.dumps(d))) == cp
+    assert json.loads(json.dumps(d)) == {"schema": 1, **dataclasses.asdict(cp)}

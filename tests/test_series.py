@@ -43,8 +43,9 @@ def test_f_eval_rejects_bad_args():
         f_eval(2, -1.0)
     with pytest.raises(ValueError):
         f_eval(0, 1.0)
-    with pytest.raises(ValueError):
-        f_eval(2, 1.0, tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):  # nan once never returned
+        with pytest.raises(ValueError):
+            f_eval(2, 1.0, tol=tol)
 
 
 def test_f_eval_overflow_raises():
