@@ -21,7 +21,7 @@ from .experiment import (
     sweep_csv,
 )
 from .moments import moment_report, moment_report_for_plan
-from .params import DEFAULT_TOL, plan, ConstructionPlan
+from .params import plan, ConstructionPlan
 from .verify import PROFILES, verify_all
 
 
@@ -79,12 +79,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.k is not None:
-        cplan = plan(args.r, args.k, tol=args.tol)
+        cplan = plan(args.r, args.k)
     else:
         from .params import choose_ell, solve_p
 
         ell = choose_ell(args.r)
-        p, x = solve_p(args.r, ell, tol=args.tol)
+        p, x = solve_p(args.r, ell)
         cplan = ConstructionPlan(r=args.r, ell=ell, p=p, x=x, k=0, m=0)
     _write_output(json.dumps(cplan.to_json_dict(), indent=2) + "\n", args.out)
     return 0
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve (ell, p) from a target ratio r")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--k", type=int, help="also assemble m for this part size")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 

@@ -11,8 +11,8 @@ Three counters with nested domains:
   visits per layer, no per-i pruning.
 
 `count` takes the counter from the graph: layered for a blow-up subgraph,
-brute force for a general digraph with n <= 10, Ryser above that.  The
-other two stay as oracles for the layered counter (see `dpratio.verify`).
+Ryser for a general digraph.  Brute force and Ryser stay as oracles for
+the layered counter (see `dpratio.verify`).
 
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
@@ -239,10 +239,7 @@ def closed_form_counts(k: int, ell: int) -> CountPair:
 
 def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:
     """Count with the counter the graph calls for; return its name and the
-    counts: "layered" for a blow-up subgraph, "brute" for a digraph with
-    n <= BRUTEFORCE_MAX_N, "permanent" otherwise."""
+    counts: "layered" for a blow-up subgraph, "permanent" for a digraph."""
     if isinstance(g, SampledSubgraph):
         return "layered", count_layered(g)
-    if g.n <= BRUTEFORCE_MAX_N:
-        return "brute", count_bruteforce(g)
     return "permanent", count_permanent(g)

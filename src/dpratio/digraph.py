@@ -214,8 +214,17 @@ def to_json_dict(g: Digraph | BlowupDigraph | SampledSubgraph) -> dict:
 
 
 def _check_graph_json(d) -> None:
+    # type() rather than isinstance(): bool is an int subclass, and JSON true is no vertex
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ValueError("graph JSON must be an object with 'n' and 'edges' fields")
+    if type(d["n"]) is not int:
+        raise ValueError(f"graph JSON field 'n' must be an integer, got {d['n']!r}")
+    if type(d["edges"]) is not list or any(
+        type(e) is not list or [type(v) for v in e] != [int, int] for e in d["edges"]
+    ):
+        raise ValueError("graph JSON field 'edges' must be a list of [u, v] integer pairs")
+    if type(parts := d.get("parts", [])) is not list or any(type(c) is not list for c in parts):
+        raise ValueError("graph JSON field 'parts' must be a list of lists")
 
 
 def from_json_dict(d: dict) -> Digraph:

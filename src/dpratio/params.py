@@ -9,12 +9,6 @@ from dataclasses import dataclass
 
 from .series import f_eval
 
-DEFAULT_TOL = 1e-10
-BISECTION_MAX_ITER = 200
-
-#: Series tolerance used inside the solver, well below the root tolerance.
-_SERIES_TOL_FACTOR = 1e-3
-
 
 @dataclass(frozen=True)
 class ConstructionPlan:
@@ -39,71 +33,69 @@ class ConstructionPlan:
         }
 
 
+def _target(r: float) -> float:
+    """1/r, for r in (0, 1/2) whose reciprocal is a finite float."""
+    if not 0 < r < 0.5:
+        raise ValueError(f"r must lie in (0, 1/2), got {r}")
+    if not math.isfinite(1.0 / r):
+        raise ValueError(f"1/r is not a finite float for r={r}")
+    return 1.0 / r
+
+
 def choose_ell(r: float) -> int:
     """Minimal ell >= 2 with f_ell(1) < 1/r.
 
     Exists for every r < 1/2 because f_ell(1) <= 2 + 1/(2^ell - 1) -> 2.
     """
-    if not 0 < r < 0.5:
-        raise ValueError(f"r must lie in (0, 1/2), got {r}")
-    target = 1.0 / r
+    target = _target(r)
     ell = 2
-    while f_eval(ell, 1.0, tol=1e-13).value >= target:
+    while f_eval(ell, 1.0).value >= target:
         ell += 1
     return ell
 
 
-def solve_p(r: float, ell: int, tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Find x > 1 with f_ell(x) = 1/r by bisection; return (p, x) with p = 1/x.
+def solve_p(r: float, ell: int) -> tuple[float, float]:
+    """Find x > 1 with f_ell(x) = 1/r to float precision; return (p, x), p = 1/x.
 
-    The root is accepted once |f_ell(x) - 1/r| <= tol/r: the tolerance is
-    relative, since 1/r is unbounded as r -> 0.
+    With f = f_eval(ell, .).value, x is where bisection leaves adjacent
+    floats: f(x) >= 1/r > f(nextafter(x, 0)).  Doubling brackets the root
+    first.  A sum past the float range counts as above 1/r, so tiny r get
+    their root even where the bracket overshoots into overflow.
 
     Requires f_ell(1) < 1/r so the intermediate value theorem applies on
     (1, infinity); f_ell is strictly increasing there.
     """
-    if not 0 < r < 0.5:
-        raise ValueError(f"r must lie in (0, 1/2), got {r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
-    target = 1.0 / r
-    series_tol = tol * _SERIES_TOL_FACTOR
-
-    def f(x: float) -> float:
-        return f_eval(ell, x, tol=series_tol).value
-
-    if f(1.0) >= target:
+    target = _target(r)
+    f1 = f_eval(ell, 1.0).value
+    if f1 >= target:
         raise ValueError(
-            f"f_{ell}(1) = {f(1.0):.6f} >= 1/r = {target:.6f}; "
+            f"f_{ell}(1) = {f1:.6f} >= 1/r = {target:.6f}; "
             "no root in (1, inf) -- increase ell"
         )
+
+    def above(x: float) -> bool:
+        try:
+            return f_eval(ell, x).value >= target
+        except ValueError:  # overflow: above every finite target
+            return True
+
     lo, hi = 1.0, 2.0
-    while f(hi) <= target:
-        hi *= 2.0
-    x = hi
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= tol * target:
-            x = mid
-            break
-        if fm < target:
-            lo = mid
-        else:
+    while not above(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
             hi = mid
-    else:
-        x = 0.5 * (lo + hi)
-        if abs(f(x) - target) > tol * target:
-            raise ValueError(f"bisection failed to reach tol={tol} for r={r}")
-    return 1.0 / x, x
+        else:
+            lo = mid
+    return 1.0 / hi, hi
 
 
-def plan(r: float, k: int, tol: float = DEFAULT_TOL) -> ConstructionPlan:
+def plan(r: float, k: int) -> ConstructionPlan:
     """Assemble a full construction plan for ratio r at part size k."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ell = choose_ell(r)
-    p, x = solve_p(r, ell, tol=tol)
+    p, x = solve_p(r, ell)
     total = k * k * ell
     a, b = p.as_integer_ratio()
     # nearest integer to p*total, ties up; in integers, so _smallest_k is exact

@@ -18,22 +18,21 @@ class SeriesValue:
     tail_bound: float
 
 
-def f_eval(ell: int, x: float, tol: float = 1e-12) -> SeriesValue:
-    """Evaluate f_ell(x) = sum_i x^(i*ell) / (i!)^ell by partial sums.
+def f_eval(ell: int, x: float) -> SeriesValue:
+    """Evaluate f_ell(x) = sum_i x^(i*ell) / (i!)^ell to float precision.
 
-    Truncates once the next term is < tol/2 and the term ratio
-    (x/(i+1))^ell has dropped below 1/2, so the geometric tail is
-    certified < tol/2 as well.  Raises ValueError when a term is not a
+    Truncates once the next term is below 2^-53 times the partial sum and
+    the term ratio (x/(i+1))^ell has dropped to 1/2 or below, so the
+    geometric tail is certified below 2^-52 times the value, under the
+    float's own rounding.  Raises ValueError when the partial sum is not a
     finite float (x too large for ell, or x not a number).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
     terms = [1.0]
-    term = 1.0
+    term = total = 1.0
     i = 0
     while True:
         try:
@@ -41,13 +40,14 @@ def f_eval(ell: int, x: float, tol: float = 1e-12) -> SeriesValue:
             ratio = (x / (i + 2)) ** ell  # bounds all later term ratios
         except OverflowError:
             nxt = math.inf
-        if not math.isfinite(nxt):
-            raise ValueError(f"f_{ell}({x}): term {i + 1} is not a finite float")
-        if nxt < tol / 2 and ratio <= 0.5:
+        if nxt < total * 2.0**-53 and ratio <= 0.5:
             tail = nxt / (1.0 - ratio)
             return SeriesValue(
                 value=math.fsum(terms), truncation_index=i, tail_bound=tail
             )
+        total += nxt
+        if not math.isfinite(total):
+            raise ValueError(f"f_{ell}({x}): the sum to term {i + 1} is not a finite float")
         terms.append(nxt)
         term = nxt
         i += 1

@@ -39,7 +39,7 @@ def test_count_edgelist(capsys, tmp_path):
     code, out = run_cli(capsys, "count", "--in", str(path))
     assert code == 0
     d = json.loads(out)
-    assert (d["derangements"], d["permutations"], d["method"]) == ("4", "9", "brute")
+    assert (d["derangements"], d["permutations"], d["method"]) == ("4", "9", "permanent")
 
 
 def test_count_large_edgelist_uses_permanent(capsys, tmp_path):
@@ -67,6 +67,15 @@ def test_solve(capsys):
     assert d["schema"] == 1
     assert d["ell"] == 2
     assert 0 < d["p"] < 1
+
+
+def test_solve_tiny_ratio(capsys):
+    # the bracket for f_2(x) = 1e300 overshoots into overflow; the root stays finite
+    code, out = run_cli(capsys, "solve", "--r", "1e-300")
+    assert code == 0
+    d = json.loads(out)
+    assert d["ell"] == 2
+    assert abs(d["p"] - 0.0028778) <= 1e-7
 
 
 def test_solve_with_k(capsys):
@@ -112,7 +121,7 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["expect", "--k", "2", "--ell", "0", "--m", "0"],
         ["expect", "--k", "2", "--ell", "1", "--m", "3"],
         ["expect", "--k", "-1", "--ell", "2", "--m", "0"],
-        ["solve", "--r", "0.3", "--tol", "nan"],
+        ["solve", "--r", "1e-320"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -125,11 +134,22 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
     no_keys.write_text('{"n": 3}')
     not_object = tmp_path / "number.json"
     not_object.write_text("3")
+    bad_types = []  # 'n' and 'edges' present, but a field of the wrong type
+    for i, text in enumerate((
+        '{"n": 3, "edges": [1]}',
+        '{"n": "3", "edges": []}',
+        '{"n": 4, "edges": [], "parts": 5}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+    )):
+        path = tmp_path / f"bad_types_{i}.json"
+        path.write_text(text)
+        bad_types.append(["count", "--in", str(path)])
     for argv in (
         ["count", "--in", str(tmp_path / "missing.txt")],
         ["construct", "--k", "2", "--ell", "2", "--out", str(tmp_path / "missing" / "g.json")],
         ["count", "--in", str(no_keys)],
         ["count", "--in", str(not_object)],
+        *bad_types,
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

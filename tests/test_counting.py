@@ -239,12 +239,12 @@ def test_monotone_in_edges(seed, data):
 
 
 def test_count_dispatch():
-    # the graph picks the counter: layered for a blow-up subgraph, brute
-    # force up to n = 10, Ryser above
+    # the graph picks the counter: layered for a blow-up subgraph, Ryser
+    # for a general digraph
     g = sample_subgraph(build_blowup(2, 2), 5, 3)
     ref = count_layered(g)
     assert count(g) == ("layered", ref)
-    assert count(to_general(g)) == ("brute", ref)
+    assert count(to_general(g)) == ("permanent", ref)
     full = build_blowup(3, 4).full_subgraph()
     assert count(full) == ("layered", closed_form_counts(3, 4))
     assert count(to_general(full)) == ("permanent", closed_form_counts(3, 4))

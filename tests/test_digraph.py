@@ -145,10 +145,16 @@ def test_json_roundtrip_plain():
 
 def test_json_readers_reject_non_graphs():
     layered = to_json_dict(build_blowup(2, 2))
-    for d in (3, [], {"n": 3}, {"edges": []}):
+    bad_types = (
+        {"n": 3, "edges": [1]},
+        {"n": "3", "edges": []},
+        {"n": 4, "edges": [], "parts": 5},
+        {"n": 3, "edges": [[0, 1, 2]]},
+    )
+    for d in (3, [], {"n": 3}, {"edges": []}, *bad_types):
         with pytest.raises(ValueError):
             from_json_dict(d)
-    for d in (3, [], {"n": 4, "parts": layered["parts"]}):
+    for d in (3, [], {"n": 4, "parts": layered["parts"]}, *bad_types):
         with pytest.raises(ValueError):
             subgraph_from_json(d)
 

@@ -1,17 +1,23 @@
-"""Every name an import binds is read somewhere in its module.
+"""Two scans for names nothing reads.
 
-Covers the library modules (except `__init__.py`, whose imports are the
-package's re-exports) and the test files.  `from __future__` imports bind
-nothing the code reads and are skipped.
+Every name an import binds is read somewhere in its module.  Covers the
+library modules (except `__init__.py`, whose imports are the package's
+re-exports) and the test files.  `from __future__` imports bind nothing the
+code reads and are skipped.
+
+Every module-level function, class and constant of the library is read
+somewhere in `src/`, `tests/` or `bench/`, as a name or as an attribute;
+an import or a re-export alone is not a read.  Dunder names such as
+`__version__` are read by tools, not code, and are skipped.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    p for p in (ROOT / "src" / "dpratio").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "dpratio").glob("*.py"))
+FILES = [p for p in LIBRARY if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +48,41 @@ def test_no_unused_imports():
         if (names := unused_imports(p.read_text()))
     }
     assert unused == {}
+
+
+def module_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("__")]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_scan_finds_unread_definition():
+    tree = ast.parse("from m import a\nB = 1\nC: int = 2\n__version__ = '1'\ndef d(): return m.e\n")
+    assert module_definitions(tree) == ["B", "C", "d"]
+    assert read_names(tree) == {"int", "m", "e"}
+
+
+def test_every_definition_is_read():
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in READERS))
+    unread = {
+        p.name: names
+        for p in LIBRARY
+        if (names := [n for n in module_definitions(ast.parse(p.read_text())) if n not in read])
+    }
+    assert unread == {}

@@ -120,7 +120,7 @@ def test_asymptotic_xy_ratio_is_f():
         cp = plan(r, k)
         lx = expected_x_asymptotic(cp.k, cp.ell, cp.p)
         ly = expected_y_asymptotic(cp.k, cp.ell, cp.p)
-        f = f_eval(cp.ell, 1.0 / cp.p, 1e-13).value
+        f = f_eval(cp.ell, 1.0 / cp.p).value
         assert math.exp(ly - lx) == pytest.approx(f, rel=1e-9)
         # by construction f_ell(1/p) = 1/r
         assert math.exp(lx - ly) == pytest.approx(r, rel=1e-8)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpratio.series import (
@@ -17,15 +17,15 @@ from dpratio.series import (
 
 def test_f_eval_at_zero():
     for ell in (1, 2, 5):
-        sv = f_eval(ell, 0.0, 1e-12)
+        sv = f_eval(ell, 0.0)
         assert sv.value == 1.0
 
 
 def test_f1_is_exp():
-    sv = f_eval(1, 1.0, 1e-12)
+    sv = f_eval(1, 1.0)
     assert abs(sv.value - math.e) <= 1e-12
     assert sv.tail_bound <= 1e-12
-    sv = f_eval(1, 2.5, 1e-12)
+    sv = f_eval(1, 2.5)
     assert abs(sv.value - math.exp(2.5)) <= 1e-10
 
 
@@ -33,7 +33,7 @@ def test_f2_at_one():
     # sum of 1/(i!)^2, cross-checked in 50-digit arithmetic
     with mpmath.workdps(50):
         ref = float(mpmath.nsum(lambda i: 1 / mpmath.factorial(i) ** 2, [0, mpmath.inf]))
-    sv = f_eval(2, 1.0, 1e-12)
+    sv = f_eval(2, 1.0)
     assert abs(sv.value - ref) <= 1e-12
     assert abs(sv.value - 2.279585302) <= 1e-9
 
@@ -43,33 +43,54 @@ def test_f_eval_rejects_bad_args():
         f_eval(2, -1.0)
     with pytest.raises(ValueError):
         f_eval(0, 1.0)
-    for tol in (0.0, -1.0, math.nan, math.inf):  # nan once never returned
-        with pytest.raises(ValueError):
-            f_eval(2, 1.0, tol=tol)
 
 
 def test_f_eval_overflow_raises():
-    # terms overflow to inf long before they would drop below tol
+    # terms overflow to inf long before they would drop below float precision
     with pytest.raises(ValueError):
         f_eval(2, 400.0)
     with pytest.raises(ValueError):
         f_eval(200, 400.0)
     with pytest.raises(ValueError):
         f_eval(2, float("nan"))
+    # every term is finite here, but their sum is not
+    with pytest.raises(ValueError):
+        f_eval(2, 358.5)
+    with pytest.raises(ValueError):
+        f_eval(1, 709.9)
 
 
 def test_f_tail_bound_honest():
-    # tail_bound dominates the truncation error against a longer evaluation
+    # tail_bound plus float rounding covers the error against a 50-digit sum
     for ell in (1, 2, 3):
         for x in (0.5, 1.0, 2.0, 4.0):
-            coarse = f_eval(ell, x, 1e-6)
-            fine = f_eval(ell, x, 1e-14)
-            assert abs(coarse.value - fine.value) <= coarse.tail_bound + 1e-14
+            sv = f_eval(ell, x)
+            with mpmath.workdps(50):
+                ref = float(
+                    mpmath.nsum(
+                        lambda i: mpmath.mpf(x) ** (i * ell) / mpmath.factorial(i) ** ell,
+                        [0, mpmath.inf],
+                    )
+                )
+            assert abs(sv.value - ref) <= sv.tail_bound + 1e-14 * ref
+
+
+@settings(max_examples=200, deadline=200)
+@given(ell=st.integers(1, 8), x=st.floats(0.0, 1000.0))
+def test_f_eval_float_precision_or_value_error(ell, x):
+    # a finite value with a tail under the float's rounding, or a
+    # ValueError; never an OverflowError
+    try:
+        sv = f_eval(ell, x)
+    except ValueError:
+        return
+    assert math.isfinite(sv.value)
+    assert sv.tail_bound <= 2.0**-52 * sv.value
 
 
 def test_f_monotone_in_x():
     for ell in (1, 2, 4):
-        vals = [f_eval(ell, x, 1e-12).value for x in (0.0, 0.3, 1.0, 1.7, 3.0)]
+        vals = [f_eval(ell, x).value for x in (0.0, 0.3, 1.0, 1.7, 3.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -78,7 +99,7 @@ def test_f_at_one_bounds():
     assert f_at_one_bounds(5) == (2, Fraction(2) + Fraction(1, 31))
     for ell in range(1, 13):
         lo, hi = f_at_one_bounds(ell)
-        v = f_eval(ell, 1.0, 1e-13).value
+        v = f_eval(ell, 1.0).value
         assert float(lo) <= v <= float(hi) + 1e-13
 
 
