@@ -2,8 +2,10 @@
 
 Three counters with nested domains:
 
-* count_bruteforce -- checks all n! bijections, n <= 10 (ground truth);
-* count_permanent  -- Ryser permanents of A and A+I, n <= 30;
+* count_bruteforce -- builds every permutation by backtracking, n <= 10
+  (ground truth; work = the digraph's partial permutations, not n!);
+* count_permanent  -- Ryser permanents of A and A+I from one Gray-code
+  pass, n <= 30;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -22,7 +24,6 @@ of the adjacency matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,87 +47,103 @@ class CountPair:
 
 
 def count_bruteforce(g: Digraph) -> CountPair:
-    """Count by checking every bijection directly against the definition."""
-    if g.n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_MAX_N}, got {g.n}")
-    edges = g.edges
-    der = 0
-    per = 0
-    for f in itertools.permutations(range(g.n)):
-        fixes = 0
-        ok = True
-        for v in range(g.n):
-            if f[v] == v:
-                fixes += 1
-            elif (v, f[v]) not in edges:
-                ok = False
-                break
-        if ok:
-            per += 1
-            if fixes == 0:
-                der += 1
+    """Count by building every permutation from the definition.
+
+    Backtracking over vertices 0..n-1 in order: each vertex goes to itself
+    or to an out-neighbour whose image slot is still free, so the work is
+    the number of partial permutations of the digraph, at most about e * n!
+    (the complete digraph).  Derangements are the complete assignments that
+    never took the fixed-point branch.
+    """
+    n = g.n
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_MAX_N}, got {n}")
+    out_bits: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        out_bits[u].append(1 << v)
+
+    def extend(v: int, taken: int) -> tuple[int, int]:
+        # (derangements, permutations) of vertices v..n-1 onto the free slots
+        if v == n:
+            return 1, 1
+        der = per = 0
+        if not taken >> v & 1:
+            per = extend(v + 1, taken | 1 << v)[1]
+        for b in out_bits[v]:
+            if not taken & b:
+                d, p = extend(v + 1, taken | b)
+                der += d
+                per += p
+        return der, per
+
+    der, per = extend(0, 0)
     return CountPair(derangements=der, permutations=per)
 
 
 def permanent(matrix) -> int:
-    """Permanent of a square 0/1 matrix via Ryser's inclusion-exclusion.
-
-    O(2^n * n); exact big-integer result.
-    """
+    """Permanent of a square 0/1 matrix by Ryser's formula (see _ryser_pair);
+    exact big-integer result."""
     n = len(matrix)
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent limited to n <= {PERMANENT_MAX_N}, got {n}")
-    rows = []
-    for row in matrix:
+    cols = [0] * n
+    for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix must be square")
-        mask = 0
         for j, a in enumerate(row):
             if a not in (0, 1):
                 raise ValueError("matrix entries must be 0 or 1")
             if a:
-                mask |= 1 << j
-        rows.append(mask)
-    return _permanent_bitrows(rows, n)
+                cols[j] += 1 << 8 * i
+    return _ryser_pair(cols, n)[0]
 
 
-def _permanent_bitrows(rows: list[int], n: int) -> int:
-    """Permanent of the n x n 0/1 matrix whose row i has column bits rows[i].
+def _ryser_pair(cols: list[int], n: int) -> tuple[int, int]:
+    """(perm(M), perm(M + I)) for the n x n 0/1 matrix M whose column j is
+    cols[j], packed one byte per row (row i in bits 8*i .. 8*i + 7).
 
-    Ryser in the form
-    perm = sum over S subset of columns of (-1)^(n-|S|) prod_i |row_i & S|.
+    Ryser: perm = (-1)^n sum over column subsets S of (-1)^|S| prod_i
+    (row sum i over S).  S walks the Gray code, so one column joins or leaves
+    at each step, |S| changes parity each step, and moving every row sum at
+    once is one add or subtract of the packed column.  Row sums never exceed
+    n + 1 <= PERMANENT_MAX_N + 1 = 31 < 256, so no byte carries into the
+    next.  M + I shares the pass: its column j is cols[j] + (1 << 8*j).
+    O(2^n * n) for both permanents together.
     """
-    if n == 0:
-        return 1
-    full = (1 << n) - 1
-    total = 0
-    s = full
-    # enumerate all non-empty column subsets
-    while s:
-        prod = 1
-        for r in rows:
-            prod *= (r & s).bit_count()
-            if not prod:
-                break
-        if prod:
-            if (n - s.bit_count()) & 1:
-                total -= prod
-            else:
-                total += prod
-        s = (s - 1) & full
-    return total
+    cols_i = [c + (1 << 8 * j) for j, c in enumerate(cols)]
+    sums = sums_i = subset = 0
+    acc = acc_i = int(n == 0)  # S empty: the product of n zero row sums
+    for step in range(1, 1 << n):
+        bit = step & -step
+        j = bit.bit_length() - 1
+        subset ^= bit
+        if subset & bit:
+            sums += cols[j]
+            sums_i += cols_i[j]
+        else:
+            sums -= cols[j]
+            sums_i -= cols_i[j]
+        p = math.prod(sums.to_bytes(n, "little"))
+        p_i = math.prod(sums_i.to_bytes(n, "little"))
+        if step & 1:  # |S| is odd
+            acc -= p
+            acc_i -= p_i
+        else:
+            acc += p
+            acc_i += p_i
+    return (-acc, -acc_i) if n & 1 else (acc, acc_i)
 
 
 def count_permanent(g: Digraph) -> CountPair:
-    """derangements = perm(A), permutations = perm(A + I)."""
+    """derangements = perm(A), permutations = perm(A + I), both from one
+    Ryser pass."""
     n = g.n
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent counting limited to n <= {PERMANENT_MAX_N}")
-    adj = [0] * n
+    cols = [0] * n
     for u, v in g.edges:
-        adj[u] |= 1 << v
-    der = _permanent_bitrows(adj, n)
-    per = _permanent_bitrows([adj[i] | (1 << i) for i in range(n)], n)
+        cols[v] += 1 << 8 * u
+    der, per = _ryser_pair(cols, n)
     return CountPair(derangements=der, permutations=per)
 
 

@@ -251,6 +251,10 @@ def subgraph_from_json(d: dict) -> SampledSubgraph:
     expected = [list(range(c * k, (c + 1) * k)) for c in range(ell)]
     if parts != expected:
         raise ValueError("parts must follow the contiguous numbering c*k + i")
+    if d["n"] != k * ell:
+        raise ValueError(
+            f"graph JSON field 'n' is {d['n']}, but its parts hold k*ell = {k * ell} vertices"
+        )
     base = BlowupDigraph(k=k, ell=ell)
     indices = []
     for u, v in d["edges"]:

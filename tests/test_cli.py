@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpratio
 from dpratio.cli import main
@@ -140,6 +146,8 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
         '{"n": "3", "edges": []}',
         '{"n": 4, "edges": [], "parts": 5}',
         '{"n": 3, "edges": [[0, 1, 2]]}',
+        # 'n' disagrees with the vertex count of 'parts'
+        '{"n": 5, "edges": [[0, 2], [2, 0], [1, 3], [3, 1]], "parts": [[0, 1], [2, 3]]}',
     )):
         path = tmp_path / f"bad_types_{i}.json"
         path.write_text(text)
@@ -155,6 +163,50 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+@st.composite
+def graph_json(draw):
+    """Graph JSON for `count --in`: a digraph, a blow-up subgraph with
+    contiguous parts, or a digraph with malformed parts; then maybe a few
+    bad edges (self-loops, out-of-range pairs) and a wrong 'n'."""
+    shape = draw(st.sampled_from(["digraph", "parts", "bad parts"]))
+    if shape == "parts":
+        k, ell = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        n = k * ell
+        parts = [list(range(c * k, (c + 1) * k)) for c in range(ell)]
+        pairs = [
+            [c * k + i, (c + 1) % ell * k + j]
+            for c in range(ell) for i in range(k) for j in range(k)
+        ]
+    else:
+        n = draw(st.integers(0, 12))
+        parts = draw(st.lists(st.lists(st.integers(-1, 13), max_size=4), max_size=4))
+        pairs = [[u, v] for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    edges += draw(st.lists(st.lists(st.integers(-1, n + 1), min_size=2, max_size=2), max_size=3))
+    d = {"n": draw(st.one_of(st.just(n), st.integers(-2, 14))), "edges": edges}
+    if shape != "digraph":
+        d["parts"] = parts
+    return d
+
+
+@settings(max_examples=100, deadline=500)
+@given(d=graph_json())
+def test_count_json_exits_0_or_2_without_traceback(d):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w") as f:
+            json.dump(d, f)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["count", "--in", path])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["method"] in ("layered", "permanent")
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_mc(capsys, tmp_path):

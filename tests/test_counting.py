@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpratio.counting import (
+    CountPair,
     closed_form_counts,
     count,
     count_bruteforce,
@@ -54,6 +55,82 @@ def test_bruteforce_d22():
 def test_bruteforce_size_limit():
     with pytest.raises(ValueError):
         count_bruteforce(Digraph(n=11, edges=frozenset()))
+
+
+ORACLES = (count_bruteforce, count_permanent)
+
+#: (n, density, edge count, X, Y) of random_digraph(n, density, rng) drawn in
+#: this order from one random.Random(20210): frozen values, recorded once with
+#: the n!-bijection brute force and the two-pass Ryser counter that preceded
+#: the current oracles, and never recomputed from them
+FROZEN_RANDOM_DIGRAPHS = [
+    (1, 0.5, 0, 0, 1), (2, 0.5, 2, 1, 2), (2, 1.0, 2, 1, 2), (3, 0.3, 3, 1, 2),
+    (3, 0.8, 6, 2, 6), (4, 0.15, 1, 0, 1), (4, 0.5, 6, 1, 4), (4, 0.9, 8, 0, 6),
+    (5, 0.3, 7, 0, 3), (5, 0.6, 14, 8, 28), (5, 1.0, 20, 44, 120), (6, 0.2, 1, 0, 1),
+    (6, 0.5, 12, 1, 9), (6, 0.8, 26, 97, 330), (7, 0.3, 12, 0, 11), (7, 0.6, 28, 88, 419),
+    (8, 0.15, 5, 0, 1), (8, 0.4, 32, 92, 705), (8, 0.7, 42, 1436, 5554), (9, 0.2, 14, 0, 8),
+    (9, 0.35, 25, 15, 186), (9, 0.5, 35, 104, 1229),
+]
+
+#: (t, m, X, Y) of the (8, 2) subgraphs that `verify --profile tiny` counts
+#: (check_counters graph t, seed 12345), frozen from the same earlier counters
+FROZEN_TINY_8_2 = [
+    (7, 118, 424483200, 1097611624),
+    (15, 41, 0, 496),
+    (23, 51, 104, 7366),
+    (31, 68, 39325, 376520),
+    (39, 86, 833250, 5240203),
+    (47, 93, 6279000, 27565857),
+]
+
+
+@pytest.mark.parametrize("counter", ORACLES)
+def test_oracles_complete_digraph(counter):
+    # K_n: every bijection is a permutation, Y = n! and X = !n
+    subfactorials = [1, 0, 1, 2, 9, 44, 265, 1854, 14833]
+    for n, der in enumerate(subfactorials):
+        g = Digraph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(n) if u != v))
+        assert counter(g) == CountPair(der, math.factorial(n))
+
+
+@pytest.mark.parametrize("counter", ORACLES)
+def test_oracles_directed_cycle_and_edgeless(counter):
+    for n in range(2, 10):
+        cycle = Digraph(n=n, edges=frozenset((v, (v + 1) % n) for v in range(n)))
+        assert counter(cycle) == CountPair(1, 2)
+    for n in range(1, 11):
+        assert counter(Digraph(n=n, edges=frozenset())) == CountPair(0, 1)
+
+
+@pytest.mark.parametrize("counter", ORACLES)
+def test_oracles_frozen_random_digraphs(counter):
+    rng = random.Random(20210)
+    for n, density, edge_count, der, per in FROZEN_RANDOM_DIGRAPHS:
+        g = random_digraph(n, density, rng)
+        assert g.edge_count == edge_count
+        assert counter(g) == CountPair(der, per)
+
+
+def test_permanent_frozen_tiny_8_2_subgraphs():
+    base = build_blowup(8, 2)
+    for t, m, der, per in FROZEN_TINY_8_2:
+        s = derive_seed(12345, t)
+        assert derive_seed(s, 0) % (base.edge_count + 1) == m
+        g = to_general(sample_subgraph(base, m, s))
+        assert count_permanent(g) == CountPair(der, per)
+
+
+def test_permanent_all_ones():
+    # row sums reach n, the most a byte of the packed row sums holds here
+    for n in range(13):
+        assert permanent([[1] * n for _ in range(n)]) == math.factorial(n)
+
+
+def test_permanent_size_limit():
+    with pytest.raises(ValueError):
+        permanent([[0] * 31 for _ in range(31)])
+    with pytest.raises(ValueError):
+        count_permanent(Digraph(n=31, edges=frozenset()))
 
 
 def test_permanent_basics():

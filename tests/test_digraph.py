@@ -157,6 +157,10 @@ def test_json_readers_reject_non_graphs():
     for d in (3, [], {"n": 4, "parts": layered["parts"]}, *bad_types):
         with pytest.raises(ValueError):
             subgraph_from_json(d)
+    with pytest.raises(ValueError, match=r"'n' is 5, but its parts hold k\*ell = 4"):
+        subgraph_from_json(
+            {"n": 5, "edges": [[0, 2], [2, 0], [1, 3], [3, 1]], "parts": [[0, 1], [2, 3]]}
+        )
 
 
 def test_json_roundtrip_layered():
