@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: construct, count, solve, expect, mc, sweep, verify.
-All randomized commands take --seed (default 0).  JSON outputs carry
-"schema": 1; CSV columns are documented in the README.
+Subcommands: construct, count, solve, expect, mc, sweep, verify.  The
+randomized commands (mc, sweep) take --seed (default 0).  Every output is
+written by the external formats of `dpratio.digraph`: each JSON object
+carries "schema": SCHEMA_VERSION, and a missing value is JSON null or an
+empty CSV cell.  The README documents the CSV columns.  Bad input exits 2
+with a one-line "error: " message.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .experiment import (
     sweep_csv,
 )
 from .moments import moment_report, moment_report_for_plan
-from .params import plan, ConstructionPlan
+from .params import plan
 from .verify import PROFILES, verify_all
 
 
@@ -36,7 +39,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _cmd_construct(args) -> int:
     g = dg.build_blowup(args.k, args.ell)
     if args.format == "json":
-        text = json.dumps(dg.to_json_dict(g), indent=2) + "\n"
+        text = dg.json_text(dg.to_json_dict(g))
     else:
         import io
 
@@ -60,70 +63,47 @@ def _read_graph(path: str):
 
 def _cmd_count(args) -> int:
     method, c = count(_read_graph(args.infile))
-    text = (
-        json.dumps(
-            {
-                "schema": 1,
-                "derangements": str(c.derangements),
-                "permutations": str(c.permutations),
-                "ratio": float(c.ratio()),
-                "method": method,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    _write_output(text, args.out)
+    d = {
+        "schema": dg.SCHEMA_VERSION,
+        "derangements": str(c.derangements),
+        "permutations": str(c.permutations),
+        "ratio": float(c.ratio()),
+        "method": method,
+    }
+    _write_output(dg.json_text(d), args.out)
     return 0
 
 
 def _cmd_solve(args) -> int:
-    if args.k is not None:
-        cplan = plan(args.r, args.k)
-    else:
-        from .params import choose_ell, solve_p
-
-        ell = choose_ell(args.r)
-        p, x = solve_p(args.r, ell)
-        cplan = ConstructionPlan(r=args.r, ell=ell, p=p, x=x, k=0, m=0)
-    _write_output(json.dumps(cplan.to_json_dict(), indent=2) + "\n", args.out)
+    _write_output(dg.json_text(plan(args.r, args.k).to_json_dict()), args.out)
     return 0
 
 
 def _cmd_expect(args) -> int:
-    if args.r is not None:
-        if args.k is None:
-            raise ValueError("--r requires --k")
+    given = [v is not None for v in (args.r, args.k, args.ell, args.m)]
+    if given == [True, True, False, False]:
         report = moment_report_for_plan(plan(args.r, args.k))
-    else:
-        if args.k is None or args.ell is None or args.m is None:
-            raise ValueError("need --r --k, or --k --ell --m")
+    elif given == [False, True, True, True]:
         report = moment_report(args.k, args.ell, args.m)
-    if args.format == "csv":
-        text = report.CSV_COLUMNS + "\n" + report.to_csv_row() + "\n"
     else:
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        raise ValueError("give either --r --k, or --k --ell --m")
+    text = report.to_csv() if args.format == "csv" else dg.json_text(report.to_json_dict())
     _write_output(text, args.out)
     return 0
 
 
 def _cmd_mc(args) -> int:
     cplan = plan(args.r, args.k)
-    report = run_mc(
-        cplan, args.trials, seed=args.seed, epsilon=args.epsilon, workers=args.workers
-    )
-    _write_output(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    report = run_mc(cplan, args.trials, seed=args.seed, epsilon=args.epsilon, workers=args.workers)
+    _write_output(dg.json_text(report.to_json_dict()), args.out)
     if args.trials_csv:
-        with open(args.trials_csv, "w") as f:
-            f.write(report.per_trial_csv())
+        _write_output(report.per_trial_csv(), args.trials_csv)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     k_list = [int(s) for s in args.k_list.split(",")]
-    rows = convergence_sweep(
-        args.r, k_list, trials=args.trials, seed=args.seed, epsilon=args.epsilon
-    )
+    rows = convergence_sweep(args.r, k_list, args.trials, args.seed, args.epsilon)
     _write_output(sweep_csv(rows), args.out)
     return 0
 

@@ -7,9 +7,11 @@ c*k*k + i*k + j, meaning part-c vertex i -> part-(c+1 mod ell) vertex j.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, TextIO
 
 SCHEMA_VERSION = 1
@@ -173,6 +175,33 @@ def to_general(g: SampledSubgraph | BlowupDigraph) -> Digraph:
 
 # ---------------------------------------------------------------------------
 # External formats
+#
+# Every JSON object carries "schema": SCHEMA_VERSION.  One value rule for
+# every report: a Fraction is written "n/d", and None (a value that does not
+# exist, such as log p at p = 0) is JSON null or an empty CSV cell.
+
+
+def _value(v):
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+
+
+def report_json(report) -> dict:
+    """A report dataclass as JSON: "schema", then its fields in order."""
+    return {"schema": SCHEMA_VERSION, **{k: _value(v) for k, v in vars(report).items()}}
+
+
+def json_text(d: dict) -> str:
+    """Indented JSON; a non-finite float raises ValueError, as it is not JSON."""
+    return json.dumps(d, indent=2, allow_nan=False) + "\n"
+
+
+def csv_text(columns: str, rows) -> str:
+    """The header `columns`, then one line per row, a dict by column name."""
+    names = columns.split(",")
+    lines = [columns] + [
+        ",".join("" if row[c] is None else str(_value(row[c])) for c in names) for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def write_edgelist(g: Digraph, f: TextIO) -> None:

@@ -12,9 +12,10 @@ import math
 import statistics
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import count_layered
-from .digraph import build_blowup, sample_subgraph
+from .digraph import build_blowup, csv_text, report_json, sample_subgraph
 from .moments import expected_x_exact, expected_y_exact, moment_report_for_plan
 from .params import ConstructionPlan, plan
 
@@ -33,6 +34,13 @@ def derive_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class Trial(NamedTuple):
+    seed: int
+    x: int
+    y: int
+    ratio: float  # x / y
+
+
 @dataclass(frozen=True)
 class McReport:
     """Aggregated Monte Carlo results for one construction plan."""
@@ -40,7 +48,7 @@ class McReport:
     plan: ConstructionPlan
     trials: int
     epsilon: float
-    per_trial: tuple[tuple[int, int, int, float], ...]  # (seed, X, Y, X/Y)
+    per_trial: tuple[Trial, ...]
     empirical_mean_ratio: float
     empirical_sd: float
     exact_ratio: float
@@ -48,27 +56,21 @@ class McReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            **report_json(self),
             "plan": self.plan.to_json_dict(),
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "per_trial": [
-                {"seed": s, "x": x, "y": y, "ratio": r}
-                for s, x, y, r in self.per_trial
-            ],
-            "empirical_mean_ratio": self.empirical_mean_ratio,
-            "empirical_sd": self.empirical_sd,
-            "exact_ratio": self.exact_ratio,
-            "fraction_within": self.fraction_within,
+            "per_trial": [t._asdict() for t in self.per_trial],
         }
 
     PER_TRIAL_CSV_COLUMNS = "trial,seed,x,y,ratio"
 
     def per_trial_csv(self) -> str:
-        lines = [self.PER_TRIAL_CSV_COLUMNS]
-        for t, (s, x, y, r) in enumerate(self.per_trial):
-            lines.append(f"{t},{s},{x},{y},{r}")
-        return "\n".join(lines) + "\n"
+        rows = ({"trial": i, **t._asdict()} for i, t in enumerate(self.per_trial))
+        return csv_text(self.PER_TRIAL_CSV_COLUMNS, rows)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
 
 
 def _run_trial(args: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -93,6 +95,9 @@ def run_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_epsilon(epsilon)
     k, ell, m = cplan.k, cplan.ell, cplan.m
     seeds = [derive_seed(seed, t) for t in range(trials)]
     args = [(k, ell, m, s) for s in seeds]
@@ -103,13 +108,9 @@ def run_mc(
             counts = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * workers))))
     else:
         counts = [_run_trial(a) for a in args]
-    per_trial = tuple(
-        (s, x, y, x / y) for s, (x, y) in zip(seeds, counts)
-    )
-    ratios = [r for _, _, _, r in per_trial]
-    exact_ratio = float(
-        expected_x_exact(k, ell, m) / expected_y_exact(k, ell, m)
-    )
+    per_trial = tuple(Trial(s, x, y, x / y) for s, (x, y) in zip(seeds, counts))
+    ratios = [t.ratio for t in per_trial]
+    exact_ratio = float(expected_x_exact(k, ell, m) / expected_y_exact(k, ell, m))
     mean = math.fsum(ratios) / trials
     sd = statistics.stdev(ratios) if trials > 1 else 0.0
     within = sum(1 for r in ratios if abs(r - exact_ratio) <= epsilon)
@@ -125,9 +126,7 @@ def run_mc(
     )
 
 
-SWEEP_CSV_COLUMNS = (
-    "k,ell,m,p,exact_ratio,abs_error,x_concentration,empirical_mean_ratio"
-)
+SWEEP_CSV_COLUMNS = "k,ell,m,p,exact_ratio,abs_error,x_concentration,empirical_mean_ratio"
 
 
 def convergence_sweep(
@@ -139,36 +138,29 @@ def convergence_sweep(
 ) -> list[dict]:
     """One row per k (ascending): exact ratio, its error vs r, concentration,
     and (when trials > 0) the empirical mean ratio."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_epsilon(epsilon)
     rows = []
     for k in sorted(k_list):
         cplan = plan(r, k)
         report = moment_report_for_plan(cplan)
-        row = {
+        rows.append({
             "k": k,
             "ell": cplan.ell,
             "m": cplan.m,
             "p": cplan.p,
-            "exact_ratio": float(report.ratio_exact),
-            "abs_error": abs(float(report.ratio_exact) - r),
+            "exact_ratio": report.ratio_exact_float,
+            "abs_error": abs(report.ratio_exact_float - r),
             "x_concentration": report.x_concentration,
-            "empirical_mean_ratio": None,
-        }
-        if trials > 0:
-            row["empirical_mean_ratio"] = run_mc(
-                cplan, trials, seed=seed, epsilon=epsilon
-            ).empirical_mean_ratio
-        rows.append(row)
+            "empirical_mean_ratio": (
+                run_mc(cplan, trials, seed=seed, epsilon=epsilon).empirical_mean_ratio
+                if trials > 0
+                else None
+            ),
+        })
     return rows
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    lines = [SWEEP_CSV_COLUMNS]
-    for row in rows:
-        emp = row["empirical_mean_ratio"]
-        lines.append(
-            f"{row['k']},{row['ell']},{row['m']},{row['p']},{row['exact_ratio']},"
-            f"{row['abs_error']},{row['x_concentration']},"
-            f"{'' if emp is None else emp}"
-        )
-    return "\n".join(lines) + "\n"
-
+    return csv_text(SWEEP_CSV_COLUMNS, rows)

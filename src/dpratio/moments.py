@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import BlowupDigraph
+from .digraph import BlowupDigraph, csv_text, report_json
 from .params import ConstructionPlan
 from .series import f_eval, h_exact
 
@@ -26,7 +26,9 @@ SECOND_MOMENT_MAX_K = 25
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Exact and asymptotic moment summary for one (r, k, ell, p, m)."""
+    """Exact and asymptotic moment summary for one (r, k, ell, p, m); None
+    marks what does not exist (r without a plan, the logs at p = 0, the X
+    concentration when E[X] = 0)."""
 
     k: int
     ell: int
@@ -37,59 +39,30 @@ class MomentReport:
     ey: Fraction
     ex2: Fraction
     ey2_upper: Fraction
-    ex_asym_log: float  # natural logs: the values overflow floats
-    ey_asym_log: float
+    ex_asym_log: float | None  # natural logs: the values overflow floats
+    ey_asym_log: float | None
     ratio_exact: Fraction
-    x_concentration: float
+    ratio_exact_float: float
+    x_concentration: float | None
     y_concentration_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "k": self.k,
-            "ell": self.ell,
-            "m": self.m,
-            "p": self.p,
-            "r": self.r,
-            "ex": _frac_str(self.ex),
-            "ey": _frac_str(self.ey),
-            "ex2": _frac_str(self.ex2),
-            "ey2_upper": _frac_str(self.ey2_upper),
-            "ex_asym_log": self.ex_asym_log,
-            "ey_asym_log": self.ey_asym_log,
-            "ratio_exact": _frac_str(self.ratio_exact),
-            "ratio_exact_float": float(self.ratio_exact),
-            "x_concentration": self.x_concentration,
-            "y_concentration_bound": self.y_concentration_bound,
-        }
 
     CSV_COLUMNS = (
         "r,k,ell,p,m,ratio_exact,ex_float,ey_float,x_concentration,"
         "y_concentration_bound,ex_asym_log,ey_asym_log"
     )
 
-    def to_csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.r,
-                self.k,
-                self.ell,
-                self.p,
-                self.m,
-                float(self.ratio_exact),
-                float(self.ex),
-                float(self.ey),
-                self.x_concentration,
-                self.y_concentration_bound,
-                self.ex_asym_log,
-                self.ey_asym_log,
-            )
-        )
+    def to_json_dict(self) -> dict:
+        return report_json(self)
 
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    def to_csv(self) -> str:
+        """CSV_COLUMNS and one row; the ratio and the expectations as floats."""
+        row = {
+            **vars(self),
+            "ratio_exact": self.ratio_exact_float,
+            "ex_float": float(self.ex),
+            "ey_float": float(self.ey),
+        }
+        return csv_text(self.CSV_COLUMNS, [row])
 
 
 def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Fraction:
@@ -206,8 +179,6 @@ def moment_report(
     ex2 = second_moment_x_exact(k, ell, m)
     ey2 = second_moment_y_upper(k, ell, m)
     ratio = ex / ey
-    x_conc = float(ex2 / (ex * ex) - 1) if ex else float("nan")
-    y_conc = float(ey2 / (ey * ey) - 1)
     return MomentReport(
         k=k,
         ell=ell,
@@ -218,11 +189,12 @@ def moment_report(
         ey=ey,
         ex2=ex2,
         ey2_upper=ey2,
-        ex_asym_log=expected_x_asymptotic(k, ell, p),
-        ey_asym_log=expected_y_asymptotic(k, ell, p),
+        ex_asym_log=expected_x_asymptotic(k, ell, p) if p else None,
+        ey_asym_log=expected_y_asymptotic(k, ell, p) if p else None,
         ratio_exact=ratio,
-        x_concentration=x_conc,
-        y_concentration_bound=y_conc,
+        ratio_exact_float=float(ratio),
+        x_concentration=float(ex2 / (ex * ex) - 1) if ex else None,
+        y_concentration_bound=float(ey2 / (ey * ey) - 1),
     )
 
 

@@ -7,30 +7,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .digraph import report_json
 from .series import f_eval
 
 
 @dataclass(frozen=True)
 class ConstructionPlan:
-    """Solved parameters tying a target ratio to a random graph model."""
+    """Solved parameters tying a target ratio to a random graph model; k and
+    m are None for (ell, p) solved without a part size."""
 
     r: float
     ell: int
     p: float
     x: float
-    k: int
-    m: int
+    k: int | None
+    m: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "r": self.r,
-            "ell": self.ell,
-            "p": self.p,
-            "x": self.x,
-            "k": self.k,
-            "m": self.m,
-        }
+        return report_json(self)
 
 
 def _target(r: float) -> float:
@@ -90,12 +84,15 @@ def solve_p(r: float, ell: int) -> tuple[float, float]:
     return 1.0 / hi, hi
 
 
-def plan(r: float, k: int) -> ConstructionPlan:
-    """Assemble a full construction plan for ratio r at part size k."""
-    if k < 2:
+def plan(r: float, k: int | None = None) -> ConstructionPlan:
+    """Assemble a full construction plan for ratio r at part size k; without
+    k, only ell and p are solved."""
+    if k is not None and k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ell = choose_ell(r)
     p, x = solve_p(r, ell)
+    if k is None:
+        return ConstructionPlan(r=r, ell=ell, p=p, x=x, k=None, m=None)
     total = k * k * ell
     a, b = p.as_integer_ratio()
     # nearest integer to p*total, ties up; in integers, so _smallest_k is exact

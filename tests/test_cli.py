@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +76,7 @@ def test_solve(capsys):
     assert d["schema"] == 1
     assert d["ell"] == 2
     assert 0 < d["p"] < 1
+    assert (d["k"], d["m"]) == (None, None)  # no part size given
 
 
 def test_solve_tiny_ratio(capsys):
@@ -113,6 +117,25 @@ def test_expect_csv(capsys):
     assert lines[0].startswith("r,k,ell,p,m")
 
 
+def test_expect_missing_values(capsys):
+    # E[X] = 0 has no X concentration: null in JSON, an empty cell in CSV
+    _, out = run_cli(capsys, "expect", "--k", "1", "--ell", "2", "--m", "1")
+    assert json.loads(out)["x_concentration"] is None
+    _, out = run_cli(capsys, "expect", "--k", "1", "--ell", "2", "--m", "1", "--format", "csv")
+    assert out.splitlines()[1] == ",1,2,0.5,1,0.0,0.0,1.0,,0.0,-2.386294361119891,0.038678434395568395"
+
+
+def test_expect_at_m_zero(capsys):
+    # the exact moments exist at m = 0; log p does not
+    code, out = run_cli(capsys, "expect", "--k", "2", "--ell", "2", "--m", "0")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["ex"], d["ey"], d["p"]) == ("0/1", "1/1", 0.0)
+    assert d["ex_asym_log"] is d["ey_asym_log"] is d["x_concentration"] is None
+    _, out = run_cli(capsys, "expect", "--k", "2", "--ell", "2", "--m", "0", "--format", "csv")
+    assert out.splitlines()[1] == ",2,2,0.0,0,0.0,0.0,1.0,,0.0,,"
+
+
 def test_expect_bad_args(capsys):
     assert main(["expect", "--k", "2"]) == 2
 
@@ -128,6 +151,17 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["expect", "--k", "2", "--ell", "1", "--m", "3"],
         ["expect", "--k", "-1", "--ell", "2", "--m", "0"],
         ["solve", "--r", "1e-320"],
+        # input that used to be ignored or read wrong
+        ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--workers", "0"],
+        ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--workers", "-1"],
+        ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon", "nan"],
+        ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon=-0.1"],
+        ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "2", "--epsilon", "nan"],
+        ["sweep", "--r", "0.3", "--k-list", "4", "--epsilon=-0.1"],
+        ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "-1"],
+        ["expect", "--r", "0.3", "--k", "4", "--ell", "3"],
+        ["expect", "--r", "0.3", "--k", "4", "--m", "7"],
+        ["expect", "--r", "0.3", "--k", "4", "--ell", "3", "--m", "7"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -235,6 +269,94 @@ def test_sweep(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert lines[0] == "k,ell,m,p,exact_ratio,abs_error,x_concentration,empirical_mean_ratio"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("construct_k2_ell2.json", "construct --k 2 --ell 2"),
+        ("solve_r0.3_k8.json", "solve --r 0.3 --k 8"),
+        ("expect_k2_ell2_m6.json", "expect --k 2 --ell 2 --m 6"),
+        ("expect_k2_ell2_m6.csv", "expect --k 2 --ell 2 --m 6 --format csv"),
+        ("mc_r0.3_k4_trials3.json", "mc --r 0.3 --k 4 --trials 3"),
+        ("sweep_r0.3_k2-3_trials2.csv", "sweep --r 0.3 --k-list 2,3 --trials 2"),
+    ],
+)
+def test_frozen_output(capsys, name, argv):
+    """Full stdout, byte for byte, of a few invocations (tests/golden/)."""
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_frozen_trials_csv(capsys, tmp_path):
+    path = tmp_path / "trials.csv"
+    run_cli(capsys, "mc", "--r", "0.3", "--k", "4", "--trials", "3", "--trials-csv", str(path))
+    assert path.read_text() == (GOLDEN / "mc_r0.3_k4_trials3_trials.csv").read_text()
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@st.composite
+def cli_argv(draw):
+    """Bounded arguments for every subcommand but count and verify: k <= 5,
+    trials <= 3, at most one worker.  Each value is valid three times in
+    four, else drawn from the invalid edge cases (non-finite r and epsilon
+    among them)."""
+
+    def pick(valid, invalid):
+        return draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid))
+
+    cmd = draw(st.sampled_from(["construct", "solve", "expect", "mc", "sweep"]))
+    r = pick([0.3, 0.45, 0.49], [math.nan, math.inf, -math.inf, 0.0, 0.5, 1e-300])
+    k, ell = pick(range(1, 6), [-1, 0]), pick(range(2, 6), [0, 1])
+    trials = pick(range(1, 4), [-1, 0])
+    eps = pick([0.05, 0.0], [-0.1, math.nan, math.inf])
+    if cmd == "construct":
+        fmt = draw(st.sampled_from(["json", "edgelist"]))
+        return [cmd, f"--k={k}", f"--ell={ell}", f"--format={fmt}"]
+    if cmd == "solve":
+        return [cmd, f"--r={r}"] + draw(st.sampled_from([[], [f"--k={k}"]]))
+    if cmd == "expect":
+        total = max(0, k * k * ell)
+        values = {"r": r, "k": k, "ell": ell, "m": pick(range(total + 1), [-1, total + 1])}
+        given_args = pick([("r", "k"), ("k", "ell", "m")], [("r", "k", "ell"), ("k", "ell")])
+        fmt = draw(st.sampled_from(["json", "csv"]))
+        return [cmd, f"--format={fmt}"] + [f"--{a}={values[a]}" for a in given_args]
+    if cmd == "mc":
+        workers = pick([1], [0, -1])
+        return [cmd, f"--r={r}", f"--k={k}", f"--trials={trials}", f"--epsilon={eps}",
+                f"--workers={workers}"]
+    k_list = ",".join(str(pick(range(2, 6), [-1, 0, 1])) for _ in range(draw(st.integers(1, 2))))
+    return [cmd, f"--r={r}", f"--k-list={k_list}", f"--trials={trials - 1}", f"--epsilon={eps}"]
+
+
+@settings(max_examples=100, deadline=1000)
+@given(argv=cli_argv())
+def test_cli_exits_cleanly_and_writes_only_json_or_empty_cells(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))
+    if code != 0:
+        return
+    text = out.getvalue()
+    if argv[0] == "sweep" or "--format=csv" in argv:
+        for line in text.splitlines()[1:]:  # a missing value is an empty cell
+            assert all(cell == "" or math.isfinite(float(cell)) for cell in line.split(","))
+    elif "--format=edgelist" not in argv:
+        json.loads(text, parse_constant=_not_json)
 
 
 def test_verify_tiny(capsys):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from dpratio.digraph import (
     Digraph,
     SampledSubgraph,
     build_blowup,
+    csv_text,
     enumerate_subgraphs,
     from_json_dict,
+    json_text,
     read_edgelist,
     sample_subgraph,
     subgraph_from_json,
@@ -141,6 +144,17 @@ def test_json_roundtrip_plain():
     d = to_json_dict(g)
     assert d["schema"] == 1
     assert from_json_dict(json.loads(json.dumps(d))) == g
+
+
+def test_value_rule():
+    # a Fraction is "n/d" (also when it is an integer), None an empty cell
+    rows = [{"a": Fraction(4), "b": None, "c": 0.5}, {"c": 1, "a": Fraction(-1, 3), "b": 2}]
+    assert csv_text("a,b,c", rows) == "a,b,c\n4/1,,0.5\n-1/3,2,1\n"
+    assert csv_text("a,b", []) == "a,b\n"
+    assert json_text({"x": None, "y": [1]}) == '{\n  "x": null,\n  "y": [\n    1\n  ]\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"x": bad})
 
 
 def test_json_readers_reject_non_graphs():

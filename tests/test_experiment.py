@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,16 @@ def test_run_mc_rejects():
     cp = plan(0.3, 4)
     with pytest.raises(ValueError):
         run_mc(cp, 0)
+    for kwargs in ({"workers": 0}, {"workers": -2}):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_mc(cp, 2, **kwargs)
+    for epsilon in (math.nan, -0.01, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+            run_mc(cp, 2, epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            convergence_sweep(0.3, [4], epsilon=epsilon)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        convergence_sweep(0.3, [4], trials=-1)
 
 
 def test_per_trial_csv_shape():

@@ -154,7 +154,9 @@ def test_moment_report_fields():
     assert rep.ex >= 0 and rep.ey >= rep.ex
     d = rep.to_json_dict()
     assert d["schema"] == 1
-    row = rep.to_csv_row()
+    assert list(d) == ["schema", *vars(rep)]
+    header, row = rep.to_csv().splitlines()
+    assert header == rep.CSV_COLUMNS
     assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
 
 
