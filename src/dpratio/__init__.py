@@ -42,7 +42,6 @@ from .moments import (
 from .params import ConstructionPlan, choose_ell, plan, solve_p
 from .series import (
     SeriesValue,
-    f_at_one_bounds,
     f_eval,
     falling_ratio_asymptotic,
     falling_ratio_exact,

@@ -59,10 +59,18 @@ class MomentReport:
         row = {
             **vars(self),
             "ratio_exact": self.ratio_exact_float,
-            "ex_float": float(self.ex),
-            "ey_float": float(self.ey),
+            "ex_float": _exact_float("ex_float", self.ex),
+            "ey_float": _exact_float("ey_float", self.ey),
         }
         return csv_text(self.CSV_COLUMNS, [row])
+
+
+def _exact_float(name: str, q: Fraction) -> float:
+    """q as a float; ValueError naming the report field when q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range (|value| > 1.8e308)") from None
 
 
 def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Fraction:
@@ -192,9 +200,9 @@ def moment_report(
         ex_asym_log=expected_x_asymptotic(k, ell, p) if p else None,
         ey_asym_log=expected_y_asymptotic(k, ell, p) if p else None,
         ratio_exact=ratio,
-        ratio_exact_float=float(ratio),
-        x_concentration=float(ex2 / (ex * ex) - 1) if ex else None,
-        y_concentration_bound=float(ey2 / (ey * ey) - 1),
+        ratio_exact_float=_exact_float("ratio_exact_float", ratio),
+        x_concentration=_exact_float("x_concentration", ex2 / (ex * ex) - 1) if ex else None,
+        y_concentration_bound=_exact_float("y_concentration_bound", ey2 / (ey * ey) - 1),
     )
 
 

@@ -1,10 +1,11 @@
-"""Independent enumeration oracles for the exact formulas.
+"""Independent oracles for the exact formulas.
 
-Slow by design: each one enumerates what the production route counts in
-closed form, so the cross-checks in `dpratio.verify` compare two routes that
-share no code.  Calls go through the module attributes (`counting.x`, not a
-bare `x`), so wrappers installed on those modules (as `bench/spans.py` does)
-see them.
+`h_bruteforce` and `exhaustive_moments` are slow by design: each enumerates
+what the production route counts in closed form, so the cross-checks in
+`dpratio.verify` compare two routes that share no code.  `h_window_error`
+measures how close h(a, b) is to a!/e, in exact rationals.  Calls go
+through the module attributes (`counting.x`, not a bare `x`), so wrappers
+installed on those modules (as `bench/spans.py` does) see them.
 """
 
 from __future__ import annotations
@@ -28,20 +29,25 @@ def h_bruteforce(a: int, b: int) -> int:
 def h_window_error(a: int) -> float:
     """max_b |e h(a,b)/a! - 1| over the window a - a^(1/10) <= b <= a.
 
-    The deviation sits far below double precision for large a, so the
-    comparison runs in 60-digit arithmetic.
+    The window always holds b = a - 1, where the deviation is about 1/a
+    (0.0999..., 0.05 and 0.025 at a = 10, 20, 40), so it decays like 1/a.
+    Exact rationals: e lies between s = sum_{j<=60} 1/j! and s + 1/(60! 60),
+    and as h(a, b) <= a!, each deviation moves by at most that width across
+    the bracket.  Raises ValueError unless the maxima at both ends of the
+    bracket round to the same float, which is returned.
     """
-    import mpmath  # kept local: importing it costs `import dpratio` ~36 ms
-
     lo = math.ceil(a - a ** (1 / 10))
     fact = math.factorial(a)
-    with mpmath.workdps(60):
-        return float(
-            max(
-                abs(mpmath.e * mpmath.mpf(series.h_exact(a, b)) / fact - 1)
-                for b in range(lo, a + 1)
-            )
-        )
+    hs = [series.h_exact(a, b) for b in range(lo, a + 1)]
+    n, nfact = 60, math.factorial(60)
+    s = Fraction(sum(nfact // math.factorial(j) for j in range(n + 1)), nfact)
+    ends = {
+        float(max(abs(e * h / fact - 1) for h in hs))
+        for e in (s, s + Fraction(1, nfact * n))
+    }
+    if len(ends) != 1:
+        raise ValueError(f"h_window_error({a}): the bracket on e does not fix the float")
+    return ends.pop()
 
 
 def exhaustive_moments(k: int, ell: int, m: int) -> tuple[Fraction, ...]:

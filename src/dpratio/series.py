@@ -53,13 +53,6 @@ def f_eval(ell: int, x: float) -> SeriesValue:
         i += 1
 
 
-def f_at_one_bounds(ell: int) -> tuple[Fraction, Fraction]:
-    """Two-sided bound on f_ell(1): lower 2, upper 2 + 1/(2^ell - 1)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    return Fraction(2), Fraction(2) + Fraction(1, 2**ell - 1)
-
-
 def h_exact(a: int, b: int) -> int:
     """Number of perfect matchings of K_{a,a} avoiding a fixed b-edge matching.
 

@@ -162,6 +162,8 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3"],
         ["expect", "--r", "0.3", "--k", "4", "--m", "7"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3", "--m", "7"],
+        # a concentration number past the float range
+        ["expect", "--k", "2", "--ell", "400", "--m", "800"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

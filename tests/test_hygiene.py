@@ -1,4 +1,4 @@
-"""Two scans for names nothing reads.
+"""Three scans: names nothing reads, and imports outside the standard library.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -9,9 +9,14 @@ Every module-level function, class and constant of the library is read
 somewhere in `src/`, `tests/` or `bench/`, as a name or as an attribute;
 an import or a re-export alone is not a read.  Dunder names such as
 `__version__` are read by tools, not code, and are skipped.
+
+Every import in the library, module-level or inside a function, is
+relative or of a standard-library module: the package has no runtime
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +91,29 @@ def test_every_definition_is_read():
         if (names := [n for n in module_definitions(ast.parse(p.read_text())) if n not in read])
     }
     assert unread == {}
+
+
+def third_party_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    top = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            top += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.append(node.module.split(".")[0])
+    return [name for name in top if name not in sys.stdlib_module_names]
+
+
+def test_scan_finds_third_party_import():
+    source = "import os.path\nfrom . import x\nfrom .y import z\ndef f():\n    import mpmath\n"
+    assert third_party_imports(source) == ["mpmath"]
+    assert third_party_imports("from numpy.linalg import det\nfrom collections import abc\n") == [
+        "numpy"
+    ]
+
+
+def test_library_imports_only_the_standard_library():
+    found = {
+        p.name: names for p in LIBRARY if (names := third_party_imports(p.read_text()))
+    }
+    assert found == {}

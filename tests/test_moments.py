@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -158,6 +159,15 @@ def test_moment_report_fields():
     header, row = rep.to_csv().splitlines()
     assert header == rep.CSV_COLUMNS
     assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
+
+
+def test_float_past_range_raises_value_error():
+    # `expect --k 3 --ell 400 --m 3600 --format csv` has E[X] = 6^400; the
+    # report is built here from a small one, as that run takes seconds
+    rep = dataclasses.replace(moment_report(2, 2, 6), ex=Fraction(6**400))
+    rep.to_json_dict()  # JSON writes the exact value, no float
+    with pytest.raises(ValueError, match="ex_float is past the float range"):
+        rep.to_csv()
 
 
 def test_moment_report_budget():

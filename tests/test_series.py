@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpratio.series import (
-    f_at_one_bounds,
     f_eval,
     falling_ratio_asymptotic,
     falling_ratio_exact,
@@ -95,12 +94,10 @@ def test_f_monotone_in_x():
 
 
 def test_f_at_one_bounds():
-    assert f_at_one_bounds(1) == (2, 3)
-    assert f_at_one_bounds(5) == (2, Fraction(2) + Fraction(1, 31))
+    # the paper's bound 2 <= f_ell(1) <= 2 + 1/(2^ell - 1)
     for ell in range(1, 13):
-        lo, hi = f_at_one_bounds(ell)
         v = f_eval(ell, 1.0).value
-        assert float(lo) <= v <= float(hi) + 1e-13
+        assert 2 <= v <= 2 + 1 / (2**ell - 1) + 1e-13
 
 
 def test_h_exact_basics():
