@@ -14,7 +14,6 @@ from .counting import (
     permanent,
 )
 from .digraph import (
-    BlowupDigraph,
     Digraph,
     SampledSubgraph,
     build_blowup,

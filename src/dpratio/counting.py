@@ -12,9 +12,10 @@ Three counters with nested domains:
   fixed-set size i at once: C(k+t, t) states at row t, C(2k+1, k) state
   visits per layer, no per-i pruning.
 
-`count` takes the counter from the graph: layered for a blow-up subgraph,
-Ryser for a general digraph.  Brute force and Ryser stay as oracles for
-the layered counter (see `dpratio.verify`).
+`count` takes the counter from the graph: layered for a `SampledSubgraph`
+(a blow-up subgraph, the full blow-up included), Ryser for a general
+`Digraph`.  Brute force and Ryser stay as oracles for the layered counter
+(see `dpratio.verify`).
 
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
@@ -147,6 +148,12 @@ def count_permanent(g: Digraph) -> CountPair:
     return CountPair(derangements=der, permutations=per)
 
 
+def check_layered_k(k: int) -> None:
+    """ValueError when count_layered refuses part size k."""
+    if k > LAYERED_MAX_K:
+        raise ValueError(f"layered counting limited to k <= {LAYERED_MAX_K}")
+
+
 def count_layered(g: SampledSubgraph) -> CountPair:
     """Exact counts using the layered structure of blow-up subgraphs.
 
@@ -166,10 +173,8 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     trace then takes ell - 2 dense matrix products.  The i = 0 term is the
     derangement count, a product of per-layer perfect-matching counts.
     """
-    base = g.base
-    k = base.k
-    if k > LAYERED_MAX_K:
-        raise ValueError(f"layered counting limited to k <= {LAYERED_MAX_K}")
+    k = g.k
+    check_layered_k(k)
     full = (1 << k) - 1
     subsets_by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):

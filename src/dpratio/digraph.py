@@ -1,5 +1,8 @@
 """Digraphs, the blow-up construction, and uniform m-edge subgraph sampling.
 
+`Digraph` is a general digraph; `SampledSubgraph` is a blow-up subgraph,
+and the full blow-up (`build_blowup`) is the one that keeps every edge.
+
 Vertex numbering convention (part of the external format): the i-th vertex
 of part c (0-based) has index c*k + i.  Edges of the blow-up are indexed
 c*k*k + i*k + j, meaning part-c vertex i -> part-(c+1 mod ell) vertex j.
@@ -42,22 +45,39 @@ class Digraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class BlowupDigraph:
-    """Blow-up of a directed ell-cycle: each cycle vertex becomes a block of
-    k vertices, each cycle edge a complete directed bipartite layer.
+def blowup_edge_count(k: int, ell: int) -> int:
+    """k^2*ell, the edge count of the blow-up; ValueError unless k >= 1 and
+    ell >= 2.  Constant time, so a shape check costs nothing at any k."""
+    if k < 1:
+        raise ValueError(f"part size k must be >= 1, got {k}")
+    if ell < 2:
+        raise ValueError(f"number of parts ell must be >= 2, got {ell}")
+    return k * k * ell
 
-    k*ell vertices, k^2*ell edges.
+
+@dataclass(frozen=True)
+class SampledSubgraph:
+    """A subgraph of the blow-up of a directed ell-cycle: each cycle vertex
+    becomes a part of k vertices, each cycle edge a directed bipartite layer
+    from part c to part c+1.  `build_blowup` gives the full blow-up, the
+    subgraph that keeps all k^2*ell edges.
+
+    layers[c][i] has bit j set iff edge (part-c vertex i -> part-(c+1)
+    vertex j) is retained.
     """
 
     k: int
     ell: int
+    layers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"part size k must be >= 1, got {self.k}")
-        if self.ell < 2:
-            raise ValueError(f"number of parts ell must be >= 2, got {self.ell}")
+        k, ell = self.k, self.ell
+        blowup_edge_count(k, ell)
+        if len(self.layers) != ell or any(len(rows) != k for rows in self.layers):
+            raise ValueError("layers must be ell tuples of k row masks")
+        full = (1 << k) - 1
+        if any(row & ~full for rows in self.layers for row in rows):
+            raise ValueError("row mask has bits outside 0..k-1")
 
     @property
     def vertex_count(self) -> int:
@@ -65,83 +85,54 @@ class BlowupDigraph:
 
     @property
     def edge_count(self) -> int:
-        return self.k * self.k * self.ell
-
-    @property
-    def parts(self) -> list[list[int]]:
-        k = self.k
-        return [list(range(c * k, (c + 1) * k)) for c in range(self.ell)]
-
-    def vertex(self, c: int, i: int) -> int:
-        """Global index of the i-th vertex of part c."""
-        return c * self.k + i
-
-    def full_subgraph(self) -> "SampledSubgraph":
-        """The subgraph retaining every edge (all-ones layers)."""
-        full_row = (1 << self.k) - 1
-        layers = tuple(tuple(full_row for _ in range(self.k)) for _ in range(self.ell))
-        return SampledSubgraph(base=self, layers=layers)
-
-
-@dataclass(frozen=True)
-class SampledSubgraph:
-    """A subgraph of a blow-up, stored as per-layer bitmask rows.
-
-    layers[c][i] has bit j set iff edge (part-c vertex i -> part-(c+1)
-    vertex j) is retained.
-    """
-
-    base: BlowupDigraph
-    layers: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        k, ell = self.base.k, self.base.ell
-        if len(self.layers) != ell or any(len(rows) != k for rows in self.layers):
-            raise ValueError("layers must be ell tuples of k row masks")
-        full = (1 << k) - 1
-        if any(row & ~full for rows in self.layers for row in rows):
-            raise ValueError("row mask has bits outside 0..k-1")
+        return sum(row.bit_count() for rows in self.layers for row in rows)
 
     @classmethod
-    def from_edge_indices(cls, base: BlowupDigraph, indices) -> "SampledSubgraph":
-        k = base.k
-        rows = [[0] * k for _ in range(base.ell)]
+    def from_edge_indices(cls, base: SampledSubgraph, indices) -> SampledSubgraph:
+        """The subgraph keeping the listed edges of the blow-up of base's
+        shape; reads only base.k and base.ell."""
+        k, ell = base.k, base.ell
+        total = blowup_edge_count(k, ell)
+        rows = [[0] * k for _ in range(ell)]
         for e in indices:
-            if not (0 <= e < base.edge_count):
+            if not (0 <= e < total):
                 raise ValueError(f"edge index {e} out of range")
             c, rem = divmod(e, k * k)
             i, j = divmod(rem, k)
             rows[c][i] |= 1 << j
-        layers = tuple(tuple(r) for r in rows)
-        return cls(base=base, layers=layers)
+        return cls(k=k, ell=ell, layers=tuple(tuple(r) for r in rows))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        k, ell = self.base.k, self.base.ell
+        k, ell = self.k, self.ell
         out = []
         for c in range(ell):
             for i in range(k):
                 row = self.layers[c][i]
-                u = self.base.vertex(c, i)
+                u = c * k + i
                 cn = (c + 1) % ell
                 while row:
                     j = (row & -row).bit_length() - 1
-                    out.append((u, self.base.vertex(cn, j)))
+                    out.append((u, cn * k + j))
                     row &= row - 1
         return out
 
 
-def build_blowup(k: int, ell: int) -> BlowupDigraph:
-    """Construct the blow-up of a directed ell-cycle with parts of size k."""
-    return BlowupDigraph(k=k, ell=ell)
+def build_blowup(k: int, ell: int) -> SampledSubgraph:
+    """The blow-up of a directed ell-cycle with parts of size k: every
+    layer a complete directed bipartite graph, k*ell vertices and k^2*ell
+    edges."""
+    blowup_edge_count(k, ell)
+    return SampledSubgraph(k=k, ell=ell, layers=(((1 << k) - 1,) * k,) * ell)
 
 
-def sample_subgraph(base: BlowupDigraph, m: int, seed: int) -> SampledSubgraph:
-    """Uniformly random m-edge subgraph; deterministic in (base, m, seed).
+def sample_subgraph(base: SampledSubgraph, m: int, seed: int) -> SampledSubgraph:
+    """Uniformly random m-edge subgraph of the blow-up of base's shape;
+    deterministic in (base.k, base.ell, m, seed), and reads nothing else.
 
     Partial Fisher-Yates over the edge index array: every m-subset of the
     k^2*ell edges is equally likely.
     """
-    total = base.edge_count
+    total = blowup_edge_count(base.k, base.ell)
     if not (0 <= m <= total):
         raise ValueError(f"m must be in [0, {total}], got {m}")
     rng = random.Random(seed)
@@ -152,11 +143,12 @@ def sample_subgraph(base: BlowupDigraph, m: int, seed: int) -> SampledSubgraph:
     return SampledSubgraph.from_edge_indices(base, idx[:m])
 
 
-def enumerate_subgraphs(base: BlowupDigraph, m: int) -> Iterator[SampledSubgraph]:
-    """Yield every m-edge subgraph exactly once (brute-force oracle)."""
+def enumerate_subgraphs(base: SampledSubgraph, m: int) -> Iterator[SampledSubgraph]:
+    """Yield every m-edge subgraph of the blow-up of base's shape exactly
+    once (brute-force oracle); reads only base.k and base.ell."""
     import itertools
 
-    total = base.edge_count
+    total = blowup_edge_count(base.k, base.ell)
     if not (0 <= m <= total):
         raise ValueError(f"m must be in [0, {total}], got {m}")
     count = math.comb(total, m)
@@ -166,11 +158,9 @@ def enumerate_subgraphs(base: BlowupDigraph, m: int) -> Iterator[SampledSubgraph
         yield SampledSubgraph.from_edge_indices(base, combo)
 
 
-def to_general(g: SampledSubgraph | BlowupDigraph) -> Digraph:
+def to_general(g: SampledSubgraph) -> Digraph:
     """Flatten to an edge-list digraph under the documented vertex numbering."""
-    if isinstance(g, BlowupDigraph):
-        g = g.full_subgraph()
-    return Digraph(n=g.base.vertex_count, edges=frozenset(g.edge_list()))
+    return Digraph(n=g.vertex_count, edges=frozenset(g.edge_list()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +216,16 @@ def read_edgelist(f: TextIO) -> Digraph:
     return Digraph(n=n, edges=frozenset(edges))
 
 
-def to_json_dict(g: Digraph | BlowupDigraph | SampledSubgraph) -> dict:
-    parts = None
-    if isinstance(g, (BlowupDigraph, SampledSubgraph)):
-        base = g if isinstance(g, BlowupDigraph) else g.base
-        parts = base.parts
-        g = to_general(g)
+def to_json_dict(g: Digraph | SampledSubgraph) -> dict:
+    """The graph's "schema", "n" and sorted "edges"; "parts" too for a blow-up subgraph."""
+    flat = g if isinstance(g, Digraph) else to_general(g)
     d = {
         "schema": SCHEMA_VERSION,
-        "n": g.n,
-        "edges": sorted([list(e) for e in g.edges]),
+        "n": flat.n,
+        "edges": sorted([list(e) for e in flat.edges]),
     }
-    if parts is not None:
-        d["parts"] = parts
+    if flat is not g:
+        d["parts"] = [list(range(c * g.k, (c + 1) * g.k)) for c in range(g.ell)]
     return d
 
 
@@ -284,7 +271,7 @@ def subgraph_from_json(d: dict) -> SampledSubgraph:
         raise ValueError(
             f"graph JSON field 'n' is {d['n']}, but its parts hold k*ell = {k * ell} vertices"
         )
-    base = BlowupDigraph(k=k, ell=ell)
+    base = build_blowup(k, ell)
     indices = []
     for u, v in d["edges"]:
         c, i = divmod(u, k)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import statistics
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .counting import count_layered
+from .counting import check_layered_k, count_layered
 from .digraph import build_blowup, csv_text, report_json, sample_subgraph
 from .moments import expected_x_exact, expected_y_exact, moment_report_for_plan
 from .params import ConstructionPlan, plan
@@ -91,7 +92,8 @@ def run_mc(
 
     Deterministic function of (plan, trials, seed, epsilon), independent of
     the worker count: trial t always uses derive_seed(seed, t) and results
-    are aggregated in trial order.
+    are aggregated in trial order.  At most min(workers, trials, CPU count)
+    processes run the trials; with one, they run in this process.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -99,8 +101,11 @@ def run_mc(
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_epsilon(epsilon)
     k, ell, m = cplan.k, cplan.ell, cplan.m
+    check_layered_k(k)  # before sampling, whose cost grows with k^2*ell
     seeds = [derive_seed(seed, t) for t in range(trials)]
     args = [(k, ell, m, s) for s in seeds]
+    # the pool forks all max_workers processes at its first submit
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import BlowupDigraph, csv_text, report_json
+from .digraph import blowup_edge_count, csv_text, report_json
 from .params import ConstructionPlan
 from .series import f_eval, h_exact
 
@@ -77,7 +77,7 @@ def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Frac
     """sum_x weights[x] * P[x specified edges survive uniform m-edge sampling
     of the k^2*ell blow-up edges], with P[x] = C(T-x, m-x) / C(T, m) and 0
     when x > m."""
-    total = BlowupDigraph(k, ell).edge_count  # rejects k < 1 and ell < 2
+    total = blowup_edge_count(k, ell)
     if not 0 <= m <= total:
         raise ValueError(f"need 0 <= m <= {total}, got m={m}")
     num = sum(w * math.comb(total - x, m - x) for x, w in weights.items() if x <= m)
@@ -177,7 +177,7 @@ def moment_report(
     k: int, ell: int, m: int, p: float | None = None, r: float | None = None
 ) -> MomentReport:
     """All exact and asymptotic moments plus derived concentration numbers."""
-    BlowupDigraph(k, ell)  # rejects k < 1 and ell < 2
+    blowup_edge_count(k, ell)  # rejects k < 1 and ell < 2 in constant time
     if k > SECOND_MOMENT_MAX_K:
         raise ValueError(f"ex2/ey2 exact computation limited to k <= {SECOND_MOMENT_MAX_K}")
     if p is None:

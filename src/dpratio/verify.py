@@ -115,7 +115,7 @@ def check_closed_form_layered(prof: Profile, record: Record) -> list[CheckResult
     ok = True
     for k in range(1, prof.layered_max_k + 1):
         for ell in range(2, prof.layered_max_ell + 1):
-            g = digraph.build_blowup(k, ell).full_subgraph()
+            g = digraph.build_blowup(k, ell)
             ok &= counting.closed_form_counts(k, ell) == record(counting.count_layered(g))
     return [CheckResult("closed-form counts vs layered transfer counter", ok)]
 

@@ -8,6 +8,9 @@ with frozen regression thresholds.
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from dpratio.counting import CountPair
 from dpratio.experiment import run_mc
@@ -29,15 +32,40 @@ from dpratio.verify import (
     ratio_bound_holds,
 )
 
-# Every CountPair produced anywhere in this module is funneled through here
-# so criterion 3 (2X <= Y, zero violations) covers all of them.
-_RATIO_BOUND_VIOLATIONS = []
+# Frozen after the first pinned run of plan(0.3, 8), 200 trials, seed 0,
+# epsilon 0.05: observed fraction_within = 0.99.
+FROZEN_FRACTION_WITHIN = 0.99
+
+# Criterion 9's second run: X at the (3, 2) blow-up with m = 9 of its 18 edges.
+CONCENTRATION_PLAN = ConstructionPlan(r=0.0, ell=2, p=0.5, x=2.0, k=3, m=9)
+CONCENTRATION_TRIALS = 5000
 
 
-def _record(counts):
-    if not ratio_bound_holds(counts):
-        _RATIO_BOUND_VIOLATIONS.append(counts)
-    return counts
+@pytest.fixture(scope="module")
+def counted():
+    """Every run that counts graphs, once: criteria 1 and 2's checks at the
+    small profile and criterion 9's two Monte Carlo runs.  Each count passes
+    through one recorder, so criterion 3 sees all of them in any test order."""
+    recorded = []
+
+    def record(counts):
+        recorded.append(counts)
+        return counts
+
+    checks = {
+        check: check(PROFILES["small"], record)
+        for check in (check_closed_form_bruteforce, check_closed_form_layered, check_counters)
+    }
+    mc = run_mc(plan(0.3, 8), 200, seed=0, epsilon=0.05)
+    mc2 = run_mc(CONCENTRATION_PLAN, CONCENTRATION_TRIALS, seed=0)
+    for rep in (mc, mc2):
+        for _, x, y, _ in rep.per_trial:
+            record(CountPair(derangements=x, permutations=y))
+    return SimpleNamespace(checks=checks, mc=mc, mc2=mc2, recorded=recorded)
+
+
+def _no_counts(counts):
+    raise AssertionError("criteria 4-7 count no graph, so criterion 3 does not cover them")
 
 
 def _report(criterion: str, passed: bool):
@@ -46,20 +74,36 @@ def _report(criterion: str, passed: bool):
 
 
 def _report_checks(criterion: str, *checks):
-    # criteria 1, 2 and 4-7 run the verify suite's checks at its small profile
-    results = [r for check in checks for r in check(PROFILES["small"], _record)]
+    # criteria 4-7 run the verify suite's checks at its small profile
+    results = [r for check in checks for r in check(PROFILES["small"], _no_counts)]
     _report(criterion, all(r.passed for r in results))
 
 
-def test_criterion_1_closed_form_fidelity():
-    _report_checks(
-        "1 closed-form fidelity", check_closed_form_bruteforce, check_closed_form_layered
+def _report_counted(criterion: str, counted, *checks):
+    _report(criterion, all(r.passed for check in checks for r in counted.checks[check]))
+
+
+def test_criterion_1_closed_form_fidelity(counted):
+    _report_counted(
+        "1 closed-form fidelity",
+        counted,
+        check_closed_form_bruteforce,
+        check_closed_form_layered,
     )
 
 
-def test_criterion_2_counter_cross_validation():
+def test_criterion_2_counter_cross_validation(counted):
     assert len(PROFILES["small"].cross_shapes) == 200
-    _report_checks("2 counter cross-validation (200 subgraphs)", check_counters)
+    _report_counted("2 counter cross-validation (200 subgraphs)", counted, check_counters)
+
+
+def test_criterion_3_ratio_bound_zero_violations(counted):
+    # 5 + 18 closed-form graphs, 200 random subgraphs, 200 + 5000 trials
+    assert len(counted.recorded) == 5 + 18 + 200 + 200 + CONCENTRATION_TRIALS
+    _report(
+        "3 universal ratio bound 2X <= Y",
+        all(ratio_bound_holds(c) for c in counted.recorded),
+    )
 
 
 def test_criterion_4_fact1_identity_and_decay():
@@ -96,33 +140,15 @@ def test_criterion_8_convergence_trend():
     _report("8 convergence trend in k for r = 0.3", ok)
 
 
-# Frozen after the first pinned run of plan(0.3, 8), 200 trials, seed 0,
-# epsilon 0.05: observed fraction_within = 0.99.
-FROZEN_FRACTION_WITHIN = 0.99
-
-
-def test_criterion_9_concentration():
-    cp = plan(0.3, 8)
-    rep = run_mc(cp, 200, seed=0, epsilon=0.05)
-    for _, x, y, _ in rep.per_trial:
-        _record_pair(x, y)
-    ok = rep.fraction_within >= FROZEN_FRACTION_WITHIN
-
-    trials = 5000
-    cp2 = ConstructionPlan(r=0.0, ell=2, p=0.5, x=2.0, k=3, m=9)
-    rep2 = run_mc(cp2, trials, seed=0)
-    ex = float(expected_x_exact(3, 2, 9))
-    var = float(second_moment_x_exact(3, 2, 9)) - ex * ex
-    se = math.sqrt(var / trials)
-    mean_x = sum(x for _, x, _, _ in rep2.per_trial) / trials
+def test_criterion_9_concentration(counted):
+    ok = counted.mc.fraction_within >= FROZEN_FRACTION_WITHIN
+    k, ell, m = CONCENTRATION_PLAN.k, CONCENTRATION_PLAN.ell, CONCENTRATION_PLAN.m
+    ex = float(expected_x_exact(k, ell, m))
+    var = float(second_moment_x_exact(k, ell, m)) - ex * ex
+    se = math.sqrt(var / CONCENTRATION_TRIALS)
+    mean_x = sum(x for _, x, _, _ in counted.mc2.per_trial) / CONCENTRATION_TRIALS
     ok &= abs(mean_x - ex) <= 5 * se
-    for _, x, y, _ in rep2.per_trial:
-        _record_pair(x, y)
     _report("9 empirical concentration (pinned seeds)", ok)
-
-
-def _record_pair(x, y):
-    return _record(CountPair(derangements=x, permutations=y))
 
 
 def test_criterion_10_determinism():
@@ -134,8 +160,3 @@ def test_criterion_10_determinism():
     ok = ja == jb == jc
     _report("10 byte-identical reports across runs and worker counts", ok)
 
-
-def test_criterion_3_ratio_bound_zero_violations():
-    # defined last on purpose: pytest runs tests in definition order, so the
-    # violation log already covers every graph counted by criteria 1-10
-    _report("3 universal ratio bound 2X <= Y", not _RATIO_BOUND_VIOLATIONS)

@@ -150,6 +150,8 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["expect", "--k", "2", "--ell", "0", "--m", "0"],
         ["expect", "--k", "2", "--ell", "1", "--m", "3"],
         ["expect", "--k", "-1", "--ell", "2", "--m", "0"],
+        # refused by the k <= 25 limit before anything of size k is built
+        ["expect", "--k", "100000000", "--ell", "2", "--m", "5"],
         ["solve", "--r", "1e-320"],
         # input that used to be ignored or read wrong
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--workers", "0"],

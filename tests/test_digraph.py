@@ -187,8 +187,12 @@ def test_json_roundtrip_layered():
 
 
 def test_subgraph_invariant_checks():
-    base = build_blowup(2, 2)
-    with pytest.raises(ValueError):
-        SampledSubgraph(base=base, layers=((4, 0), (0, 0)))  # bit outside 0..k-1
-    with pytest.raises(ValueError):
-        SampledSubgraph(base=base, layers=((1, 0),))  # one layer of two
+    assert SampledSubgraph(k=2, ell=2, layers=((3, 3), (3, 3))) == build_blowup(2, 2)
+    with pytest.raises(ValueError, match="bits outside"):
+        SampledSubgraph(k=2, ell=2, layers=((4, 0), (0, 0)))
+    with pytest.raises(ValueError, match="ell tuples of k row masks"):
+        SampledSubgraph(k=2, ell=2, layers=((1, 0),))  # one layer of two
+    with pytest.raises(ValueError, match="part size k must be >= 1, got 0"):
+        SampledSubgraph(k=0, ell=2, layers=((), ()))
+    with pytest.raises(ValueError, match="number of parts ell must be >= 2, got 1"):
+        SampledSubgraph(k=2, ell=1, layers=((3, 3),))

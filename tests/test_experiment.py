@@ -1,8 +1,11 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
+import dpratio.experiment
 from dpratio.counting import closed_form_counts
 from dpratio.experiment import (
     convergence_sweep,
@@ -110,3 +113,45 @@ def test_sweep_single_k_matches_report():
 def test_sweep_uses_choose_ell():
     rows = convergence_sweep(0.45, [4], trials=0)
     assert rows[0]["ell"] == 3
+
+
+def test_run_mc_refuses_oversized_k_before_sampling(monkeypatch):
+    # sampling costs k^2*ell; the layered counter's limit is checked first
+    def no_sampling(*args):
+        raise AssertionError("sampled before the k check")
+
+    monkeypatch.setattr(dpratio.experiment, "sample_subgraph", no_sampling)
+    with pytest.raises(ValueError, match="layered counting limited to k <= 12"):
+        run_mc(plan(0.3, 13), 1)
+
+
+def test_run_mc_caps_the_pool(monkeypatch):
+    # the pool forks max_workers processes at once, so it never gets more
+    # than the trials or the CPUs can use; one worker runs in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cp = plan(0.3, 4)
+    for workers, trials, size in ((64, 3, 3), (64, 10, 4), (2, 10, 2), (64, 1, None)):
+        sizes.clear()
+        rep = run_mc(cp, trials, seed=5, workers=workers)
+        assert sizes == ([] if size is None else [size])
+        assert rep == run_mc(cp, trials, seed=5)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    sizes.clear()
+    run_mc(cp, 3, seed=5, workers=8)
+    assert sizes == []

@@ -128,18 +128,6 @@ def test_falling_ratio_exact_examples():
     assert falling_ratio_exact(8, 6, 4) == Fraction(math.comb(4, 2), math.comb(8, 6))
 
 
-@given(
-    a=st.integers(0, 40),
-    data=st.data(),
-)
-def test_falling_ratio_binomial_identity(a, data):
-    b = data.draw(st.integers(0, a))
-    x = data.draw(st.integers(0, b))
-    assert falling_ratio_exact(a, b, x) == Fraction(
-        math.comb(a - x, b - x), math.comb(a, b)
-    )
-
-
 def test_falling_ratio_rejects():
     with pytest.raises(ValueError):
         falling_ratio_exact(4, 5, 1)
