@@ -6,18 +6,14 @@ parameter solving from a target ratio, and exact/asymptotic moments.
 
 from .counting import (
     CountPair,
-    closed_form_counts,
     count,
-    count_bruteforce,
     count_layered,
     count_permanent,
-    permanent,
 )
 from .digraph import (
     Digraph,
     SampledSubgraph,
     build_blowup,
-    enumerate_subgraphs,
     sample_subgraph,
     to_general,
 )
@@ -43,7 +39,6 @@ from .series import (
     SeriesValue,
     f_eval,
     falling_ratio_asymptotic,
-    falling_ratio_exact,
     h_exact,
 )
 from .verify import verify_all

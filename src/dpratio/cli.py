@@ -103,7 +103,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     k_list = [int(s) for s in args.k_list.split(",")]
-    rows = convergence_sweep(args.r, k_list, args.trials, args.seed, args.epsilon)
+    rows = convergence_sweep(args.r, k_list, args.trials, args.seed)
     _write_output(sweep_csv(rows), args.out)
     return 0
 
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, help="comma-separated part sizes")
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

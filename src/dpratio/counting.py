@@ -1,11 +1,9 @@
 """Exact permutation and derangement counting.
 
-Three counters with nested domains:
+Two counters:
 
-* count_bruteforce -- builds every permutation by backtracking, n <= 10
-  (ground truth; work = the digraph's partial permutations, not n!);
 * count_permanent  -- Ryser permanents of A and A+I from one Gray-code
-  pass, n <= 30;
+  pass, any digraph with n <= 30;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -14,8 +12,8 @@ Three counters with nested domains:
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), Ryser for a general
-`Digraph`.  Brute force and Ryser stay as oracles for the layered counter
-(see `dpratio.verify`).
+`Digraph`.  Ryser is also an oracle for the layered counter, beside the
+brute force of `dpratio.oracles` (see `dpratio.verify`).
 
 A permutation in a digraph is a bijection where each vertex is fixed or
 maps along an out-edge; a derangement fixes nothing.  Counting permutations
@@ -31,7 +29,6 @@ from fractions import Fraction
 
 from .digraph import Digraph, SampledSubgraph
 
-BRUTEFORCE_MAX_N = 10
 PERMANENT_MAX_N = 30
 LAYERED_MAX_K = 12
 
@@ -45,58 +42,6 @@ class CountPair:
 
     def ratio(self) -> Fraction:
         return Fraction(self.derangements, self.permutations)
-
-
-def count_bruteforce(g: Digraph) -> CountPair:
-    """Count by building every permutation from the definition.
-
-    Backtracking over vertices 0..n-1 in order: each vertex goes to itself
-    or to an out-neighbour whose image slot is still free, so the work is
-    the number of partial permutations of the digraph, at most about e * n!
-    (the complete digraph).  Derangements are the complete assignments that
-    never took the fixed-point branch.
-    """
-    n = g.n
-    if n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_MAX_N}, got {n}")
-    out_bits: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        out_bits[u].append(1 << v)
-
-    def extend(v: int, taken: int) -> tuple[int, int]:
-        # (derangements, permutations) of vertices v..n-1 onto the free slots
-        if v == n:
-            return 1, 1
-        der = per = 0
-        if not taken >> v & 1:
-            per = extend(v + 1, taken | 1 << v)[1]
-        for b in out_bits[v]:
-            if not taken & b:
-                d, p = extend(v + 1, taken | b)
-                der += d
-                per += p
-        return der, per
-
-    der, per = extend(0, 0)
-    return CountPair(derangements=der, permutations=per)
-
-
-def permanent(matrix) -> int:
-    """Permanent of a square 0/1 matrix by Ryser's formula (see _ryser_pair);
-    exact big-integer result."""
-    n = len(matrix)
-    if n > PERMANENT_MAX_N:
-        raise ValueError(f"permanent limited to n <= {PERMANENT_MAX_N}, got {n}")
-    cols = [0] * n
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j, a in enumerate(row):
-            if a not in (0, 1):
-                raise ValueError("matrix entries must be 0 or 1")
-            if a:
-                cols[j] += 1 << 8 * i
-    return _ryser_pair(cols, n)[0]
 
 
 def _ryser_pair(cols: list[int], n: int) -> tuple[int, int]:
@@ -245,18 +190,6 @@ def _trace_product(mats) -> int:
             for x in range(n)
         ]
     return sum(m[x][y] * last[y][x] for x in range(n) for y in range(n))
-
-
-def closed_form_counts(k: int, ell: int) -> CountPair:
-    """Exact counts for the full blow-up: (k!)^ell derangements and
-    sum_i (C(k,i) (k-i)!)^ell permutations."""
-    if k < 1 or ell < 2:
-        raise ValueError("need k >= 1 and ell >= 2")
-    der = math.factorial(k) ** ell
-    per = sum(
-        (math.comb(k, i) * math.factorial(k - i)) ** ell for i in range(k + 1)
-    )
-    return CountPair(derangements=der, permutations=per)
 
 
 def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:

@@ -11,17 +11,12 @@ c*k*k + i*k + j, meaning part-c vertex i -> part-(c+1 mod ell) vertex j.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, TextIO
+from typing import TextIO
 
 SCHEMA_VERSION = 1
-
-#: Cap on the number of subgraphs enumerate_subgraphs will stream.
-ENUMERATION_CAP = 10**7
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -141,21 +136,6 @@ def sample_subgraph(base: SampledSubgraph, m: int, seed: int) -> SampledSubgraph
         j = rng.randrange(t, total)
         idx[t], idx[j] = idx[j], idx[t]
     return SampledSubgraph.from_edge_indices(base, idx[:m])
-
-
-def enumerate_subgraphs(base: SampledSubgraph, m: int) -> Iterator[SampledSubgraph]:
-    """Yield every m-edge subgraph of the blow-up of base's shape exactly
-    once (brute-force oracle); reads only base.k and base.ell."""
-    import itertools
-
-    total = blowup_edge_count(base.k, base.ell)
-    if not (0 <= m <= total):
-        raise ValueError(f"m must be in [0, {total}], got {m}")
-    count = math.comb(total, m)
-    if count > ENUMERATION_CAP:
-        raise ValueError(f"C({total}, {m}) = {count} exceeds cap {ENUMERATION_CAP}")
-    for combo in itertools.combinations(range(total), m):
-        yield SampledSubgraph.from_edge_indices(base, combo)
 
 
 def to_general(g: SampledSubgraph) -> Digraph:

@@ -69,11 +69,6 @@ class McReport:
         return csv_text(self.PER_TRIAL_CSV_COLUMNS, rows)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
-
-
 def _run_trial(args: tuple[int, int, int, int]) -> tuple[int, int]:
     k, ell, m, trial_seed = args
     g = sample_subgraph(build_blowup(k, ell), m, trial_seed)
@@ -99,7 +94,8 @@ def run_mc(
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_epsilon(epsilon)
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     k, ell, m = cplan.k, cplan.ell, cplan.m
     check_layered_k(k)  # before sampling, whose cost grows with k^2*ell
     seeds = [derive_seed(seed, t) for t in range(trials)]
@@ -139,13 +135,11 @@ def convergence_sweep(
     k_list: list[int],
     trials: int = 0,
     seed: int = DEFAULT_SEED,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> list[dict]:
     """One row per k (ascending): exact ratio, its error vs r, concentration,
     and (when trials > 0) the empirical mean ratio."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    _check_epsilon(epsilon)
     rows = []
     for k in sorted(k_list):
         cplan = plan(r, k)
@@ -159,7 +153,7 @@ def convergence_sweep(
             "abs_error": abs(report.ratio_exact_float - r),
             "x_concentration": report.x_concentration,
             "empirical_mean_ratio": (
-                run_mc(cplan, trials, seed=seed, epsilon=epsilon).empirical_mean_ratio
+                run_mc(cplan, trials, seed=seed).empirical_mean_ratio
                 if trials > 0
                 else None
             ),

@@ -1,9 +1,17 @@
-"""Independent oracles for the exact formulas.
+"""Independent oracles for the exact formulas: every reference route the
+cross-checks in `dpratio.verify` compare a production route against.
 
-`h_bruteforce` and `exhaustive_moments` are slow by design: each enumerates
-what the production route counts in closed form, so the cross-checks in
-`dpratio.verify` compare two routes that share no code.  `h_window_error`
-measures how close h(a, b) is to a!/e, in exact rationals.  Calls go
+* count_bruteforce    -- counts by building every permutation, n <= 10;
+* closed_form_counts  -- the full blow-up's counts in closed form;
+* falling_ratio_exact -- (b)_x / (a)_x as a product of rationals;
+* enumerate_subgraphs -- every m-edge subgraph of a blow-up;
+* h_bruteforce        -- h(a, b) by enumerating permutations;
+* h_window_error      -- the deviation of h(a, b) from a!/e, in exact rationals;
+* exhaustive_moments  -- the moments by enumerating every m-edge subgraph.
+
+Each shares no code with the route it checks; the enumerations are slow by
+design.  Only `dpratio.verify` imports this module, so no production route
+rests on an oracle (`tests/test_hygiene.py` enforces this).  Calls go
 through the module attributes (`counting.x`, not a bare `x`), so wrappers
 installed on those modules (as `bench/spans.py` does) see them.
 """
@@ -13,8 +21,85 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from . import counting, digraph, series
+
+BRUTEFORCE_MAX_N = 10
+
+#: Cap on the number of subgraphs enumerate_subgraphs will stream.
+ENUMERATION_CAP = 10**7
+
+
+def count_bruteforce(g: digraph.Digraph) -> counting.CountPair:
+    """Count by building every permutation from the definition.
+
+    Backtracking over vertices 0..n-1 in order: each vertex goes to itself
+    or to an out-neighbour whose image slot is still free, so the work is
+    the number of partial permutations of the digraph, at most about e * n!
+    (the complete digraph).  Derangements are the complete assignments that
+    never took the fixed-point branch.
+    """
+    n = g.n
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_MAX_N}, got {n}")
+    out_bits: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        out_bits[u].append(1 << v)
+
+    def extend(v: int, taken: int) -> tuple[int, int]:
+        # (derangements, permutations) of vertices v..n-1 onto the free slots
+        if v == n:
+            return 1, 1
+        der = per = 0
+        if not taken >> v & 1:
+            per = extend(v + 1, taken | 1 << v)[1]
+        for b in out_bits[v]:
+            if not taken & b:
+                d, p = extend(v + 1, taken | b)
+                der += d
+                per += p
+        return der, per
+
+    der, per = extend(0, 0)
+    return counting.CountPair(derangements=der, permutations=per)
+
+
+def closed_form_counts(k: int, ell: int) -> counting.CountPair:
+    """Exact counts for the full blow-up: (k!)^ell derangements and
+    sum_i (C(k,i) (k-i)!)^ell permutations."""
+    if k < 1 or ell < 2:
+        raise ValueError("need k >= 1 and ell >= 2")
+    der = math.factorial(k) ** ell
+    per = sum(
+        (math.comb(k, i) * math.factorial(k - i)) ** ell for i in range(k + 1)
+    )
+    return counting.CountPair(derangements=der, permutations=per)
+
+
+def falling_ratio_exact(a: int, b: int, x: int) -> Fraction:
+    """(b)_x / (a)_x as an exact rational; equals C(a-x, b-x) / C(a, b)."""
+    if not (0 <= x <= b <= a):
+        raise ValueError(f"need 0 <= x <= b <= a, got a={a}, b={b}, x={x}")
+    out = Fraction(1)
+    for t in range(x):
+        out *= Fraction(b - t, a - t)
+    return out
+
+
+def enumerate_subgraphs(
+    base: digraph.SampledSubgraph, m: int
+) -> Iterator[digraph.SampledSubgraph]:
+    """Yield every m-edge subgraph of the blow-up of base's shape exactly
+    once (brute-force oracle); reads only base.k and base.ell."""
+    total = digraph.blowup_edge_count(base.k, base.ell)
+    if not (0 <= m <= total):
+        raise ValueError(f"m must be in [0, {total}], got {m}")
+    count = math.comb(total, m)
+    if count > ENUMERATION_CAP:
+        raise ValueError(f"C({total}, {m}) = {count} exceeds cap {ENUMERATION_CAP}")
+    for combo in itertools.combinations(range(total), m):
+        yield digraph.SampledSubgraph.from_edge_indices(base, combo)
 
 
 def h_bruteforce(a: int, b: int) -> int:
@@ -55,7 +140,7 @@ def exhaustive_moments(k: int, ell: int, m: int) -> tuple[Fraction, ...]:
     base = digraph.build_blowup(k, ell)
     n = math.comb(base.edge_count, m)
     sx = sy = sx2 = sy2 = 0
-    for g in digraph.enumerate_subgraphs(base, m):
+    for g in enumerate_subgraphs(base, m):
         c = counting.count_permanent(digraph.to_general(g))
         sx += c.derangements
         sy += c.permutations

@@ -1,12 +1,12 @@
 """Special functions: the entire series f_ell, the forbidden-matching count
-h(a, b), and the exact/asymptotic falling-factorial ratio (b)_x / (a)_x.
+h(a, b), and the asymptotic falling-factorial ratio (b)_x / (a)_x (its exact
+form is the oracle `oracles.falling_ratio_exact`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -66,21 +66,11 @@ def h_exact(a: int, b: int) -> int:
     )
 
 
-def falling_ratio_exact(a: int, b: int, x: int) -> Fraction:
-    """(b)_x / (a)_x as an exact rational; equals C(a-x, b-x) / C(a, b)."""
-    if not (0 <= x <= b <= a):
-        raise ValueError(f"need 0 <= x <= b <= a, got a={a}, b={b}, x={x}")
-    out = Fraction(1)
-    for t in range(x):
-        out *= Fraction(b - t, a - t)
-    return out
-
-
 def falling_ratio_asymptotic(a: int, b: int, x: int) -> float:
     """Explicit part of the asymptotic form (b/a)^x exp{(x^2/2)(1/a - 1/b)}.
 
-    Diagnostic companion to falling_ratio_exact; the dropped correction is
-    O(x^3/b^2 + x/b).
+    Diagnostic companion to `oracles.falling_ratio_exact`; the dropped
+    correction is O(x^3/b^2 + x/b).
     """
     if not (0 <= x <= b <= a) or b <= 0:
         raise ValueError(f"need 0 <= x <= b <= a with b > 0, got a={a}, b={b}, x={x}")

@@ -158,8 +158,6 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--workers", "-1"],
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon", "nan"],
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon=-0.1"],
-        ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "2", "--epsilon", "nan"],
-        ["sweep", "--r", "0.3", "--k-list", "4", "--epsilon=-0.1"],
         ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "-1"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3"],
         ["expect", "--r", "0.3", "--k", "4", "--m", "7"],
@@ -273,6 +271,11 @@ def test_sweep(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert lines[0] == "k,ell,m,p,exact_ratio,abs_error,x_concentration,empirical_mean_ratio"
+    # sweep prints no per-trial tolerance, so it takes no --epsilon
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--r", "0.3", "--k-list", "4", "--epsilon", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.1" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -337,7 +340,7 @@ def cli_argv(draw):
         return [cmd, f"--r={r}", f"--k={k}", f"--trials={trials}", f"--epsilon={eps}",
                 f"--workers={workers}"]
     k_list = ",".join(str(pick(range(2, 6), [-1, 0, 1])) for _ in range(draw(st.integers(1, 2))))
-    return [cmd, f"--r={r}", f"--k-list={k_list}", f"--trials={trials - 1}", f"--epsilon={eps}"]
+    return [cmd, f"--r={r}", f"--k-list={k_list}", f"--trials={trials - 1}"]
 
 
 @settings(max_examples=100, deadline=1000)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,12 +9,9 @@ from hypothesis import strategies as st
 
 from dpratio.counting import (
     CountPair,
-    closed_form_counts,
     count,
-    count_bruteforce,
     count_layered,
     count_permanent,
-    permanent,
     _layer_minors,
 )
 from dpratio.digraph import (
@@ -24,6 +22,7 @@ from dpratio.digraph import (
     to_general,
 )
 from dpratio.experiment import derive_seed, run_mc
+from dpratio.oracles import closed_form_counts, count_bruteforce
 from dpratio.params import plan
 
 
@@ -120,38 +119,18 @@ def test_permanent_frozen_tiny_8_2_subgraphs():
         assert count_permanent(g) == CountPair(der, per)
 
 
-def test_permanent_all_ones():
-    # row sums reach n, the most a byte of the packed row sums holds here
-    for n in range(13):
-        assert permanent([[1] * n for _ in range(n)]) == math.factorial(n)
+def test_count_permanent_complete_digraph():
+    # K_n gives (!n, n!); in A + I every row sum reaches n, the most a byte
+    # of the packed row sums holds here
+    subfactorials = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570, 176214841]
+    for n, der in enumerate(subfactorials):
+        g = Digraph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(n) if u != v))
+        assert count_permanent(g) == CountPair(der, math.factorial(n))
 
 
 def test_permanent_size_limit():
     with pytest.raises(ValueError):
-        permanent([[0] * 31 for _ in range(31)])
-    with pytest.raises(ValueError):
         count_permanent(Digraph(n=31, edges=frozenset()))
-
-
-def test_permanent_basics():
-    assert permanent([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    assert permanent([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) == 6
-    assert permanent([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
-    assert permanent([]) == 1
-
-
-def test_permanent_matches_naive_expansion():
-    import itertools
-
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randrange(1, 6)
-        mat = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-        naive = sum(
-            math.prod(mat[i][s[i]] for i in range(n))
-            for s in itertools.permutations(range(n))
-        )
-        assert permanent(mat) == naive
 
 
 def test_count_permanent_examples():
@@ -219,9 +198,16 @@ def test_closed_form_vs_layered_grid():
         assert closed_form_counts(k, ell) == count_layered(build_blowup(k, ell))
 
 
+def naive_permanent(mat) -> int:
+    n = len(mat)
+    return sum(
+        math.prod(mat[i][s[i]] for i in range(n)) for s in itertools.permutations(range(n))
+    )
+
+
 def test_layer_minors_match_permanents():
-    # one matching DP per layer lists, for every i, the Ryser permanent of
-    # each minor keeping rows outside F and columns outside F' with |F| = i
+    # one matching DP per layer lists, for every i, the permanent of each
+    # minor keeping rows outside F and columns outside F' with |F| = i
     rng = random.Random(2024)
     for t in range(40):
         k = rng.randrange(1, 7)
@@ -245,7 +231,7 @@ def test_layer_minors_match_permanents():
                     keep_cols = [j for j in range(k) if not (f_cols >> j) & 1]
                     minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
                     key = (f_rows << k) | (full & ~f_cols)
-                    assert minors.get(key, 0) == permanent(minor)
+                    assert minors.get(key, 0) == naive_permanent(minor)
 
 
 def test_layered_frozen_mc_ell2_trials():

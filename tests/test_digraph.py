@@ -12,7 +12,6 @@ from dpratio.digraph import (
     SampledSubgraph,
     build_blowup,
     csv_text,
-    enumerate_subgraphs,
     from_json_dict,
     json_text,
     read_edgelist,
@@ -22,6 +21,7 @@ from dpratio.digraph import (
     to_json_dict,
     write_edgelist,
 )
+from dpratio.oracles import enumerate_subgraphs
 
 
 def test_build_blowup_2_3():

@@ -1,4 +1,5 @@
-"""Three scans: names nothing reads, and imports outside the standard library.
+"""Five scans: names nothing reads, imports outside the standard library,
+and the boundary around the oracles.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -13,6 +14,12 @@ an import or a re-export alone is not a read.  Dunder names such as
 Every import in the library, module-level or inside a function, is
 relative or of a standard-library module: the package has no runtime
 dependency.
+
+`dpratio.oracles` holds the reference routes the cross-checks compare the
+production routes against.  No library module but `verify.py` imports it,
+so no production route can rest on an oracle, and every public function of
+`oracles.py` is read in `verify.py` or in `oracles.py` itself: an oracle no
+check uses is not kept.
 """
 
 import ast
@@ -117,3 +124,71 @@ def test_library_imports_only_the_standard_library():
         p.name: names for p in LIBRARY if (names := third_party_imports(p.read_text()))
     }
     assert found == {}
+
+
+def oracle_imports(source: str) -> list[int]:
+    """Line numbers of the imports of `dpratio.oracles`, in any form, in a
+    module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: the package is flat, so this is dpratio
+                package = f"dpratio.{node.module}" if node.module else "dpratio"
+            else:
+                package = node.module
+            modules = [package] + [f"{package}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m == "dpratio.oracles" or m.startswith("dpratio.oracles.") for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_finds_oracle_import():
+    source = (
+        "from . import counting, oracles\n"
+        "from .oracles import h_bruteforce\n"
+        "import dpratio.oracles\n"
+        "def f():\n"
+        "    from dpratio import oracles as o\n"
+        "from . import series\n"
+        "from .counting import oracles_like\n"
+        "import oracles\n"
+    )
+    assert oracle_imports(source) == [1, 2, 3, 5]
+
+
+def test_only_verify_imports_the_oracles():
+    found = {
+        p.name: lines
+        for p in LIBRARY
+        if p.name != "verify.py" and (lines := oracle_imports(p.read_text()))
+    }
+    assert found == {}
+    assert oracle_imports((ROOT / "src" / "dpratio" / "verify.py").read_text()) != []
+
+
+def unread_oracles(oracles_source: str, verify_source: str) -> list[str]:
+    """The public module-level functions of `oracles_source` that neither
+    module reads."""
+    tree = ast.parse(oracles_source)
+    read = read_names(tree) | read_names(ast.parse(verify_source))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_scan_finds_unread_oracle():
+    oracles_source = "def a(): return b()\ndef b(): pass\ndef c(): pass\ndef _d(): pass\nE = 1\n"
+    assert unread_oracles(oracles_source, "from . import oracles\noracles.a()\n") == ["c"]
+
+
+def test_every_oracle_is_used_by_a_check():
+    src = ROOT / "src" / "dpratio"
+    assert unread_oracles((src / "oracles.py").read_text(), (src / "verify.py").read_text()) == []

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from dpratio.counting import closed_form_counts
 from dpratio.moments import (
     _edge_expectation,
     expected_x_asymptotic,
@@ -16,8 +15,9 @@ from dpratio.moments import (
     second_moment_x_exact,
     second_moment_y_upper,
 )
+from dpratio.oracles import closed_form_counts, falling_ratio_exact
 from dpratio.params import plan
-from dpratio.series import f_eval, falling_ratio_exact
+from dpratio.series import f_eval
 
 
 def test_edge_expectation_kernel():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpratio.oracles import falling_ratio_exact
 from dpratio.series import (
     f_eval,
     falling_ratio_asymptotic,
-    falling_ratio_exact,
     h_exact,
 )
 
