@@ -7,8 +7,11 @@ Two counters:
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
-  fixed-set size i at once: C(k+t, t) states at row t, C(2k+1, k) state
-  visits per layer, no per-i pruning.
+  fixed-set size i at once.  The DP's table is one packed int: the count
+  of state F << k | U (fixed rows F, used columns U) sits in a field of
+  W = 8, 16 or 32 bits, the smallest with k! < 2^W, and each row moves
+  every state at once with big-int shifts and masks.  No field carries,
+  since a count is at most |U|! <= k! and every addend is nonnegative.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), Ryser for a general
@@ -24,8 +27,11 @@ of the adjacency matrix.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .digraph import Digraph, SampledSubgraph
 
@@ -110,13 +116,12 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     where T_c^(i) is indexed by pairs of i-subsets (F of part c, F' of part
     c+1) with entry = number of perfect matchings of layer c avoiding F and
-    F'.  One matching DP over the rows of layer c (see _layer_minors) gives
-    the entries of T_c^(i) for every i at once: C(2k+1, k) state visits per
-    layer, with no per-i pruning, where one Ryser permanent per entry would
-    cost C(k,i)^2 * 2^(k-i) * (k-i).  Each size's states become its matrix
-    and are dropped; a size with no state in some layer adds nothing.  The
-    trace then takes ell - 2 dense matrix products.  The i = 0 term is the
-    derangement count, a product of per-layer perfect-matching counts.
+    F'.  One packed table per layer (see _layer_table) holds these entries
+    for every i at once: T_c^(i)[F][F'] is its field F << k | (full ^ F').
+    A size whose matrix is all zero in some layer adds nothing and builds no
+    further matrices.  The trace then takes ell - 2 dense matrix products.
+    The i = 0 term is the derangement count, a product of per-layer
+    perfect-matching counts.
     """
     k = g.k
     check_layered_k(k)
@@ -125,57 +130,73 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     for mask in range(1 << k):
         subsets_by_size[mask.bit_count()].append(mask)
 
-    # mats[i] holds T_c^(i) for the layers so far; None once a layer has none
+    # mats[i] holds T_c^(i) for the layers so far; None once a layer's is zero
     mats: list[list | None] = [[] for _ in range(k + 1)]
     for rows in g.layers:
-        minors = _layer_minors(rows, k)
+        table = _layer_table(rows, k)
         for i, fixed_sets in enumerate(subsets_by_size):
-            states, minors[i] = minors[i], {}
             if mats[i] is None:
                 continue
-            if not states:
-                mats[i] = None
-                continue
-            get = states.get
             col_keys = [full ^ f for f in fixed_sets]
-            mats[i].append([[get(f << k | c, 0) for c in col_keys] for f in fixed_sets])
+            # row F of T_c^(i) reads the 2^k entries that fix F
+            segments = (table[f << k : (f + 1) << k] for f in fixed_sets)
+            mat = [[seg[c] for c in col_keys] for seg in segments]
+            if any(map(any, mat)):
+                mats[i].append(mat)
+            else:
+                mats[i] = None
+        del table  # freed before the next layer's table is built
     terms = [0 if m is None else _trace_product(m) for m in mats]
     return CountPair(derangements=terms[0], permutations=sum(terms))
 
 
-def _layer_minors(rows, k: int) -> list[dict[int, int]]:
-    """Perfect-matching counts of every minor of one layer, keyed by F << k | U
-    and listed by i = |F|: the minor that drops rows F and columns F' is the
-    count of state F << k | (full & ~F') in entry i, absent if 0.
+def _field_bytes(k: int) -> int:
+    """Bytes per field of a layer table: the smallest of 1, 2 and 4 whose
+    fields hold k!, the largest count a field can reach."""
+    return next(n for n in (1, 2, 4) if math.factorial(k) < 1 << 8 * n)
+
+
+# array typecode of each field width, chosen by item size, which C fixes
+# only as a minimum
+_ARRAY_CODES = {n: next(c for c in "BHIL" if array(c).itemsize == n) for n in (1, 2, 4)}
+
+
+def _layer_table(rows, k: int) -> array:
+    """Perfect-matching counts of every minor of one layer, as an array of
+    4^k counts: entry F << k | U counts the matchings of the rows outside
+    the fixed set F into the used columns U, so the minor that drops rows F
+    and columns F' is entry F << k | (full ^ F'), and every entry with
+    |F| + |U| != k is 0.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).  The
-    state F << k | U counts the partial assignments reaching it.  One pass
-    serves every i, with no per-i pruning: row t has C(k+t, t) states, so
-    C(2k+1, k) over the layer, and after the last row every state has
-    |F| + |U| = k.
+    whole table is one int with the count of index idx in the W bits at
+    offset idx * W, W = 8 * _field_bytes(k).  Before row t every index is
+    below 2^(k+t), so fixing row t is one shift of the table by W * 2^(k+t)
+    bits, and matching it to column j moves the fields whose index lacks
+    bit j by W * 2^j bits: one mask, one shift and one add per column.  No
+    field carries: a field counts injections of the non-fixed rows into U,
+    at most |U|! <= k! < 2^W, and every addend is nonnegative, so no
+    partial sum exceeds its final value.
     """
-    # by_fixed[f] holds the states with |F| = f, so |U| = t - f at row t
-    by_fixed: list[dict[int, int]] = [{0: 1}]
+    nbytes = _field_bytes(k)
+    width = 8 * nbytes
+    cur = 1  # before row 0: the empty state, one way
     for t, row in enumerate(rows):
-        fix_bit = 1 << (k + t)
-        col_bits = [1 << j for j in range(k) if (row >> j) & 1]
-        nxt: list[dict[int, int]] = [{} for _ in range(t + 2)]
-        for f in range(t + 1):
-            cur, by_fixed[f] = by_fixed[f], {}  # freed once its moves are made
-            if not cur:
-                continue
-            # fixing row t gives distinct keys no match move can reach
-            nxt[f + 1].update({key | fix_bit: cnt for key, cnt in cur.items()})
-            out = nxt[f]
-            get = out.get
-            for key, cnt in cur.items():
-                for b in col_bits:
-                    if not key & b:
-                        nk = key | b
-                        out[nk] = get(nk, 0) + cnt
-        by_fixed = nxt
-    return by_fixed
+        size = 1 << (k + t)  # fields in cur
+        nxt = cur << (width << (k + t))
+        for j in range(k):
+            if (row >> j) & 1:
+                run = nbytes << j  # bytes of 2^j fields
+                pattern = b"\xff" * run + b"\x00" * run  # fields without bit j, then with
+                mask = int.from_bytes(pattern * (size >> (j + 1)), "little")
+                nxt += (cur & mask) << (width << j)
+        cur = nxt
+    table = array(_ARRAY_CODES[nbytes])
+    table.frombytes(cur.to_bytes(nbytes << (2 * k), "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
 
 
 def _trace_product(mats) -> int:
@@ -183,13 +204,10 @@ def _trace_product(mats) -> int:
     products up to M_(t-1), then the diagonal sum of P[x][y] * M_t[y][x]."""
     *head, last = mats
     m = head[0]
-    n = len(m)
     for nxt in head[1:]:
-        m = [
-            [sum(m[x][z] * nxt[z][y] for z in range(n)) for y in range(n)]
-            for x in range(n)
-        ]
-    return sum(m[x][y] * last[y][x] for x in range(n) for y in range(n))
+        cols = list(zip(*nxt))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in m]
+    return sum(sum(map(mul, row, col)) for row, col in zip(m, zip(*last)))
 
 
 def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:

@@ -4,11 +4,11 @@ permutation count Y under uniform m-edge sampling of the blow-up.
 Every exact moment is a weighted sum of P[x] = C(T-x, m-x) / C(T, m), the
 probability that x specified edges all survive, with T = k^2*ell edges in
 the blow-up.  `_edge_expectation` takes it as one integer sum over the common
-denominator C(T, m) and reduces a single Fraction at the end.  The second
-moments share one pair sum over the fixed vertices (i, j) per part of two
-permutations (`_add_pair_weights`); E[X^2] is its (0, 0) term.  Sums over
-layer profiles are coefficients of ell-fold self-convolutions, never
-enumerations of the compositions.
+denominator C(T, m), from one binomial walked down in x, and reduces a single
+Fraction at the end.  The second moments share one pair sum over the fixed
+vertices (i, j) per part of two permutations (`_add_pair_weights`); E[X^2] is
+its (0, 0) term.  Sums over layer profiles are coefficients of ell-fold
+self-convolutions, never enumerations of the compositions.
 """
 
 from __future__ import annotations
@@ -76,11 +76,22 @@ def _exact_float(name: str, q: Fraction) -> float:
 def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Fraction:
     """sum_x weights[x] * P[x specified edges survive uniform m-edge sampling
     of the k^2*ell blow-up edges], with P[x] = C(T-x, m-x) / C(T, m) and 0
-    when x > m."""
+    when x > m.
+
+    One binomial at the largest x <= m; below it, C(T-x, m-x) =
+    C(T-x-1, m-x-1) * (T-x) / (m-x) walks x down with exact divisions."""
     total = blowup_edge_count(k, ell)
     if not 0 <= m <= total:
         raise ValueError(f"need 0 <= m <= {total}, got m={m}")
-    num = sum(w * math.comb(total - x, m - x) for x, w in weights.items() if x <= m)
+    xs = [x for x in weights if x <= m]
+    num = 0
+    if xs:
+        top = max(xs)
+        c = math.comb(total - top, m - top)
+        for x in range(top, min(xs) - 1, -1):
+            if x < top:
+                c = c * (total - x) // (m - x)
+            num += weights.get(x, 0) * c
     return Fraction(num, math.comb(total, m))
 
 

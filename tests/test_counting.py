@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpratio.counting import (
+    LAYERED_MAX_K,
     CountPair,
     count,
     count_layered,
     count_permanent,
-    _layer_minors,
+    _field_bytes,
+    _layer_table,
 )
 from dpratio.digraph import (
     Digraph,
@@ -206,8 +208,9 @@ def naive_permanent(mat) -> int:
 
 
 def test_layer_minors_match_permanents():
-    # one matching DP per layer lists, for every i, the permanent of each
-    # minor keeping rows outside F and columns outside F' with |F| = i
+    # one packed matching DP per layer gives, for every i, the permanent of
+    # each minor keeping rows outside F and columns outside F' with |F| = i,
+    # at entry F << k | (full ^ F'); every entry with |F| + |U| != k is 0
     rng = random.Random(2024)
     for t in range(40):
         k = rng.randrange(1, 7)
@@ -218,20 +221,33 @@ def test_layer_minors_match_permanents():
         if t % 4 == 1:
             rows[rng.randrange(k)] = 0  # an empty row
         full = (1 << k) - 1
-        by_fixed = _layer_minors(rows, k)
-        assert len(by_fixed) == k + 1
-        for i, minors in enumerate(by_fixed):
-            fixed_sets = [f for f in range(1 << k) if f.bit_count() == i]
-            for key in minors:
-                assert (key >> k).bit_count() == i
-                assert (key & full).bit_count() == k - i
-            for f_rows in fixed_sets:
-                keep_rows = [r for r in range(k) if not (f_rows >> r) & 1]
-                for f_cols in fixed_sets:
-                    keep_cols = [j for j in range(k) if not (f_cols >> j) & 1]
-                    minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
-                    key = (f_rows << k) | (full & ~f_cols)
-                    assert minors.get(key, 0) == naive_permanent(minor)
+        table = _layer_table(rows, k)
+        assert len(table) == 1 << 2 * k
+        for key, cnt in enumerate(table):
+            if (key >> k).bit_count() + (key & full).bit_count() != k:
+                assert cnt == 0
+        for f_rows in range(1 << k):
+            keep_rows = [r for r in range(k) if not (f_rows >> r) & 1]
+            for f_cols in range(1 << k):
+                if f_cols.bit_count() != f_rows.bit_count():
+                    continue
+                keep_cols = [j for j in range(k) if not (f_cols >> j) & 1]
+                minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
+                assert table[f_rows << k | (full ^ f_cols)] == naive_permanent(minor)
+
+
+def test_layer_field_width():
+    # a field holds any count up to k!, in the fewest of 1, 2 and 4 bytes
+    for k in range(1, LAYERED_MAX_K + 1):
+        nbytes = _field_bytes(k)
+        assert math.factorial(k) < 1 << 8 * nbytes
+        assert nbytes == 1 or math.factorial(k) >= 1 << 4 * nbytes
+    assert [_field_bytes(k) for k in (5, 6, 8, 9, 12)] == [1, 2, 2, 4, 4]
+    # a full layer reaches k! at the empty fixed set, at the largest k of
+    # the 1- and 2-byte widths and the smallest of the 4-byte width
+    for k in (5, 8, 9):
+        table = _layer_table([(1 << k) - 1] * k, k)
+        assert table[(1 << k) - 1] == math.factorial(k)
 
 
 def test_layered_frozen_mc_ell2_trials():
@@ -246,6 +262,21 @@ def test_layered_frozen_mc_ell2_trials():
         (34431984, 119598932),
     ]
     report = run_mc(cp, 4, seed=0)  # trial t counts with count_layered
+    assert [(x, y) for _, x, y, _ in report.per_trial] == frozen
+
+
+def test_layered_frozen_mc_ell3_trials():
+    # (X, Y) of trials 0-3 of run_mc(plan(0.45, 7), 4, seed=0), ell = 3, m = 144,
+    # so the trace takes a dense product: frozen values, recorded once
+    cp = plan(0.45, 7)
+    assert (cp.k, cp.ell, cp.m) == (7, 3, 144)
+    frozen = [
+        (80994816000, 179697591767),
+        (80994816000, 179697591767),
+        (80621568000, 179425565910),
+        (80994816000, 180079184916),
+    ]
+    report = run_mc(cp, 4, seed=0)
     assert [(x, y) for _, x, y, _ in report.per_trial] == frozen
 
 

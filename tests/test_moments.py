@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,29 @@ from dpratio.moments import (
 from dpratio.oracles import closed_form_counts, falling_ratio_exact
 from dpratio.params import plan
 from dpratio.series import f_eval
+
+
+def test_edge_expectation_comb_walk():
+    # one binomial walked down in x gives the per-term binomial sum exactly
+    def per_term(k, ell, m, weights):
+        total = k * k * ell
+        num = sum(w * math.comb(total - x, m - x) for x, w in weights.items() if x <= m)
+        return Fraction(num, math.comb(total, m))
+
+    def y_weights(k, ell):
+        return {
+            (k - i) * ell: (math.comb(k, i) * math.factorial(k - i)) ** ell for i in range(k + 1)
+        }
+
+    rng = random.Random(7)
+    cases = [(3, 2, 0), (3, 2, 18), (2, 3, 5), (4, 3, 11)]  # m = 0, m = T, x > m
+    for k, ell, m in cases:
+        total = k * k * ell
+        sparse = {x: rng.randrange(1, 10**6) for x in rng.sample(range(total + 1), 5)}
+        for weights in (y_weights(k, ell), sparse, {total: 3}, {0: 5}, {m + 1: 2}):
+            assert _edge_expectation(k, ell, m, weights) == per_term(k, ell, m, weights)
+    weights = y_weights(100, 2)
+    assert _edge_expectation(100, 2, 6000, weights) == per_term(100, 2, 6000, weights)
 
 
 def test_edge_expectation_kernel():
