@@ -12,6 +12,10 @@ Two counters:
   W = 8, 16 or 32 bits, the smallest with k! < 2^W, and each row moves
   every state at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
+  The column masks depend only on k, so they are made once per process
+  and kept for every later layer and call, as long as one k's masks take
+  at most 32 MB (k <= 10); above that each row makes its own.  Each
+  matrix row is read from the table in one `operator.itemgetter` call.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), Ryser for a general
@@ -31,7 +35,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .digraph import Digraph, SampledSubgraph
 
@@ -118,6 +122,8 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     c+1) with entry = number of perfect matchings of layer c avoiding F and
     F'.  One packed table per layer (see _layer_table) holds these entries
     for every i at once: T_c^(i)[F][F'] is its field F << k | (full ^ F').
+    Row F of T_c^(i) is one itemgetter gather of those keys from the table's
+    2^k entries that fix F, with one getter per size i for the whole call.
     A size whose matrix is all zero in some layer adds nothing and builds no
     further matrices.  The trace then takes ell - 2 dense matrix products.
     The i = 0 term is the derangement count, a product of per-layer
@@ -130,6 +136,8 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     for mask in range(1 << k):
         subsets_by_size[mask.bit_count()].append(mask)
 
+    get_row = [_tuple_getter([full ^ f for f in fixed_sets]) for fixed_sets in subsets_by_size]
+
     # mats[i] holds T_c^(i) for the layers so far; None once a layer's is zero
     mats: list[list | None] = [[] for _ in range(k + 1)]
     for rows in g.layers:
@@ -137,10 +145,8 @@ def count_layered(g: SampledSubgraph) -> CountPair:
         for i, fixed_sets in enumerate(subsets_by_size):
             if mats[i] is None:
                 continue
-            col_keys = [full ^ f for f in fixed_sets]
-            # row F of T_c^(i) reads the 2^k entries that fix F
-            segments = (table[f << k : (f + 1) << k] for f in fixed_sets)
-            mat = [[seg[c] for c in col_keys] for seg in segments]
+            get = get_row[i]
+            mat = [get(table[f << k : (f + 1) << k]) for f in fixed_sets]
             if any(map(any, mat)):
                 mats[i].append(mat)
             else:
@@ -148,6 +154,15 @@ def count_layered(g: SampledSubgraph) -> CountPair:
         del table  # freed before the next layer's table is built
     terms = [0 if m is None else _trace_product(m) for m in mats]
     return CountPair(derangements=terms[0], permutations=sum(terms))
+
+
+def _tuple_getter(keys: list[int]):
+    """itemgetter(*keys), which reads every key in one C call, but giving a
+    1-tuple, not the bare item, when keys has one entry."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda seq: (seq[key],)
+    return itemgetter(*keys)
 
 
 def _field_bytes(k: int) -> int:
@@ -161,6 +176,36 @@ def _field_bytes(k: int) -> int:
 _ARRAY_CODES = {n: next(c for c in "BHIL" if array(c).itemsize == n) for n in (1, 2, 4)}
 
 
+#: Column masks of a k are kept (see _kept_masks) only while they take at
+#: most this many bytes, which holds for k <= 10 at the widths of _field_bytes
+KEPT_MASKS_MAX_BYTES = 32 << 20
+
+#: k -> its column masks, kept for the life of the process; only k within
+#: KEPT_MASKS_MAX_BYTES is ever a key, so all kept masks total about 27 MB
+_KEPT_MASKS: dict[int, tuple[int, ...]] = {}
+
+
+def _column_mask(nbytes: int, j: int, fields: int) -> int:
+    """Mask of the fields whose index lacks bit j, over `fields` fields of
+    nbytes bytes each (fields a multiple of 2^(j+1))."""
+    run = nbytes << j  # bytes of 2^j fields
+    return int.from_bytes((b"\xff" * run + b"\x00" * run) * (fields >> (j + 1)), "little")
+
+
+def _kept_masks(k: int) -> tuple[int, ...] | None:
+    """The k column masks of _layer_table at its largest row, 2^(2k-1)
+    fields, made once per process; None for a k whose masks would take more
+    than KEPT_MASKS_MAX_BYTES (k * W/8 * 2^(2k-1) bytes).  A mask serves
+    every smaller row too: it repeats with period 2^(j+1) fields, and
+    `cur & mask` on nonnegative ints costs only the shorter operand."""
+    masks = _KEPT_MASKS.get(k)
+    nbytes = _field_bytes(k)
+    fields = 1 << (2 * k - 1)
+    if masks is None and k * nbytes * fields <= KEPT_MASKS_MAX_BYTES:
+        masks = _KEPT_MASKS[k] = tuple(_column_mask(nbytes, j, fields) for j in range(k))
+    return masks
+
+
 def _layer_table(rows, k: int) -> array:
     """Perfect-matching counts of every minor of one layer, as an array of
     4^k counts: entry F << k | U counts the matchings of the rows outside
@@ -172,28 +217,35 @@ def _layer_table(rows, k: int) -> array:
     or matched to a free column it has an edge to (that bit joins U).  The
     whole table is one int with the count of index idx in the W bits at
     offset idx * W, W = 8 * _field_bytes(k).  Before row t every index is
-    below 2^(k+t), so fixing row t is one shift of the table by W * 2^(k+t)
-    bits, and matching it to column j moves the fields whose index lacks
-    bit j by W * 2^j bits: one mask, one shift and one add per column.  No
+    below 2^(k+t).  Matching row t to column j moves the fields whose index
+    lacks bit j up by W * 2^j bits, still below 2^(k+t) fields: one mask,
+    one shift and one add per column, summed into `matched`.  Fixing the
+    row shifts the whole table up by W * 2^(k+t) bits, past `matched`, so
+    one or joins the two.  The masks are the kept ones of _kept_masks, or,
+    for a k too large to keep them, made for each row at its size.  No
     field carries: a field counts injections of the non-fixed rows into U,
-    at most |U|! <= k! < 2^W, and every addend is nonnegative, so no
-    partial sum exceeds its final value.
+    at most |U|! <= k! < 2^W, and every addend is nonnegative, so no partial
+    sum exceeds its final value.
     """
     nbytes = _field_bytes(k)
     width = 8 * nbytes
+    masks = _kept_masks(k)
     cur = 1  # before row 0: the empty state, one way
     for t, row in enumerate(rows):
-        size = 1 << (k + t)  # fields in cur
-        nxt = cur << (width << (k + t))
+        matched = 0
         for j in range(k):
             if (row >> j) & 1:
-                run = nbytes << j  # bytes of 2^j fields
-                pattern = b"\xff" * run + b"\x00" * run  # fields without bit j, then with
-                mask = int.from_bytes(pattern * (size >> (j + 1)), "little")
-                nxt += (cur & mask) << (width << j)
-        cur = nxt
+                # a mask made for this row goes before the next is made: at
+                # k = 12 one takes 32 MB
+                mask = masks[j] if masks else _column_mask(nbytes, j, 1 << (k + t))
+                matched += (cur & mask) << (width << j)
+                del mask
+        cur <<= width << (k + t)
+        cur |= matched
+    data = cur.to_bytes(nbytes << (2 * k), "little")
+    del cur  # freed before the array copies the bytes
     table = array(_ARRAY_CODES[nbytes])
-    table.frombytes(cur.to_bytes(nbytes << (2 * k), "little"))
+    table.frombytes(data)
     if sys.byteorder == "big":
         table.byteswap()
     return table

@@ -1,19 +1,27 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpratio
+from dpratio import counting
 from dpratio.counting import (
+    KEPT_MASKS_MAX_BYTES,
     LAYERED_MAX_K,
     CountPair,
     count,
     count_layered,
     count_permanent,
     _field_bytes,
+    _kept_masks,
     _layer_table,
 )
 from dpratio.digraph import (
@@ -236,6 +244,75 @@ def test_layer_minors_match_permanents():
                 assert table[f_rows << k | (full ^ f_cols)] == naive_permanent(minor)
 
 
+def per_row_mask_table(rows, k: int) -> array:
+    # the layer DP with each column mask made for its row at the row's size
+    nbytes = _field_bytes(k)
+    width = 8 * nbytes
+    cur = 1
+    for t, row in enumerate(rows):
+        size = 1 << (k + t)
+        nxt = cur << (width << (k + t))
+        for j in range(k):
+            if (row >> j) & 1:
+                run = nbytes << j
+                pattern = b"\xff" * run + b"\x00" * run
+                mask = int.from_bytes(pattern * (size >> (j + 1)), "little")
+                nxt += (cur & mask) << (width << j)
+        cur = nxt
+    table = array(counting._ARRAY_CODES[nbytes])
+    table.frombytes(cur.to_bytes(nbytes << (2 * k), "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+def test_layer_table_matches_per_row_masks():
+    rng = random.Random(15)
+    for k in range(1, 10):
+        full = (1 << k) - 1
+        layers = [[0] * k, [full] * k]  # the empty and the full layer
+        for density in (0.3, 0.6, 0.9):
+            rows = [sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)]
+            rows[rng.randrange(k)] = rng.choice([0, full])
+            layers.append(rows)
+        for rows in layers:
+            assert _layer_table(rows, k) == per_row_mask_table(rows, k)
+
+
+def test_kept_masks_size_limit():
+    # a layer at k = 11, one edge per row (row r to column 3r mod 11), makes
+    # its masks row by row and keeps none; entry F << k | U is 1 exactly when
+    # U is the image of the rows outside F
+    k = 11
+    rows = [1 << (3 * r % k) for r in range(k)]
+    table = _layer_table(rows, k)
+    assert k not in counting._KEPT_MASKS
+    assert sum(table) == 1 << k
+    for f in range(1 << k):
+        image = sum(rows[r] for r in range(k) if not (f >> r) & 1)
+        assert table[f << k | image] == 1
+    # every part size asked for: the kept masks stay in bounds
+    for size in range(1, LAYERED_MAX_K + 1):
+        _kept_masks(size)
+    assert sorted(counting._KEPT_MASKS) == list(range(1, 11))
+    kept = sum(sys.getsizeof(m) for masks in counting._KEPT_MASKS.values() for m in masks)
+    assert kept <= KEPT_MASKS_MAX_BYTES
+
+
+def test_import_keeps_no_masks():
+    # masks are made by the first count at each k, never at import
+    src = os.path.dirname(os.path.dirname(dpratio.__file__))
+    probe = "import dpratio, dpratio.counting as c; print(len(c._KEPT_MASKS))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0"
+
+
 def test_layer_field_width():
     # a field holds any count up to k!, in the fewest of 1, 2 and 4 bytes
     for k in range(1, LAYERED_MAX_K + 1):
@@ -250,19 +327,38 @@ def test_layer_field_width():
         assert table[(1 << k) - 1] == math.factorial(k)
 
 
+#: (X, Y) of trials 0-3 of run_mc(plan(0.3, 8), 4, seed=0), ell = 2, m = 102:
+#: frozen values, recorded once and never recomputed from the counter
+FROZEN_MC_ELL2 = [
+    (32658840, 117349013),
+    (26202330, 97892750),
+    (41402336, 140268986),
+    (34431984, 119598932),
+]
+
+
 def test_layered_frozen_mc_ell2_trials():
-    # (X, Y) of trials 0-3 of run_mc(plan(0.3, 8), 4, seed=0), ell = 2, m = 102:
-    # frozen values, recorded once and never recomputed from the counter
     cp = plan(0.3, 8)
     assert (cp.k, cp.ell, cp.m) == (8, 2, 102)
-    frozen = [
-        (32658840, 117349013),
-        (26202330, 97892750),
-        (41402336, 140268986),
-        (34431984, 119598932),
-    ]
     report = run_mc(cp, 4, seed=0)  # trial t counts with count_layered
-    assert [(x, y) for _, x, y, _ in report.per_trial] == frozen
+    assert [(x, y) for _, x, y, _ in report.per_trial] == FROZEN_MC_ELL2
+
+
+def test_layered_interleaved_k():
+    # kept column masks are keyed by k: counting in an order that changes k
+    # at every step gives Ryser's counts, and the k=8 graphs are mc trials
+    # 0-2 of test_layered_frozen_mc_ell2_trials with their frozen counts
+    base8 = build_blowup(8, 2)
+    trial = 0
+    for k in (8, 3, 8, 1, 5, 8):
+        if k == 8:
+            g = sample_subgraph(base8, 102, derive_seed(0, trial))
+            assert count_layered(g) == CountPair(*FROZEN_MC_ELL2[trial])
+            trial += 1
+        else:
+            base = build_blowup(k, 3)
+            g = sample_subgraph(base, base.edge_count * 2 // 3, k)
+        assert count_layered(g) == count_permanent(to_general(g))
 
 
 def test_layered_frozen_mc_ell3_trials():
