@@ -102,7 +102,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    k_list = [int(s) for s in args.k_list.split(",")]
+    k_list = []
+    for entry in args.k_list.split(","):
+        try:
+            k_list.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--k-list entries must be integers, got {entry!r}") from None
     rows = convergence_sweep(args.r, k_list, args.trials, args.seed)
     _write_output(sweep_csv(rows), args.out)
     return 0

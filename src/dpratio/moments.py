@@ -7,8 +7,8 @@ the blow-up.  `_edge_expectation` takes it as one integer sum over the common
 denominator C(T, m), from one binomial walked down in x, and reduces a single
 Fraction at the end.  The second moments share one pair sum over the fixed
 vertices (i, j) per part of two permutations (`_add_pair_weights`); E[X^2] is
-its (0, 0) term.  Sums over layer profiles are coefficients of ell-fold
-self-convolutions, never enumerations of the compositions.
+its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
+power of one packed layer polynomial, never enumerations of the compositions.
 """
 
 from __future__ import annotations
@@ -125,15 +125,15 @@ def expected_y_asymptotic(k: int, ell: int, p: float) -> float:
     return expected_x_asymptotic(k, ell, p) + math.log(f_eval(ell, 1.0 / p).value)
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _poly_power(coeffs: list[int], ell: int) -> list[int]:
+    """Coefficients of (sum_t coeffs[t] z^t)^ell, coeffs >= 0 not all 0 and
+    ell >= 1, from one `pow` of the coefficients packed in nb-byte fields
+    (Kronecker substitution).  No field carries: a coefficient of the power
+    is at most its value at z = 1, sum(coeffs)^ell, whose byte length is nb."""
+    nb = ((sum(coeffs) ** ell).bit_length() + 7) // 8
+    packed = int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
+    raw = pow(packed, ell).to_bytes(nb * (ell * (len(coeffs) - 1) + 1), "little")
+    return [int.from_bytes(raw[s : s + nb], "little") for s in range(0, len(raw), nb)]
 
 
 def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int) -> None:
@@ -142,9 +142,10 @@ def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int)
     i and j are the fixed vertices per part of the two permutations.  The
     per-layer weight g(t) = C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) counts
     the ways to share t edges (out-of-range binomials are 0, the second h
-    argument is clamped to [0, k-j-t]).  The coefficient of the ell-fold
-    self-convolution of g at b sums over layer profiles with b shared edges
-    in total; scaled by (k!/i!)^ell, it weighs a union of
+    argument is clamped to [0, k-j-t]).  Each g(t) is a nonnegative count,
+    so `_poly_power` takes (sum_t g(t) z^t)^ell exactly, with no field
+    carry; its coefficient at z^b sums over layer profiles with b shared
+    edges in total, and scaled by (k!/i!)^ell it weighs a union of
     (2k-i-j)*ell - b edges.
     """
     g = []
@@ -152,12 +153,9 @@ def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int)
         c = math.comb(k - i, t) * math.comb(k - t, j)
         a = k - j - t
         g.append(c * h_exact(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
-    conv = [1]
-    for _ in range(ell):
-        conv = _convolve(conv, g)
     prefactor = (math.factorial(k) // math.factorial(i)) ** ell
     shift = (2 * k - i - j) * ell
-    for b, coeff in enumerate(conv):
+    for b, coeff in enumerate(_poly_power(g, ell)):
         if coeff:
             weights[shift - b] = weights.get(shift - b, 0) + prefactor * coeff
 

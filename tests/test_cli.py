@@ -159,6 +159,8 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon", "nan"],
         ["mc", "--r", "0.3", "--k", "4", "--trials", "2", "--epsilon=-0.1"],
         ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "-1"],
+        ["sweep", "--r", "0.3", "--k-list", ","],
+        ["sweep", "--r", "0.3", "--k-list", "4,a"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3"],
         ["expect", "--r", "0.3", "--k", "4", "--m", "7"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3", "--m", "7"],
@@ -169,6 +171,13 @@ def test_value_error_exits_2_without_traceback(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_k_list_error_names_flag_and_entry(capsys):
+    for k_list, entry in ((",", "''"), ("4,a", "'a'"), ("4,,6", "''"), ("4.5", "'4.5'")):
+        assert main(["sweep", "--r", "0.3", "--k-list", k_list]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --k-list entries must be integers, got {entry}\n"
 
 
 def test_file_errors_exit_2_without_traceback(capsys, tmp_path):

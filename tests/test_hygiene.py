@@ -1,5 +1,5 @@
-"""Five scans: names nothing reads, imports outside the standard library,
-and the boundary around the oracles.
+"""Six scans: names nothing reads, imports outside the standard library,
+the boundary around the oracles, and the benchmark's hold on the library.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -20,6 +20,11 @@ production routes against.  No library module but `verify.py` imports it,
 so no production route can rest on an oracle, and every public function of
 `oracles.py` is read in `verify.py` or in `oracles.py` itself: an oracle no
 check uses is not kept.
+
+Every `dpratio` name a benchmark script (`bench/*.py`) imports resolves in
+`src/`, and every module named in `bench/spans.py`'s `MODULES` exists: a
+rename in the library would otherwise break the benchmark's output check
+unseen, since only `bench/smoke.py` runs it.
 """
 
 import ast
@@ -29,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "dpratio").glob("*.py"))
 FILES = [p for p in LIBRARY if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
-READERS = LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "tests").glob("*.py")) + BENCH
 
 
 def unused_imports(source: str) -> list[str]:
@@ -192,3 +198,86 @@ def test_scan_finds_unread_oracle():
 def test_every_oracle_is_used_by_a_check():
     src = ROOT / "src" / "dpratio"
     assert unread_oracles((src / "oracles.py").read_text(), (src / "verify.py").read_text()) == []
+
+
+def top_level_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level, by definition or import."""
+    bound = set(module_definitions(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+    return bound
+
+
+def unresolved_imports(source: str, package: Path) -> list[str]:
+    """The `dpratio` modules and names imported anywhere in `source` that
+    the flat package in the directory `package` lacks."""
+
+    def module_file(module: str) -> Path:  # "dpratio" -> __init__.py, "dpratio.x" -> x.py
+        return package / f"{module.partition('.')[2] or '__init__'}.py"
+
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [(node.module, a.name) for a in node.names]
+        else:
+            continue
+        for module, name in names:
+            if module.split(".")[0] != "dpratio":
+                continue
+            if not module_file(module).is_file():
+                missing.append(module)
+            elif name is not None:
+                full = f"{module}.{name}"
+                bound = top_level_bindings(ast.parse(module_file(module).read_text()))
+                if name not in bound and not (module == "dpratio" and module_file(full).is_file()):
+                    missing.append(full)
+    return missing
+
+
+def test_scan_finds_unresolved_bench_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    (tmp_path / "a.py").write_text("import math\ndef f(): pass\nG = 1\n")
+    source = (
+        "import os\n"
+        "import dpratio.a\n"
+        "import dpratio.b\n"
+        "from dpratio import a, b, f, g\n"
+        "from dpratio.a import f, G, math, h\n"
+        "from collections import a\n"
+        "def run():\n"
+        "    from dpratio.c import x\n"
+    )
+    assert unresolved_imports(source, tmp_path) == [
+        "dpratio.b",
+        "dpratio.b",
+        "dpratio.g",
+        "dpratio.a.h",
+        "dpratio.c",
+    ]
+
+
+def test_bench_imports_resolve():
+    package = ROOT / "src" / "dpratio"
+    found = {p.name: names for p in BENCH if (names := unresolved_imports(p.read_text(), package))}
+    assert found == {}
+
+
+def spans_modules(source: str) -> tuple[str, ...]:
+    """The value of the module-level `MODULES` tuple in `source`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def test_spans_modules_exist():
+    modules = spans_modules((ROOT / "bench" / "spans.py").read_text())
+    assert modules
+    assert [m for m in modules if not (ROOT / "src" / "dpratio" / f"{m}.py").is_file()] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from dpratio.moments import (
     _edge_expectation,
+    _poly_power,
     expected_x_asymptotic,
     expected_x_exact,
     expected_y_asymptotic,
@@ -127,6 +129,95 @@ def test_second_moment_y_upper_basics():
         for m in range(k * k * ell + 1):
             ey = expected_y_exact(k, ell, m)
             assert second_moment_y_upper(k, ell, m) >= ey * ey
+
+
+def _naive_power(coeffs, ell):
+    out = [1]
+    for _ in range(ell):
+        prod = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_poly_power_matches_naive_convolution():
+    rng = random.Random(16)
+    vectors = [
+        [1],
+        [0, 1],
+        [3, 0, 0, 5, 0, 7],  # zeros inside
+        [0, 2**64 + 1, 0, 2**70 - 3, 1],  # entries past 64 bits
+        [rng.randrange(2**90) for _ in range(9)],
+        [rng.choice([0, 1, 255, 256, 2**63]) for _ in range(12)],
+    ]
+    for coeffs in vectors:
+        for ell in range(1, 9):
+            assert _poly_power(coeffs, ell) == _naive_power(coeffs, ell), (coeffs, ell)
+    # sum(g)^ell on a byte boundary, reached by a coefficient of the power
+    # when g has one nonzero entry; a field one byte narrower carries
+    for coeffs, ell, top in [
+        ([0, 255, 0], 1, 2**8 - 1),
+        ([0, 0, 2**16 - 1, 0], 1, 2**16 - 1),
+        ([0, 16, 0], 2, 2**8),
+        ([0, 2**8, 0, 0], 3, 2**24),
+        ([2**16], 1, 2**16),
+    ]:
+        got = _poly_power(coeffs, ell)
+        assert max(got) == top
+        assert got == _naive_power(coeffs, ell)
+
+
+def _digest(q: Fraction) -> str:
+    return hashlib.sha256(f"{q.numerator}/{q.denominator}".encode()).hexdigest()
+
+
+# (E[X^2], E[Y^2] bound) as computed by the ell-fold convolution route
+# before the packed power replaced it; larger values as SHA-256 digests of
+# "numerator/denominator"
+FROZEN_SECOND_MOMENTS = {
+    (3, 2, 9): (Fraction(2556, 12155), Fraction(142237, 2431)),
+    (4, 3, 30): (
+        Fraction(704751902208, 1045457237),
+        Fraction(242136292181380489, 456864812569),
+    ),
+    (8, 2, 102): (
+        Fraction(61432943681685979766759946569994240, 54873877191147809971),
+        Fraction(12210425516993090288853930572540599565896, 470892694314399774746595),
+    ),
+}
+FROZEN_SECOND_MOMENT_DIGESTS = {
+    (18, 3, 950): (
+        "39da6541148c057da93fafb925f30343a83d58484431294e6dee4d47ad07effb",
+        "322b726aa4164d0e068fbafc4c51e7c70316ea9ea54be375192992d274e69cc0",
+    ),
+    (25, 3, 1832): (
+        "6b4c3cc215b1a4125703a3f80aa4c8ef43821a1e6ce0ece49d49b1fb132ff460",
+        "f3cf60b942034598674d735f3fbdbf44ee18815f498402a5baf9cb13dddeed44",
+    ),
+    (12, 10, 1000): (
+        "2b8d23b11eba8c9bc438980c573830885cd952b66092ac648f4331c1eda9fd97",
+        "add42a4e84c658f95a835954d3547c09f793f8f9eac743488d35305174cfc73f",
+    ),
+    (8, 40, 1500): (
+        "2b503d51cbea2b1b0a543c3b39f4ada1f52bb8d31b43dd84f3e240954484f5d2",
+        "dd049351e535feecca4961f55780514b6503853edcbfa9eee8c2f415a6841d83",
+    ),
+    (3, 200, 1000): (
+        "12792795c2d7ae3f9f2026a67a699218442ee5cf475bc0af3abefc4e278b34f0",
+        "228e3aafaa9711b24ddde62ecc90f25fe8f4b0e77ab5ebae1550c7d55d58cb15",
+    ),
+}
+
+
+def test_second_moments_frozen():
+    for (k, ell, m), (ex2, ey2) in FROZEN_SECOND_MOMENTS.items():
+        assert second_moment_x_exact(k, ell, m) == ex2
+        assert second_moment_y_upper(k, ell, m) == ey2
+    for (k, ell, m), digests in FROZEN_SECOND_MOMENT_DIGESTS.items():
+        got = (second_moment_x_exact(k, ell, m), second_moment_y_upper(k, ell, m))
+        assert tuple(map(_digest, got)) == digests, (k, ell, m)
 
 
 def test_asymptotic_x_matches_full_graph():
