@@ -183,16 +183,25 @@ def write_edgelist(g: Digraph, f: TextIO) -> None:
 
 
 def read_edgelist(f: TextIO) -> Digraph:
+    """The text format of write_edgelist: a header "n m", then m distinct
+    "u v" lines and nothing more but blank lines.  ValueError otherwise."""
     header = f.readline().split()
     if len(header) != 2:
         raise ValueError("expected header line 'n m'")
     n, m = int(header[0]), int(header[1])
-    edges = []
+    if m < 0:
+        raise ValueError(f"edge count in header must be >= 0, got {m}")
+    edges = set()
     for _ in range(m):
         parts = f.readline().split()
         if len(parts) != 2:
             raise ValueError("expected edge line 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+        edge = (int(parts[0]), int(parts[1]))
+        if edge in edges:
+            raise ValueError(f"duplicate edge line '{edge[0]} {edge[1]}'")
+        edges.add(edge)
+    if any(line.strip() for line in f):
+        raise ValueError(f"more edge lines than the header's m = {m}")
     return Digraph(n=n, edges=frozenset(edges))
 
 

@@ -13,6 +13,7 @@ power of one packed layer polynomial, never enumerations of the compositions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,8 +137,9 @@ def _poly_power(coeffs: list[int], ell: int) -> list[int]:
     return [int.from_bytes(raw[s : s + nb], "little") for s in range(0, len(raw), nb)]
 
 
-def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int) -> None:
-    """Add the (i, j) term of the E[Y^2] pair sum into weights[x].
+def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int, h) -> None:
+    """Add the (i, j) term of the E[Y^2] pair sum into weights[x]; h is
+    series.h_exact or a cache of it.
 
     i and j are the fixed vertices per part of the two permutations.  The
     per-layer weight g(t) = C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) counts
@@ -152,7 +154,7 @@ def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int)
     for t in range(k + 1):
         c = math.comb(k - i, t) * math.comb(k - t, j)
         a = k - j - t
-        g.append(c * h_exact(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
+        g.append(c * h(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
     prefactor = (math.factorial(k) // math.factorial(i)) ** ell
     shift = (2 * k - i - j) * ell
     for b, coeff in enumerate(_poly_power(g, ell)):
@@ -167,7 +169,7 @@ def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     derangements sharing b edges has 2k*ell - b edges.
     """
     weights: dict[int, int] = {}
-    _add_pair_weights(weights, k, ell, 0, 0)
+    _add_pair_weights(weights, k, ell, 0, 0, h_exact)
     return _edge_expectation(k, ell, m, weights)
 
 
@@ -176,9 +178,11 @@ def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     fixed vertices per part of each permutation (see _add_pair_weights).
     """
     weights: dict[int, int] = {}
+    # the (i, j, t) terms ask for about (k + 1)^2 distinct h(a, b): each once
+    h = functools.cache(h_exact)
     for i in range(k + 1):
         for j in range(k + 1):
-            _add_pair_weights(weights, k, ell, i, j)
+            _add_pair_weights(weights, k, ell, i, j, h)
     return _edge_expectation(k, ell, m, weights)
 
 

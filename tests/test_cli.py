@@ -51,6 +51,31 @@ def test_count_edgelist(capsys, tmp_path):
     assert (d["derangements"], d["permutations"], d["method"]) == ("4", "9", "permanent")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 -2\n",  # a negative edge count, once read as no edges
+        "3 2\n0 1\n0 1\n",  # a duplicate edge, once read as one edge
+        "3 1\n0 1\n1 2\n2 0\n",  # edges past the m-th, once dropped
+    ],
+)
+def test_count_refuses_misread_edgelist(capsys, tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["count", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_count_edgelist_trailing_blank_lines(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n\n  \n")
+    code, out = run_cli(capsys, "count", "--in", str(path))
+    assert code == 0
+    assert (json.loads(out)["derangements"], json.loads(out)["permutations"]) == ("1", "2")
+
+
 def test_count_large_edgelist_uses_permanent(capsys, tmp_path):
     path = tmp_path / "g.txt"
     run_cli(capsys, "construct", "--k", "3", "--ell", "4", "--format", "edgelist", "--out", str(path))

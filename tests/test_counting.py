@@ -16,11 +16,13 @@ from dpratio import counting
 from dpratio.counting import (
     KEPT_MASKS_MAX_BYTES,
     LAYERED_MAX_K,
+    PERMANENT_MAX_N,
     CountPair,
     count,
     count_layered,
     count_permanent,
     _field_bytes,
+    _glynn_pair,
     _kept_masks,
     _layer_table,
 )
@@ -71,7 +73,7 @@ ORACLES = (count_bruteforce, count_permanent)
 #: (n, density, edge count, X, Y) of random_digraph(n, density, rng) drawn in
 #: this order from one random.Random(20210): frozen values, recorded once with
 #: the n!-bijection brute force and the two-pass Ryser counter that preceded
-#: the current oracles, and never recomputed from them
+#: the current counters, and never recomputed from them
 FROZEN_RANDOM_DIGRAPHS = [
     (1, 0.5, 0, 0, 1), (2, 0.5, 2, 1, 2), (2, 1.0, 2, 1, 2), (3, 0.3, 3, 1, 2),
     (3, 0.8, 6, 2, 6), (4, 0.15, 1, 0, 1), (4, 0.5, 6, 1, 4), (4, 0.9, 8, 0, 6),
@@ -130,8 +132,8 @@ def test_permanent_frozen_tiny_8_2_subgraphs():
 
 
 def test_count_permanent_complete_digraph():
-    # K_n gives (!n, n!); in A + I every row sum reaches n, the most a byte
-    # of the packed row sums holds here
+    # K_n gives (!n, n!); every row of A + I has n ones, so the signed row
+    # sums of the Glynn kernel reach +-n, the widest a digraph makes them
     subfactorials = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570, 176214841]
     for n, der in enumerate(subfactorials):
         g = Digraph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(n) if u != v))
@@ -141,6 +143,60 @@ def test_count_permanent_complete_digraph():
 def test_permanent_size_limit():
     with pytest.raises(ValueError):
         count_permanent(Digraph(n=31, edges=frozenset()))
+
+
+def test_permanent_max_n_fits_biased_byte():
+    # a field of _glynn_pair is 128 plus a signed row sum of M + I, at most
+    # n + 1 in size for a 0/1 matrix M; at n = PERMANENT_MAX_N every such
+    # field must fit in a byte and come back as the signed byte of its sum
+    bound = PERMANENT_MAX_N + 1
+    fields = bytes(128 + s for s in range(-bound, bound + 1))
+    signed = memoryview(fields.translate(counting._UNBIAS)).cast("b")
+    assert list(signed) == list(range(-bound, bound + 1))
+
+
+def matrix_cols(mat) -> list[int]:
+    # column j of a 0/1 matrix packed one byte per row, as count_permanent does
+    return [sum(row[j] << 8 * i for i, row in enumerate(mat)) for j in range(len(mat))]
+
+
+def test_glynn_pair_matches_naive_permanents():
+    # all 0/1 matrices, loops included: all-ones rows push the fields to
+    # 128 +- (n + 1); n <= 8 is one batch of sign patterns, no outer walk
+    rng = random.Random(1978)
+    for n in range(9):
+        mats = [[[1] * n for _ in range(n)], [[0] * n for _ in range(n)]]
+        for density in (0.2, 0.5, 0.8):
+            mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            if n:
+                mat[rng.randrange(n)] = [1] * n
+            mats.append(mat)
+        if n == 8:
+            mats = mats[:1] + mats[-1:]  # n! terms per naive permanent
+        for mat in mats:
+            plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(mat)]
+            assert _glynn_pair(matrix_cols(mat), n) == (
+                naive_permanent(mat),
+                naive_permanent(plus_i),
+            )
+
+
+def test_count_permanent_matches_bruteforce_n9_n10():
+    # from n = 10 the outer Gray walk runs beside the 8-sign batch
+    rng = random.Random(2010)
+    for n in (9, 10):
+        for density in (0.1, 0.25, 0.4, 0.55):
+            g = random_digraph(n, density, rng)
+            assert count_permanent(g) == count_bruteforce(g)
+
+
+def test_count_permanent_frozen_n18():
+    # random_digraph(18, 0.4, random.Random(18)): frozen values, recorded
+    # once with the Ryser counter that preceded the Glynn kernel, and never
+    # recomputed from it; 2^9 steps of the outer walk
+    g = random_digraph(18, 0.4, random.Random(18))
+    assert g.edge_count == 121
+    assert count_permanent(g) == CountPair(43970620, 786246624)
 
 
 def test_count_permanent_examples():
@@ -346,7 +402,7 @@ def test_layered_frozen_mc_ell2_trials():
 
 def test_layered_interleaved_k():
     # kept column masks are keyed by k: counting in an order that changes k
-    # at every step gives Ryser's counts, and the k=8 graphs are mc trials
+    # at every step gives the permanent's counts, and the k=8 graphs are mc trials
     # 0-2 of test_layered_frozen_mc_ell2_trials with their frozen counts
     base8 = build_blowup(8, 2)
     trial = 0
@@ -415,8 +471,8 @@ def test_monotone_in_edges(seed, data):
 
 
 def test_count_dispatch():
-    # the graph picks the counter: layered for a blow-up subgraph, Ryser
-    # for a general digraph
+    # the graph picks the counter: layered for a blow-up subgraph, the
+    # permanent for a general digraph
     g = sample_subgraph(build_blowup(2, 2), 5, 3)
     ref = count_layered(g)
     assert count(g) == ("layered", ref)
