@@ -2,9 +2,9 @@
 
 Two counters:
 
-* count_permanent  -- Glynn permanents of A and A+I from one pass, any
-  digraph with n <= 30: the sign patterns of up to 8 columns side by side
-  in one packed int, a Gray-code walk over the rest;
+* count_permanent  -- Glynn permanents of A and of A+I, one pass each,
+  any digraph with n <= 30: the sign patterns of up to 8 columns side by
+  side in one packed int, a Gray-code walk over the rest;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -14,9 +14,12 @@ Two counters:
   every state at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
   The column masks depend only on k, so they are made once per process
-  and kept for every later layer and call, as long as one k's masks take
-  at most 32 MB (k <= 10); above that each row makes its own.  Each
-  matrix row is read from the table in one `operator.itemgetter` call.
+  (functools.cache) and kept for every later layer and call, as long as
+  one k's masks take at most 32 MB (k <= 10); above that each row makes
+  its own.  The end sizes are closed forms: i = 0 is the product of the
+  layers' perfect-matching counts and i = k the identity alone.  Each
+  matrix row of a size between them is read from the table in one
+  `operator.itemgetter` call.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), the permanent for a
@@ -31,6 +34,7 @@ of the adjacency matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -56,7 +60,7 @@ class CountPair:
 
 
 #: Columns 1.._GLYNN_BATCH have their sign patterns side by side in one
-#: packed int of _glynn_pair, 256 patterns a step; widths 6 to 10 measured
+#: packed int of _glynn, 256 patterns a step; widths 6 to 10 measured
 #: within about 10% of each other at n = 16 and 18, width 4 slower
 _GLYNN_BATCH = 8
 
@@ -85,38 +89,35 @@ def _sign_blocks(cols: list[int], n: int, h: int) -> int:
     return even | (odd << (width << (h - 1)))
 
 
-def _glynn_pair(cols: list[int], n: int) -> tuple[int, int]:
-    """(perm(M), perm(M + I)) for the n x n 0/1 matrix M whose column j is
-    cols[j], packed one byte per row (row i in bits 8*i .. 8*i + 7).
+def _glynn(cols: list[int], n: int) -> int:
+    """perm(M) for the n x n matrix M whose column j is cols[j], packed one
+    byte per row (row i in bits 8*i .. 8*i + 7).
 
     Glynn: 2^(n-1) perm = sum over column signs delta with delta_0 = +1 of
     prod_j delta_j * prod_i (sum_j delta_j m_ij), by perm(M) = perm(M^T).
     The 2^h patterns of columns 1..h, h = min(n - 1, _GLYNN_BATCH), sit in
-    n-byte blocks of one int (_sign_blocks), the blocks of M and then those
-    of M + I, whose column j is cols[j] + (1 << 8*j).  The other n - 1 - h
-    signs walk the Gray code, so each step flips one sign and moves every
-    block at once by one add or subtract of twice that packed column.  A
-    step reads all the blocks with one to_bytes, one translate from the
-    bias to signed bytes and one cast, and their row-sum products in C.
+    n-byte blocks of one int (_sign_blocks).  The other n - 1 - h signs walk
+    the Gray code, so each step flips one sign and moves every block at once
+    by one add or subtract of twice that packed column.  A step reads all
+    the blocks with one to_bytes, one translate from the bias to signed
+    bytes and one cast, and their row-sum products in C.
 
-    Each field is 128 + sum_j delta_j m_ij, and a row of M + I sums to at
-    most n + 1 <= PERMANENT_MAX_N + 1 = 31 (n for a digraph, which has no
-    loops), so every field stays in [97, 159] within its byte: the packed
-    sums equal the per-field sums, with no borrow or carry between fields.
-    O(2^(n-1) * n) for both permanents together.
+    Each field is 128 + sum_j delta_j m_ij.  count_permanent passes A or
+    A + I of a digraph, whose rows sum to at most n <= PERMANENT_MAX_N = 30,
+    so every field stays in [98, 158] within its byte: the packed sums equal
+    the per-field sums, with no borrow or carry between fields.
+    O(2^(n-1) * n).
     """
     if n == 0:
-        return 1, 1
-    cols_i = [c + (1 << 8 * j) for j, c in enumerate(cols)]
+        return 1
     h = min(n - 1, _GLYNN_BATCH)
     blocks = 1 << h
     evens = (blocks + 1) >> 1
-    region = (8 * n) << h  # bits of M's blocks
-    packed = _sign_blocks(cols, n, h) | (_sign_blocks(cols_i, n, h) << region)
+    packed = _sign_blocks(cols, n, h)
     twos = int.from_bytes((b"\x02" + b"\x00" * (n - 1)) * blocks, "little")
-    steps = [twos * (cols[j] | (cols_i[j] << region)) for j in range(h + 1, n)]
-    size = (2 * n) << h
-    acc = acc_i = signs = 0
+    steps = [twos * cols[j] for j in range(h + 1, n)]
+    size = n << h
+    acc = signs = 0
     for walk in range(1 << (n - 1 - h)):
         if walk:
             bit = walk & -walk
@@ -125,28 +126,24 @@ def _glynn_pair(cols: list[int], n: int) -> tuple[int, int]:
             packed = packed - step if signs & bit else packed + step
         sums = memoryview(packed.to_bytes(size, "little").translate(_UNBIAS)).cast("b")
         prods = list(map(math.prod, zip(*[iter(sums)] * n)))
-        p = sum(prods[:evens]) - sum(prods[evens:blocks])
-        p_i = sum(prods[blocks : blocks + evens]) - sum(prods[blocks + evens :])
-        if walk & 1:  # an odd number of the walked signs is negative
-            acc -= p
-            acc_i -= p_i
-        else:
-            acc += p
-            acc_i += p_i
-    return acc >> (n - 1), acc_i >> (n - 1)
+        p = sum(prods[:evens]) - sum(prods[evens:])
+        acc += -p if walk & 1 else p  # odd walk: an odd number of walked signs negative
+    return acc >> (n - 1)
 
 
 def count_permanent(g: Digraph) -> CountPair:
-    """derangements = perm(A), permutations = perm(A + I), both from one
-    Glynn pass (_glynn_pair)."""
+    """derangements = perm(A), permutations = perm(A + I): two Glynn passes
+    (_glynn), one over the columns of A and one over those of A + I."""
     n = g.n
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent counting limited to n <= {PERMANENT_MAX_N}")
     cols = [0] * n
     for u, v in g.edges:
         cols[v] += 1 << 8 * u
-    der, per = _glynn_pair(cols, n)
-    return CountPair(derangements=der, permutations=per)
+    return CountPair(
+        derangements=_glynn(cols, n),
+        permutations=_glynn([c + (1 << 8 * j) for j, c in enumerate(cols)], n),
+    )
 
 
 def check_layered_k(k: int) -> None:
@@ -168,12 +165,13 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     c+1) with entry = number of perfect matchings of layer c avoiding F and
     F'.  One packed table per layer (see _layer_table) holds these entries
     for every i at once: T_c^(i)[F][F'] is its field F << k | (full ^ F').
-    Row F of T_c^(i) is one itemgetter gather of those keys from the table's
-    2^k entries that fix F, with one getter per size i for the whole call.
-    A size whose matrix is all zero in some layer adds nothing and builds no
-    further matrices.  The trace then takes ell - 2 dense matrix products.
-    The i = 0 term is the derangement count, a product of per-layer
-    perfect-matching counts.
+    The end sizes take no matrices: the i = 0 term is the derangement count,
+    the product of each layer's perfect-matching count table[full], and the
+    i = k term is 1, the identity.  For 0 < i < k, row F of T_c^(i) is one
+    itemgetter gather of the keys full ^ F' (C(k, i) >= 2 of them, so a
+    tuple) from the table's 2^k entries that fix F.  A size whose matrix is
+    all zero in some layer adds nothing and builds no further matrices.  The
+    trace then takes ell - 2 dense matrix products.
     """
     k = g.k
     check_layered_k(k)
@@ -181,34 +179,25 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     subsets_by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):
         subsets_by_size[mask.bit_count()].append(mask)
+    sizes = range(1, k)
+    get_row = {i: itemgetter(*[full ^ f for f in subsets_by_size[i]]) for i in sizes}
 
-    get_row = [_tuple_getter([full ^ f for f in fixed_sets]) for fixed_sets in subsets_by_size]
-
-    # mats[i] holds T_c^(i) for the layers so far; None once a layer's is zero
-    mats: list[list | None] = [[] for _ in range(k + 1)]
+    # mats[i] holds T_c^(i) for the layers so far; size i leaves once a layer's is zero
+    mats = {i: [] for i in sizes}
+    derangements = 1
     for rows in g.layers:
         table = _layer_table(rows, k)
-        for i, fixed_sets in enumerate(subsets_by_size):
-            if mats[i] is None:
-                continue
+        derangements *= table[full]
+        for i in list(mats):
             get = get_row[i]
-            mat = [get(table[f << k : (f + 1) << k]) for f in fixed_sets]
+            mat = [get(table[f << k : (f + 1) << k]) for f in subsets_by_size[i]]
             if any(map(any, mat)):
                 mats[i].append(mat)
             else:
-                mats[i] = None
+                del mats[i]
         del table  # freed before the next layer's table is built
-    terms = [0 if m is None else _trace_product(m) for m in mats]
-    return CountPair(derangements=terms[0], permutations=sum(terms))
-
-
-def _tuple_getter(keys: list[int]):
-    """itemgetter(*keys), which reads every key in one C call, but giving a
-    1-tuple, not the bare item, when keys has one entry."""
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda seq: (seq[key],)
-    return itemgetter(*keys)
+    permutations = derangements + 1 + sum(map(_trace_product, mats.values()))
+    return CountPair(derangements=derangements, permutations=permutations)
 
 
 def _field_bytes(k: int) -> int:
@@ -226,10 +215,6 @@ _ARRAY_CODES = {n: next(c for c in "BHIL" if array(c).itemsize == n) for n in (1
 #: most this many bytes, which holds for k <= 10 at the widths of _field_bytes
 KEPT_MASKS_MAX_BYTES = 32 << 20
 
-#: k -> its column masks, kept for the life of the process; only k within
-#: KEPT_MASKS_MAX_BYTES is ever a key, so all kept masks total about 27 MB
-_KEPT_MASKS: dict[int, tuple[int, ...]] = {}
-
 
 def _column_mask(nbytes: int, j: int, fields: int) -> int:
     """Mask of the fields whose index lacks bit j, over `fields` fields of
@@ -238,18 +223,18 @@ def _column_mask(nbytes: int, j: int, fields: int) -> int:
     return int.from_bytes((b"\xff" * run + b"\x00" * run) * (fields >> (j + 1)), "little")
 
 
+@functools.cache
 def _kept_masks(k: int) -> tuple[int, ...] | None:
     """The k column masks of _layer_table at its largest row, 2^(2k-1)
     fields, made once per process; None for a k whose masks would take more
     than KEPT_MASKS_MAX_BYTES (k * W/8 * 2^(2k-1) bytes).  A mask serves
     every smaller row too: it repeats with period 2^(j+1) fields, and
     `cur & mask` on nonnegative ints costs only the shorter operand."""
-    masks = _KEPT_MASKS.get(k)
     nbytes = _field_bytes(k)
     fields = 1 << (2 * k - 1)
-    if masks is None and k * nbytes * fields <= KEPT_MASKS_MAX_BYTES:
-        masks = _KEPT_MASKS[k] = tuple(_column_mask(nbytes, j, fields) for j in range(k))
-    return masks
+    if k * nbytes * fields > KEPT_MASKS_MAX_BYTES:
+        return None
+    return tuple(_column_mask(nbytes, j, fields) for j in range(k))
 
 
 def _layer_table(rows, k: int) -> array:

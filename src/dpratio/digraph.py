@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
@@ -20,7 +21,8 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Digraph:
-    """A simple digraph on vertices 0..n-1 with no self-loops."""
+    """A simple digraph on vertices 0..n-1 with no self-loops.  Edges given
+    as a list, as the file readers give them, must not repeat."""
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -28,12 +30,16 @@ class Digraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for u, v in self.edges:
+        edges = frozenset(self.edges)
+        for u, v in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
+        if isinstance(self.edges, list) and len(edges) < len(self.edges):
+            (u, v), _ = Counter(self.edges).most_common(1)[0]
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -182,27 +188,26 @@ def write_edgelist(g: Digraph, f: TextIO) -> None:
         f.write(f"{u} {v}\n")
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """The two integers of one line of the edge-list format; ValueError
+    naming the line otherwise."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise ValueError(f"expected {what} of two integers, got {line.strip()!r}") from None
+    return a, b
+
+
 def read_edgelist(f: TextIO) -> Digraph:
     """The text format of write_edgelist: a header "n m", then m distinct
     "u v" lines and nothing more but blank lines.  ValueError otherwise."""
-    header = f.readline().split()
-    if len(header) != 2:
-        raise ValueError("expected header line 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int_pair(f.readline(), "header line 'n m'")
     if m < 0:
         raise ValueError(f"edge count in header must be >= 0, got {m}")
-    edges = set()
-    for _ in range(m):
-        parts = f.readline().split()
-        if len(parts) != 2:
-            raise ValueError("expected edge line 'u v'")
-        edge = (int(parts[0]), int(parts[1]))
-        if edge in edges:
-            raise ValueError(f"duplicate edge line '{edge[0]} {edge[1]}'")
-        edges.add(edge)
+    edges = [_int_pair(f.readline(), "edge line 'u v'") for _ in range(m)]
     if any(line.strip() for line in f):
         raise ValueError(f"more edge lines than the header's m = {m}")
-    return Digraph(n=n, edges=frozenset(edges))
+    return Digraph(n=n, edges=edges)
 
 
 def to_json_dict(g: Digraph | SampledSubgraph) -> dict:
@@ -234,16 +239,17 @@ def _check_graph_json(d) -> None:
 
 def from_json_dict(d: dict) -> Digraph:
     _check_graph_json(d)
-    return Digraph(n=d["n"], edges=frozenset(tuple(e) for e in d["edges"]))
+    return Digraph(n=d["n"], edges=[tuple(e) for e in d["edges"]])
 
 
 def subgraph_from_json(d: dict) -> SampledSubgraph:
     """Reconstruct a layered subgraph from JSON carrying "parts".
 
-    Requires the standard contiguous part numbering (part c = range(c*k,
-    (c+1)*k)) and all edges between consecutive parts.
+    The graph must first read as a digraph (from_json_dict), and then have
+    the standard contiguous part numbering (part c = range(c*k, (c+1)*k))
+    and all edges between consecutive parts.
     """
-    _check_graph_json(d)
+    from_json_dict(d)
     if "parts" not in d:
         raise ValueError("layered reconstruction requires a 'parts' field")
     parts = d["parts"]

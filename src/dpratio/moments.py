@@ -6,7 +6,7 @@ probability that x specified edges all survive, with T = k^2*ell edges in
 the blow-up.  `_edge_expectation` takes it as one integer sum over the common
 denominator C(T, m), from one binomial walked down in x, and reduces a single
 Fraction at the end.  The second moments share one pair sum over the fixed
-vertices (i, j) per part of two permutations (`_add_pair_weights`); E[X^2] is
+vertices (i, j) per part of two permutations (`_pair_weights`); E[X^2] is
 its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
 power of one packed layer polynomial, never enumerations of the compositions.
 """
@@ -14,6 +14,7 @@ power of one packed layer polynomial, never enumerations of the compositions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,9 +138,9 @@ def _poly_power(coeffs: list[int], ell: int) -> list[int]:
     return [int.from_bytes(raw[s : s + nb], "little") for s in range(0, len(raw), nb)]
 
 
-def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int, h) -> None:
-    """Add the (i, j) term of the E[Y^2] pair sum into weights[x]; h is
-    series.h_exact or a cache of it.
+def _pair_weights(k: int, ell: int, pairs) -> dict[int, int]:
+    """Weights x -> count of the E[Y^2] pair sum over the (i, j) in pairs,
+    for _edge_expectation.
 
     i and j are the fixed vertices per part of the two permutations.  The
     per-layer weight g(t) = C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) counts
@@ -150,16 +151,21 @@ def _add_pair_weights(weights: dict[int, int], k: int, ell: int, i: int, j: int,
     edges in total, and scaled by (k!/i!)^ell it weighs a union of
     (2k-i-j)*ell - b edges.
     """
-    g = []
-    for t in range(k + 1):
-        c = math.comb(k - i, t) * math.comb(k - t, j)
-        a = k - j - t
-        g.append(c * h(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
-    prefactor = (math.factorial(k) // math.factorial(i)) ** ell
-    shift = (2 * k - i - j) * ell
-    for b, coeff in enumerate(_poly_power(g, ell)):
-        if coeff:
-            weights[shift - b] = weights.get(shift - b, 0) + prefactor * coeff
+    # all (i, j, t) terms ask for about (k + 1)^2 distinct h(a, b): each once
+    h = functools.cache(h_exact)
+    weights: dict[int, int] = {}
+    for i, j in pairs:
+        g = []
+        for t in range(k + 1):
+            c = math.comb(k - i, t) * math.comb(k - t, j)
+            a = k - j - t
+            g.append(c * h(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
+        prefactor = (math.factorial(k) // math.factorial(i)) ** ell
+        shift = (2 * k - i - j) * ell
+        for b, coeff in enumerate(_poly_power(g, ell)):
+            if coeff:
+                weights[shift - b] = weights.get(shift - b, 0) + prefactor * coeff
+    return weights
 
 
 def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
@@ -168,22 +174,17 @@ def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     weight is g(t) = C(k,t) h(k-t, k-t), and the union of a pair of
     derangements sharing b edges has 2k*ell - b edges.
     """
-    weights: dict[int, int] = {}
-    _add_pair_weights(weights, k, ell, 0, 0, h_exact)
-    return _edge_expectation(k, ell, m, weights)
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, [(0, 0)]))
 
 
 def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     """Exact-rational upper bound on E[Y^2]: the pair sum over (i, j) =
-    fixed vertices per part of each permutation (see _add_pair_weights).
+    fixed vertices per part of each permutation (see _pair_weights).
     """
-    weights: dict[int, int] = {}
-    # the (i, j, t) terms ask for about (k + 1)^2 distinct h(a, b): each once
-    h = functools.cache(h_exact)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            _add_pair_weights(weights, k, ell, i, j, h)
-    return _edge_expectation(k, ell, m, weights)
+    # lazy: a list of the (k + 1)^2 tuples, made up front, measured about 5%
+    # slower for a fresh `expect --r 0.45 --k 18` (more garbage collection)
+    pairs = itertools.product(range(k + 1), repeat=2)
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, pairs))
 
 
 def moment_report(

@@ -68,6 +68,22 @@ def test_count_refuses_misread_edgelist(capsys, tmp_path, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 x\n", "expected header line 'n m' of two integers, got '3 x'"),
+        ("3\n", "expected header line 'n m' of two integers, got '3'"),
+        ("3 1\n0 a\n", "expected edge line 'u v' of two integers, got '0 a'"),
+        ("3 2\n0 1\n1.5 2\n", "expected edge line 'u v' of two integers, got '1.5 2'"),
+    ],
+)
+def test_count_edgelist_names_non_integer_line(capsys, tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["count", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_count_edgelist_trailing_blank_lines(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 3\n0 1\n1 2\n2 0\n\n  \n")
@@ -218,6 +234,13 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
         '{"n": 3, "edges": [[0, 1, 2]]}',
         # 'n' disagrees with the vertex count of 'parts'
         '{"n": 5, "edges": [[0, 2], [2, 0], [1, 3], [3, 1]], "parts": [[0, 1], [2, 3]]}',
+        # a repeated edge, once counted as the graph without the repeat
+        '{"n": 3, "edges": [[0, 1], [0, 1], [1, 2], [2, 0]]}',
+        '{"n": 4, "edges": [[0, 2], [0, 2], [2, 0]], "parts": [[0, 1], [2, 3]]}',
+        # bad vertices beside 'parts', read as a digraph first
+        '{"n": 4, "edges": [[0, 5]], "parts": [[0, 1], [2, 3]]}',
+        '{"n": 4, "edges": [[-1, 2]], "parts": [[0, 1], [2, 3]]}',
+        '{"n": 4, "edges": [[0, 0]], "parts": [[0, 1], [2, 3]]}',
     )):
         path = tmp_path / f"bad_types_{i}.json"
         path.write_text(text)

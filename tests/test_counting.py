@@ -22,7 +22,7 @@ from dpratio.counting import (
     count_layered,
     count_permanent,
     _field_bytes,
-    _glynn_pair,
+    _glynn,
     _kept_masks,
     _layer_table,
 )
@@ -146,9 +146,10 @@ def test_permanent_size_limit():
 
 
 def test_permanent_max_n_fits_biased_byte():
-    # a field of _glynn_pair is 128 plus a signed row sum of M + I, at most
-    # n + 1 in size for a 0/1 matrix M; at n = PERMANENT_MAX_N every such
-    # field must fit in a byte and come back as the signed byte of its sum
+    # a field of _glynn is 128 plus a signed row sum, at most n in size for
+    # a digraph's A + I and n + 1 for a 0/1 matrix with loops plus I; at
+    # n = PERMANENT_MAX_N every such field must fit in a byte and come back
+    # as the signed byte of its sum
     bound = PERMANENT_MAX_N + 1
     fields = bytes(128 + s for s in range(-bound, bound + 1))
     signed = memoryview(fields.translate(counting._UNBIAS)).cast("b")
@@ -160,9 +161,10 @@ def matrix_cols(mat) -> list[int]:
     return [sum(row[j] << 8 * i for i, row in enumerate(mat)) for j in range(len(mat))]
 
 
-def test_glynn_pair_matches_naive_permanents():
-    # all 0/1 matrices, loops included: all-ones rows push the fields to
-    # 128 +- (n + 1); n <= 8 is one batch of sign patterns, no outer walk
+def test_glynn_matches_naive_permanents():
+    # 0/1 matrices, loops included, and their plus-I forms: all-ones rows
+    # push the fields to 128 +- (n + 1); n <= 8 is one batch of sign
+    # patterns, no outer walk
     rng = random.Random(1978)
     for n in range(9):
         mats = [[[1] * n for _ in range(n)], [[0] * n for _ in range(n)]]
@@ -175,10 +177,8 @@ def test_glynn_pair_matches_naive_permanents():
             mats = mats[:1] + mats[-1:]  # n! terms per naive permanent
         for mat in mats:
             plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(mat)]
-            assert _glynn_pair(matrix_cols(mat), n) == (
-                naive_permanent(mat),
-                naive_permanent(plus_i),
-            )
+            assert _glynn(matrix_cols(mat), n) == naive_permanent(mat)
+            assert _glynn(matrix_cols(plus_i), n) == naive_permanent(plus_i)
 
 
 def test_count_permanent_matches_bruteforce_n9_n10():
@@ -245,6 +245,58 @@ def test_layered_empty_subgraph():
 def test_layered_size_limit():
     with pytest.raises(ValueError):
         count_layered(build_blowup(13, 2))
+
+
+def test_layered_k1_every_edge_subset():
+    # k = 1 has no middle size: the counts are the two closed-form end
+    # terms, (1, 2) with the whole ell-cycle present and (0, 1) otherwise
+    for ell in range(2, 6):
+        base = build_blowup(1, ell)
+        for kept in range(1 << ell):
+            g = SampledSubgraph.from_edge_indices(base, [e for e in range(ell) if kept >> e & 1])
+            expected = CountPair(1, 2) if kept == (1 << ell) - 1 else CountPair(0, 1)
+            assert count_layered(g) == count_permanent(to_general(g)) == expected
+
+
+def test_layered_middle_size_dies_in_second_layer():
+    # k = 3, ell = 3: layers 0 and 2 full, layer 1 the one edge 0 -> 0.  Every
+    # 2 x 2 minor of layer 1 has permanent 0, so size i = 1 drops out at the
+    # second layer, while size 2 (one edge per minor) goes on: Y = 1 + 3
+    k, ell = 3, 3
+    base = build_blowup(k, ell)
+    layer_one_edge = k * k  # index of part-1 vertex 0 -> part-2 vertex 0
+    g = SampledSubgraph.from_edge_indices(
+        base, [*range(k * k), layer_one_edge, *range(2 * k * k, 3 * k * k)]
+    )
+    size_one = [f << k | (((1 << k) - 1) ^ fc) for f in (1, 2, 4) for fc in (1, 2, 4)]
+    assert any(_layer_table(g.layers[0], k)[key] for key in size_one)
+    assert not any(_layer_table(g.layers[1], k)[key] for key in size_one)
+    assert count_layered(g) == count_permanent(to_general(g)) == CountPair(0, 4)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_layered_k11_peak_rss():
+    # one count of the full k = 11, ell = 2 blow-up, in a fresh process:
+    # peak RSS measured at 104.1 MB (Linux x86-64, CPython 3.11, 1.5 s).
+    # Keeping the finished table int alive through the array copy measured
+    # 112.6 MB, and the first layer's table alive through the second's
+    # build 114.2 MB, so the bound is 5% over the measured peak, not 10%
+    src = os.path.dirname(os.path.dirname(dpratio.__file__))
+    probe = (
+        "import resource; from dpratio.counting import count_layered; "
+        "from dpratio.digraph import build_blowup; "
+        "c = count_layered(build_blowup(11, 2)); "
+        "print(c.permutations, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert int(out[0]) == closed_form_counts(11, 2).permutations
+    assert int(out[1]) / 1024 <= 1.05 * 104.1
 
 
 def test_closed_form_examples():
@@ -342,23 +394,22 @@ def test_kept_masks_size_limit():
     k = 11
     rows = [1 << (3 * r % k) for r in range(k)]
     table = _layer_table(rows, k)
-    assert k not in counting._KEPT_MASKS
+    assert _kept_masks(k) is None
     assert sum(table) == 1 << k
     for f in range(1 << k):
         image = sum(rows[r] for r in range(k) if not (f >> r) & 1)
         assert table[f << k | image] == 1
     # every part size asked for: the kept masks stay in bounds
-    for size in range(1, LAYERED_MAX_K + 1):
-        _kept_masks(size)
-    assert sorted(counting._KEPT_MASKS) == list(range(1, 11))
-    kept = sum(sys.getsizeof(m) for masks in counting._KEPT_MASKS.values() for m in masks)
+    kept_ks = [size for size in range(1, LAYERED_MAX_K + 1) if _kept_masks(size)]
+    assert kept_ks == list(range(1, 11))
+    kept = sum(sys.getsizeof(m) for size in kept_ks for m in _kept_masks(size))
     assert kept <= KEPT_MASKS_MAX_BYTES
 
 
 def test_import_keeps_no_masks():
     # masks are made by the first count at each k, never at import
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
-    probe = "import dpratio, dpratio.counting as c; print(len(c._KEPT_MASKS))"
+    probe = "import dpratio, dpratio.counting as c; print(c._kept_masks.cache_info().currsize)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),

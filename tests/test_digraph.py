@@ -171,6 +171,17 @@ def test_json_readers_reject_non_graphs():
     for d in (3, [], {"n": 4, "parts": layered["parts"]}, *bad_types):
         with pytest.raises(ValueError):
             subgraph_from_json(d)
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        from_json_dict({"n": 3, "edges": [[0, 1], [0, 1], [1, 2], [2, 0]]})
+    parts = [[0, 1], [2, 3]]
+    for edges, message in (
+        ([[0, 2], [0, 2], [2, 0]], r"duplicate edge \(0, 2\)"),
+        ([[0, 5]], r"edge \(0, 5\) out of range for n=4"),
+        ([[-1, 2]], r"edge \(-1, 2\) out of range for n=4"),
+        ([[0, 0]], r"self-loop \(0, 0\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            subgraph_from_json({"n": 4, "edges": edges, "parts": parts})
     with pytest.raises(ValueError, match=r"'n' is 5, but its parts hold k\*ell = 4"):
         subgraph_from_json(
             {"n": 5, "edges": [[0, 2], [2, 0], [1, 3], [3, 1]], "parts": [[0, 1], [2, 3]]}
