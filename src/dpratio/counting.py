@@ -8,17 +8,17 @@ Two counters:
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
-  fixed-set size i at once.  The DP's table is one packed int: the count
-  of state F << k | U (fixed rows F, used columns U) sits in a field of
-  W = 8, 16 or 32 bits, the smallest with k! < 2^W, and each row moves
-  every state at once with big-int shifts and masks.  No field carries,
+  fixed-set size i at once.  The DP keeps one packed int per set F of
+  fixed rows: the count of used columns U sits in field U, of W = 8, 16
+  or 32 bits, the smallest with k! < 2^W, and each row moves every field
+  of a table at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
-  The column masks depend only on k, so they are made once per process
-  (functools.cache) and kept for every later layer and call, as long as
-  one k's masks take at most 32 MB (k <= 10); above that each row makes
-  its own.  The end sizes are closed forms: i = 0 is the product of the
-  layers' perfect-matching counts and i = k the identity alone.  Each
-  matrix row of a size between them is read from the table in one
+  The k column masks span the 2^k fields of one table and depend only on
+  k, so they are made once per process (functools.cache) and kept for
+  every later layer and call, at every k (192 KB at k = 12).  The end
+  sizes are closed forms: i = 0 is the product of the layers'
+  perfect-matching counts and i = k the identity alone.  Each matrix row
+  of a size between them is read from its table in one
   `operator.itemgetter` call.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
@@ -163,39 +163,49 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     where T_c^(i) is indexed by pairs of i-subsets (F of part c, F' of part
     c+1) with entry = number of perfect matchings of layer c avoiding F and
-    F'.  One packed table per layer (see _layer_table) holds these entries
-    for every i at once: T_c^(i)[F][F'] is its field F << k | (full ^ F').
-    The end sizes take no matrices: the i = 0 term is the derangement count,
-    the product of each layer's perfect-matching count table[full], and the
-    i = k term is 1, the identity.  For 0 < i < k, row F of T_c^(i) is one
-    itemgetter gather of the keys full ^ F' (C(k, i) >= 2 of them, so a
-    tuple) from the table's 2^k entries that fix F.  A size whose matrix is
-    all zero in some layer adds nothing and builds no further matrices.  The
-    trace then takes ell - 2 dense matrix products.
+    F'.  One list of packed tables per layer (see _layer_tables) holds these
+    entries for every i at once: T_c^(i)[F][F'] is field full ^ F' of
+    tables[F].  The end sizes take no matrices: the i = 0 term is the
+    derangement count, the product of each layer's perfect-matching count,
+    the top field of tables[0], and the i = k term is 1, the identity.  For
+    0 < i < k, row F of T_c^(i) is one itemgetter gather of C(k, i) >= 2
+    fields (so a tuple) from tables[F] read into an array in native byte
+    order.  That keeps each field's own bytes in the array's order, but a
+    big-endian int starts at its top field: field U is array item U on a
+    little-endian machine and item full ^ U on a big-endian one, so the
+    gather keys are full ^ F' on the first and F' on the second.  A size
+    whose matrix is all zero in some layer adds nothing and builds no further
+    matrices.  The trace then takes ell - 2 dense matrix products.
     """
     k = g.k
     check_layered_k(k)
     full = (1 << k) - 1
+    nbytes = _field_bytes(k)
+    code, size = _ARRAY_CODES[nbytes], nbytes << k
     subsets_by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):
         subsets_by_size[mask.bit_count()].append(mask)
     sizes = range(1, k)
-    get_row = {i: itemgetter(*[full ^ f for f in subsets_by_size[i]]) for i in sizes}
+    flip = full if sys.byteorder == "little" else 0  # array item of field full ^ F'
+    get_row = {i: itemgetter(*[flip ^ f for f in subsets_by_size[i]]) for i in sizes}
 
     # mats[i] holds T_c^(i) for the layers so far; size i leaves once a layer's is zero
     mats = {i: [] for i in sizes}
     derangements = 1
     for rows in g.layers:
-        table = _layer_table(rows, k)
-        derangements *= table[full]
+        tables = _layer_tables(rows, k)
+        derangements *= tables[0] >> (8 * nbytes * full)
         for i in list(mats):
             get = get_row[i]
-            mat = [get(table[f << k : (f + 1) << k]) for f in subsets_by_size[i]]
+            mat = [
+                get(array(code, tables[f].to_bytes(size, sys.byteorder)))
+                for f in subsets_by_size[i]
+            ]
             if any(map(any, mat)):
                 mats[i].append(mat)
             else:
                 del mats[i]
-        del table  # freed before the next layer's table is built
+        del tables  # freed before the next layer's tables are built
     permutations = derangements + 1 + sum(map(_trace_product, mats.values()))
     return CountPair(derangements=derangements, permutations=permutations)
 
@@ -211,75 +221,50 @@ def _field_bytes(k: int) -> int:
 _ARRAY_CODES = {n: next(c for c in "BHIL" if array(c).itemsize == n) for n in (1, 2, 4)}
 
 
-#: Column masks of a k are kept (see _kept_masks) only while they take at
-#: most this many bytes, which holds for k <= 10 at the widths of _field_bytes
-KEPT_MASKS_MAX_BYTES = 32 << 20
-
-
-def _column_mask(nbytes: int, j: int, fields: int) -> int:
-    """Mask of the fields whose index lacks bit j, over `fields` fields of
-    nbytes bytes each (fields a multiple of 2^(j+1))."""
-    run = nbytes << j  # bytes of 2^j fields
-    return int.from_bytes((b"\xff" * run + b"\x00" * run) * (fields >> (j + 1)), "little")
-
-
 @functools.cache
-def _kept_masks(k: int) -> tuple[int, ...] | None:
-    """The k column masks of _layer_table at its largest row, 2^(2k-1)
-    fields, made once per process; None for a k whose masks would take more
-    than KEPT_MASKS_MAX_BYTES (k * W/8 * 2^(2k-1) bytes).  A mask serves
-    every smaller row too: it repeats with period 2^(j+1) fields, and
-    `cur & mask` on nonnegative ints costs only the shorter operand."""
+def _column_masks(k: int) -> tuple[int, ...]:
+    """The k column masks of _layer_tables, made once per process per k:
+    mask j has all ones in the W-bit fields of the 2^k whose index U lacks
+    bit j, W = 8 * _field_bytes(k).  At k = 12 they take 12 * 4 B * 4096,
+    about 192 KB."""
     nbytes = _field_bytes(k)
-    fields = 1 << (2 * k - 1)
-    if k * nbytes * fields > KEPT_MASKS_MAX_BYTES:
-        return None
-    return tuple(_column_mask(nbytes, j, fields) for j in range(k))
+    # mask j repeats 2^j full fields then 2^j empty ones, 2^(k-1-j) times
+    runs = [b"\xff" * (nbytes << j) + b"\x00" * (nbytes << j) for j in range(k)]
+    return tuple(int.from_bytes(run * (1 << (k - 1 - j)), "little") for j, run in enumerate(runs))
 
 
-def _layer_table(rows, k: int) -> array:
-    """Perfect-matching counts of every minor of one layer, as an array of
-    4^k counts: entry F << k | U counts the matchings of the rows outside
-    the fixed set F into the used columns U, so the minor that drops rows F
-    and columns F' is entry F << k | (full ^ F'), and every entry with
-    |F| + |U| != k is 0.
+def _layer_tables(rows, k: int) -> list[int]:
+    """Perfect-matching counts of every minor of one layer, one packed int
+    per fixed set: field U of tables[F] counts the matchings of the rows
+    outside the fixed set F into the used columns U, so the minor that drops
+    rows F and columns F' is field full ^ F' of tables[F], and every field
+    with |F| + |U| != k is 0.  Field U sits in the W bits at offset U * W,
+    W = 8 * _field_bytes(k).
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
-    or matched to a free column it has an edge to (that bit joins U).  The
-    whole table is one int with the count of index idx in the W bits at
-    offset idx * W, W = 8 * _field_bytes(k).  Before row t every index is
-    below 2^(k+t).  Matching row t to column j moves the fields whose index
-    lacks bit j up by W * 2^j bits, still below 2^(k+t) fields: one mask,
-    one shift and one add per column, summed into `matched`.  Fixing the
-    row shifts the whole table up by W * 2^(k+t) bits, past `matched`, so
-    one or joins the two.  The masks are the kept ones of _kept_masks, or,
-    for a k too large to keep them, made for each row at its size.  No
+    or matched to a free column it has an edge to (that bit joins U).
+    Before row t the list holds 2^t tables.  Matching row t to column j
+    moves those fields of a table whose U lacks bit j up by W * 2^j bits:
+    one mask (_column_masks), one shift and one add per column, summed into
+    the table's entry of `matched`.  Fixing the row keeps each table as the
+    one of F | 1 << t, so the tables after the row are `matched + tables`.  No
     field carries: a field counts injections of the non-fixed rows into U,
     at most |U|! <= k! < 2^W, and every addend is nonnegative, so no partial
     sum exceeds its final value.
     """
-    nbytes = _field_bytes(k)
-    width = 8 * nbytes
-    masks = _kept_masks(k)
-    cur = 1  # before row 0: the empty state, one way
-    for t, row in enumerate(rows):
-        matched = 0
-        for j in range(k):
-            if (row >> j) & 1:
-                # a mask made for this row goes before the next is made: at
-                # k = 12 one takes 32 MB
-                mask = masks[j] if masks else _column_mask(nbytes, j, 1 << (k + t))
-                matched += (cur & mask) << (width << j)
-                del mask
-        cur <<= width << (k + t)
-        cur |= matched
-    data = cur.to_bytes(nbytes << (2 * k), "little")
-    del cur  # freed before the array copies the bytes
-    table = array(_ARRAY_CODES[nbytes])
-    table.frombytes(data)
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table
+    width = 8 * _field_bytes(k)
+    masks = _column_masks(k)
+    tables = [1]  # before row 0: the empty state, one way
+    for row in rows:
+        cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
+        matched = []
+        for x in tables:
+            m = 0
+            for mask, shift in cols:
+                m += (x & mask) << shift
+            matched.append(m)
+        tables = matched + tables
+    return tables
 
 
 def _trace_product(mats) -> int:

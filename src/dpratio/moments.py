@@ -201,6 +201,15 @@ def moment_report(
     ex2 = second_moment_x_exact(k, ell, m)
     ey2 = second_moment_y_upper(k, ell, m)
     ratio = ex / ey
+    ex_asym_log = ey_asym_log = None
+    if p:
+        ex_asym_log = expected_x_asymptotic(k, ell, p)  # refuses a p outside (0, 1]
+        try:
+            ey_asym_log = expected_y_asymptotic(k, ell, p)
+        except ValueError:  # f_eval's partial sum of f_ell(1/p) left the float range
+            raise ValueError(
+                f"ey_asym_log is past the float range (f_{ell}(1/p) > 1.8e308 at p = {p})"
+            ) from None
     return MomentReport(
         k=k,
         ell=ell,
@@ -211,8 +220,8 @@ def moment_report(
         ey=ey,
         ex2=ex2,
         ey2_upper=ey2,
-        ex_asym_log=expected_x_asymptotic(k, ell, p) if p else None,
-        ey_asym_log=expected_y_asymptotic(k, ell, p) if p else None,
+        ex_asym_log=ex_asym_log,
+        ey_asym_log=ey_asym_log,
         ratio_exact=ratio,
         ratio_exact_float=_exact_float("ratio_exact_float", ratio),
         x_concentration=_exact_float("x_concentration", ex2 / (ex * ex) - 1) if ex else None,

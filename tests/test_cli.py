@@ -214,6 +214,16 @@ def test_value_error_exits_2_without_traceback(capsys):
         assert "Traceback" not in err
 
 
+def test_asymptotic_log_overflow_names_field(capsys):
+    # at a small p, f_ell(1/p) overflows a float while the exact moments exist
+    for k, ell, m, p in ((25, 2, 3, 0.0024), (20, 3, 2, 2 / 1200), (10, 4, 1, 0.0025)):
+        assert main(["expect", "--k", str(k), "--ell", str(ell), "--m", str(m)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: ey_asym_log is past the float range (f_{ell}(1/p) > 1.8e308 at p = {p})\n"
+        )
+
+
 def test_k_list_error_names_flag_and_entry(capsys):
     for k_list, entry in ((",", "''"), ("4,a", "'a'"), ("4,,6", "''"), ("4.5", "'4.5'")):
         assert main(["sweep", "--r", "0.3", "--k-list", k_list]) == 2

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 import dpratio
 from dpratio import counting
 from dpratio.counting import (
-    KEPT_MASKS_MAX_BYTES,
     LAYERED_MAX_K,
     PERMANENT_MAX_N,
     CountPair,
@@ -23,8 +21,7 @@ from dpratio.counting import (
     count_permanent,
     _field_bytes,
     _glynn,
-    _kept_masks,
-    _layer_table,
+    _layer_tables,
 )
 from dpratio.digraph import (
     Digraph,
@@ -36,6 +33,13 @@ from dpratio.digraph import (
 from dpratio.experiment import derive_seed, run_mc
 from dpratio.oracles import closed_form_counts, count_bruteforce
 from dpratio.params import plan
+
+
+def table_fields(table: int, k: int) -> list[int]:
+    # the 2^k counts of one packed layer table, field U in bits U*W .. U*W + W - 1
+    width = 8 * _field_bytes(k)
+    assert table >> (width << k) == 0  # nothing past field 2^k - 1
+    return [(table >> (width * u)) & ((1 << width) - 1) for u in range(1 << k)]
 
 
 def random_digraph(n: int, density: float, rng: random.Random) -> Digraph:
@@ -258,6 +262,22 @@ def test_layered_k1_every_edge_subset():
             assert count_layered(g) == count_permanent(to_general(g)) == expected
 
 
+def test_layered_big_endian_field_order(monkeypatch):
+    # at k <= 5 a field is one byte, so the bytes of a table read as
+    # sys.byteorder = "big" are exactly those of a big-endian machine, where
+    # field U is array item full ^ U; the counts must not change
+    rng = random.Random(1955)
+    graphs = []
+    for k in range(2, 6):
+        base = build_blowup(k, rng.choice([2, 3]))
+        for _ in range(8):
+            g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
+            graphs.append((g, count_permanent(to_general(g))))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    for g, expected in graphs:
+        assert count_layered(g) == expected
+
+
 def test_layered_middle_size_dies_in_second_layer():
     # k = 3, ell = 3: layers 0 and 2 full, layer 1 the one edge 0 -> 0.  Every
     # 2 x 2 minor of layer 1 has permanent 0, so size i = 1 drops out at the
@@ -268,25 +288,28 @@ def test_layered_middle_size_dies_in_second_layer():
     g = SampledSubgraph.from_edge_indices(
         base, [*range(k * k), layer_one_edge, *range(2 * k * k, 3 * k * k)]
     )
-    size_one = [f << k | (((1 << k) - 1) ^ fc) for f in (1, 2, 4) for fc in (1, 2, 4)]
-    assert any(_layer_table(g.layers[0], k)[key] for key in size_one)
-    assert not any(_layer_table(g.layers[1], k)[key] for key in size_one)
+    size_one = [(f, ((1 << k) - 1) ^ fc) for f in (1, 2, 4) for fc in (1, 2, 4)]
+    first, second = _layer_tables(g.layers[0], k), _layer_tables(g.layers[1], k)
+    assert any(table_fields(first[f], k)[u] for f, u in size_one)
+    assert not any(table_fields(second[f], k)[u] for f, u in size_one)
     assert count_layered(g) == count_permanent(to_general(g)) == CountPair(0, 4)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_layered_k11_peak_rss():
-    # one count of the full k = 11, ell = 2 blow-up, in a fresh process:
-    # peak RSS measured at 104.1 MB (Linux x86-64, CPython 3.11, 1.5 s).
-    # Keeping the finished table int alive through the array copy measured
-    # 112.6 MB, and the first layer's table alive through the second's
-    # build 114.2 MB, so the bound is 5% over the measured peak, not 10%
+def test_layered_k12_peak_rss():
+    # one count of the full k = LAYERED_MAX_K = 12, ell = 2 blow-up, the
+    # largest size count_layered admits, in a fresh process: peak RSS
+    # measured at 237.2 MB (Linux x86-64, CPython 3.11, about 2 s).  Keeping
+    # the first layer's tables alive through the second layer's build adds
+    # their 64 MB, so the bound is 5% over the measured peak
+    assert LAYERED_MAX_K == 12
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
         "import resource; from dpratio.counting import count_layered; "
         "from dpratio.digraph import build_blowup; "
-        "c = count_layered(build_blowup(11, 2)); "
-        "print(c.permutations, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "c = count_layered(build_blowup(12, 2)); "
+        "print(c.derangements, c.permutations, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -295,8 +318,8 @@ def test_layered_k11_peak_rss():
         text=True,
         check=True,
     ).stdout.split()
-    assert int(out[0]) == closed_form_counts(11, 2).permutations
-    assert int(out[1]) / 1024 <= 1.05 * 104.1
+    assert CountPair(int(out[0]), int(out[1])) == closed_form_counts(12, 2)
+    assert int(out[2]) / 1024 <= 1.05 * 237.2
 
 
 def test_closed_form_examples():
@@ -326,7 +349,7 @@ def naive_permanent(mat) -> int:
 def test_layer_minors_match_permanents():
     # one packed matching DP per layer gives, for every i, the permanent of
     # each minor keeping rows outside F and columns outside F' with |F| = i,
-    # at entry F << k | (full ^ F'); every entry with |F| + |U| != k is 0
+    # at field full ^ F' of tables[F]; every field with |F| + |U| != k is 0
     rng = random.Random(2024)
     for t in range(40):
         k = rng.randrange(1, 7)
@@ -337,11 +360,12 @@ def test_layer_minors_match_permanents():
         if t % 4 == 1:
             rows[rng.randrange(k)] = 0  # an empty row
         full = (1 << k) - 1
-        table = _layer_table(rows, k)
-        assert len(table) == 1 << 2 * k
-        for key, cnt in enumerate(table):
-            if (key >> k).bit_count() + (key & full).bit_count() != k:
-                assert cnt == 0
+        tables = [table_fields(table, k) for table in _layer_tables(rows, k)]
+        assert len(tables) == 1 << k
+        for f_rows, table in enumerate(tables):
+            for used, cnt in enumerate(table):
+                if f_rows.bit_count() + used.bit_count() != k:
+                    assert cnt == 0
         for f_rows in range(1 << k):
             keep_rows = [r for r in range(k) if not (f_rows >> r) & 1]
             for f_cols in range(1 << k):
@@ -349,11 +373,12 @@ def test_layer_minors_match_permanents():
                     continue
                 keep_cols = [j for j in range(k) if not (f_cols >> j) & 1]
                 minor = [[(rows[r] >> j) & 1 for j in keep_cols] for r in keep_rows]
-                assert table[f_rows << k | (full ^ f_cols)] == naive_permanent(minor)
+                assert tables[f_rows][full ^ f_cols] == naive_permanent(minor)
 
 
-def per_row_mask_table(rows, k: int) -> array:
-    # the layer DP with each column mask made for its row at the row's size
+def per_row_mask_table(rows, k: int) -> int:
+    # the layer DP on one int, state F << k | U in field F << k | U, with
+    # each column mask made for its row at the row's size
     nbytes = _field_bytes(k)
     width = 8 * nbytes
     cur = 1
@@ -367,14 +392,11 @@ def per_row_mask_table(rows, k: int) -> array:
                 mask = int.from_bytes(pattern * (size >> (j + 1)), "little")
                 nxt += (cur & mask) << (width << j)
         cur = nxt
-    table = array(counting._ARRAY_CODES[nbytes])
-    table.frombytes(cur.to_bytes(nbytes << (2 * k), "little"))
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table
+    return cur
 
 
 def test_layer_table_matches_per_row_masks():
+    # the split tables, laid end to end in the order of F, are the one-int table
     rng = random.Random(15)
     for k in range(1, 10):
         full = (1 << k) - 1
@@ -383,33 +405,32 @@ def test_layer_table_matches_per_row_masks():
             rows = [sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)]
             rows[rng.randrange(k)] = rng.choice([0, full])
             layers.append(rows)
+        span = 8 * _field_bytes(k) << k  # bits of one table's 2^k fields
         for rows in layers:
-            assert _layer_table(rows, k) == per_row_mask_table(rows, k)
+            tables = _layer_tables(rows, k)
+            assert all(table >> span == 0 for table in tables)
+            flat = sum(table << span * f for f, table in enumerate(tables))
+            assert flat == per_row_mask_table(rows, k)
 
 
-def test_kept_masks_size_limit():
-    # a layer at k = 11, one edge per row (row r to column 3r mod 11), makes
-    # its masks row by row and keeps none; entry F << k | U is 1 exactly when
-    # U is the image of the rows outside F
+def test_layer_tables_k11_one_edge_per_row():
+    # a layer at k = 11, one edge per row (row r to column 3r mod 11): field U
+    # of tables[F] is 1 exactly when U is the image of the rows outside F,
+    # and every other field is 0
     k = 11
+    width = 8 * _field_bytes(k)
     rows = [1 << (3 * r % k) for r in range(k)]
-    table = _layer_table(rows, k)
-    assert _kept_masks(k) is None
-    assert sum(table) == 1 << k
-    for f in range(1 << k):
+    tables = _layer_tables(rows, k)
+    assert len(tables) == 1 << k
+    for f, table in enumerate(tables):
         image = sum(rows[r] for r in range(k) if not (f >> r) & 1)
-        assert table[f << k | image] == 1
-    # every part size asked for: the kept masks stay in bounds
-    kept_ks = [size for size in range(1, LAYERED_MAX_K + 1) if _kept_masks(size)]
-    assert kept_ks == list(range(1, 11))
-    kept = sum(sys.getsizeof(m) for size in kept_ks for m in _kept_masks(size))
-    assert kept <= KEPT_MASKS_MAX_BYTES
+        assert table == 1 << width * image
 
 
 def test_import_keeps_no_masks():
     # masks are made by the first count at each k, never at import
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
-    probe = "import dpratio, dpratio.counting as c; print(c._kept_masks.cache_info().currsize)"
+    probe = "import dpratio, dpratio.counting as c; print(c._column_masks.cache_info().currsize)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -430,8 +451,8 @@ def test_layer_field_width():
     # a full layer reaches k! at the empty fixed set, at the largest k of
     # the 1- and 2-byte widths and the smallest of the 4-byte width
     for k in (5, 8, 9):
-        table = _layer_table([(1 << k) - 1] * k, k)
-        assert table[(1 << k) - 1] == math.factorial(k)
+        tables = _layer_tables([(1 << k) - 1] * k, k)
+        assert table_fields(tables[0], k)[(1 << k) - 1] == math.factorial(k)
 
 
 #: (X, Y) of trials 0-3 of run_mc(plan(0.3, 8), 4, seed=0), ell = 2, m = 102:

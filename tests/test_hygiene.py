@@ -1,5 +1,6 @@
-"""Six scans: names nothing reads, imports outside the standard library,
-the boundary around the oracles, and the benchmark's hold on the library.
+"""Seven scans: names nothing reads, imports outside the standard library,
+the boundary around the oracles, the benchmark's hold on the library, and
+the README's CLI synopsis.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -25,11 +26,19 @@ Every `dpratio` name a benchmark script (`bench/*.py`) imports resolves in
 `src/`, and every module named in `bench/spans.py`'s `MODULES` exists: a
 rename in the library would otherwise break the benchmark's output check
 unseen, since only `bench/smoke.py` runs it.
+
+Every option string of every `dpratio` subcommand appears in that
+subcommand's synopsis line(s) of the README's CLI block, so the synopsis
+keeps up with `cli.build_parser()`.
 """
 
+import argparse
 import ast
+import re
 import sys
 from pathlib import Path
+
+from dpratio.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "dpratio").glob("*.py"))
@@ -281,3 +290,64 @@ def test_spans_modules_exist():
     modules = spans_modules((ROOT / "bench" / "spans.py").read_text())
     assert modules
     assert [m for m in modules if not (ROOT / "src" / "dpratio" / f"{m}.py").is_file()] == []
+
+
+def synopsis(readme: str) -> dict[str, str]:
+    """Each subcommand's synopsis in the first sh block of the README's CLI
+    section: its `dpratio <name>` lines and the indented lines that follow."""
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines: dict[str, str] = {}
+    name = None
+    for line in block.splitlines():
+        if line.startswith("dpratio "):
+            name = line.split()[1]
+            lines[name] = lines.get(name, "") + line + "\n"
+        elif name and line.startswith(" "):
+            lines[name] += line + "\n"
+    return lines
+
+
+def missing_options(readme: str, parser: argparse.ArgumentParser) -> list[str]:
+    """`<command> <option>` for each option string of a subcommand that its
+    synopsis lacks as a whole word, and `<command>` for a subcommand with no
+    synopsis line; -h/--help is argparse's own and skipped."""
+    lines = synopsis(readme)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = []
+    for name, sub in commands.choices.items():
+        if name not in lines:
+            missing.append(name)
+            continue
+        for action in sub._actions:
+            for opt in action.option_strings:
+                word = rf"(?<![\w-]){re.escape(opt)}(?![\w-])"
+                if opt not in ("-h", "--help") and not re.search(word, lines[name]):
+                    missing.append(f"{name} {opt}")
+    return missing
+
+
+def test_scan_finds_missing_cli_option():
+    parser = argparse.ArgumentParser(prog="dpratio")
+    commands = parser.add_subparsers()
+    options = {"count": ["--in", "--out"], "sweep": ["--k", "--k-list"], "verify": []}
+    for name, opts in options.items():
+        sub = commands.add_parser(name)
+        for opt in opts:
+            sub.add_argument(opt)
+    readme = (
+        "# x\n\n```sh\ndpratio count --out F\n```\n\n## CLI\n\n```sh\n"
+        "dpratio count --in FILE\n"
+        "dpratio sweep --k-list 4,6\n"
+        "              [--out FILE]\n"
+        "```\n\n```sh\ndpratio verify\n```\n"
+    )
+    assert synopsis(readme) == {
+        "count": "dpratio count --in FILE\n",
+        "sweep": "dpratio sweep --k-list 4,6\n              [--out FILE]\n",
+    }
+    # --out of count appears only outside the CLI block, --k only inside --k-list
+    assert missing_options(readme, parser) == ["count --out", "sweep --k", "verify"]
+
+
+def test_readme_synopsis_names_every_cli_option():
+    assert missing_options((ROOT / "README.md").read_text(), build_parser()) == []
