@@ -357,6 +357,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("expect_k2_ell2_m6.csv", "expect --k 2 --ell 2 --m 6 --format csv"),
         ("mc_r0.3_k4_trials3.json", "mc --r 0.3 --k 4 --trials 3"),
         ("sweep_r0.3_k2-3_trials2.csv", "sweep --r 0.3 --k-list 2,3 --trials 2"),
+        ("verify_tiny.txt", "verify --profile tiny"),
     ],
 )
 def test_frozen_output(capsys, name, argv):
