@@ -4,7 +4,10 @@ Two counters:
 
 * count_permanent  -- Glynn permanents of A and of A+I, one pass each,
   any digraph with n <= 30: the sign patterns of up to 8 columns side by
-  side in one packed int, a Gray-code walk over the rest;
+  side in one packed int, a Gray-code walk over the rest; each step skips,
+  in C, the patterns with a zero row sum (most of them, for a sparse
+  digraph), found by byte-wise big-int arithmetic in which no byte
+  carries into the next;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from operator import itemgetter, mul
 
 from .digraph import Digraph, SampledSubgraph
@@ -64,9 +69,9 @@ class CountPair:
 #: within about 10% of each other at n = 16 and 18, width 4 slower
 _GLYNN_BATCH = 8
 
-#: bytes.translate table from a field biased by 128 to its value as a
-#: two's complement byte: b -> (b - 128) mod 256
-_UNBIAS = bytes(range(128, 256)) + bytes(range(128))
+#: bytes.translate table from a block's zero count to _glynn's keep flag:
+#: 0 -> 1, anything else -> 0
+_KEEP = bytes(b == 0 for b in range(256))
 
 
 def _sign_blocks(cols: list[int], n: int, h: int) -> int:
@@ -89,6 +94,15 @@ def _sign_blocks(cols: list[int], n: int, h: int) -> int:
     return even | (odd << (width << (h - 1)))
 
 
+def _zero_flags(x: int, low: int, high: int) -> int:
+    """1 in each byte of x that is 0, 0 in every other byte; low and high
+    hold 0x7f and 0x80 in each byte of x.  A byte's low 7 bits plus 0x7f is
+    at most 0xfe, so it stays in its byte and sets bit 7 unless those bits
+    are all 0; ORed with the byte itself, bit 7 is clear exactly when the
+    byte is 0."""
+    return (((((x & low) + low) | x) & high) ^ high) >> 7
+
+
 def _glynn(cols: list[int], n: int) -> int:
     """perm(M) for the n x n matrix M whose column j is cols[j], packed one
     byte per row (row i in bits 8*i .. 8*i + 7).
@@ -98,14 +112,24 @@ def _glynn(cols: list[int], n: int) -> int:
     The 2^h patterns of columns 1..h, h = min(n - 1, _GLYNN_BATCH), sit in
     n-byte blocks of one int (_sign_blocks).  The other n - 1 - h signs walk
     the Gray code, so each step flips one sign and moves every block at once
-    by one add or subtract of twice that packed column.  A step reads all
-    the blocks with one to_bytes, one translate from the bias to signed
-    bytes and one cast, and their row-sum products in C.
+    by one add or subtract of twice that packed column.
 
     Each field is 128 + sum_j delta_j m_ij.  count_permanent passes A or
     A + I of a digraph, whose rows sum to at most n <= PERMANENT_MAX_N = 30,
     so every field stays in [98, 158] within its byte: the packed sums equal
-    the per-field sums, with no borrow or carry between fields.
+    the per-field sums, with no borrow or carry between fields.  XOR with
+    0x80 in every byte turns each field into its row sum as a two's
+    complement byte, 0 exactly for a zero row sum.
+
+    A block with a zero row sum adds nothing, and most blocks of a sparse
+    matrix have one, so each step finds those blocks in C and multiplies
+    out only the rest.  The zero fields' flags (_zero_flags), multiplied by
+    `ones`, a 1 in each of n bytes, leave each block's zero count in its
+    top byte: every partial sum of a byte is at most n <= PERMANENT_MAX_N
+    < 256, so none carries into the next.  One strided slice and translate
+    of those counts give `keep`, a 1 byte per block with no zero row sum.
+    Each kept block is read as n signed bytes (struct "b"), and the row-sum
+    products are summed in C.
     O(2^(n-1) * n).
     """
     if n == 0:
@@ -117,6 +141,12 @@ def _glynn(cols: list[int], n: int) -> int:
     twos = int.from_bytes((b"\x02" + b"\x00" * (n - 1)) * blocks, "little")
     steps = [twos * cols[j] for j in range(h + 1, n)]
     size = n << h
+    high = int.from_bytes(b"\x80" * size, "little")
+    low = int.from_bytes(b"\x7f" * size, "little")
+    ones = int.from_bytes(b"\x01" * n, "little")
+    even_offsets = range(0, evens * n, n)
+    odd_offsets = range(evens * n, size, n)
+    unpack_from = struct.Struct(f"{n}b").unpack_from
     acc = signs = 0
     for walk in range(1 << (n - 1 - h)):
         if walk:
@@ -124,9 +154,13 @@ def _glynn(cols: list[int], n: int) -> int:
             signs ^= bit
             step = steps[bit.bit_length() - 1]
             packed = packed - step if signs & bit else packed + step
-        sums = memoryview(packed.to_bytes(size, "little").translate(_UNBIAS)).cast("b")
-        prods = list(map(math.prod, zip(*[iter(sums)] * n)))
-        p = sum(prods[:evens]) - sum(prods[evens:])
+        sums = packed ^ high
+        zeros = _zero_flags(sums, low, high) * ones
+        keep = zeros.to_bytes(size + n, "little")[n - 1 : size : n].translate(_KEEP)
+        signed = repeat(sums.to_bytes(size, "little"))
+        p = sum(map(math.prod, map(unpack_from, signed, compress(even_offsets, keep)))) - sum(
+            map(math.prod, map(unpack_from, signed, compress(odd_offsets, keep[evens:])))
+        )
         acc += -p if walk & 1 else p  # odd walk: an odd number of walked signs negative
     return acc >> (n - 1)
 

@@ -3,7 +3,7 @@ cross-checks in `dpratio.verify` compare a production route against.
 
 * count_bruteforce    -- counts by building every permutation, n <= 10;
 * closed_form_counts  -- the full blow-up's counts in closed form;
-* falling_ratio_exact -- (b)_x / (a)_x as a product of rationals;
+* falling_ratio_exact -- (b)_x / (a)_x as one reduced ratio of falling factorials;
 * enumerate_subgraphs -- every m-edge subgraph of a blow-up;
 * h_bruteforce        -- h(a, b) by enumerating permutations;
 * h_window_error      -- the deviation of h(a, b) from a!/e, in exact rationals;
@@ -78,13 +78,11 @@ def closed_form_counts(k: int, ell: int) -> counting.CountPair:
 
 
 def falling_ratio_exact(a: int, b: int, x: int) -> Fraction:
-    """(b)_x / (a)_x as an exact rational; equals C(a-x, b-x) / C(a, b)."""
+    """(b)_x / (a)_x as an exact rational, from the falling factorials
+    themselves (math.perm), reduced once; equals C(a-x, b-x) / C(a, b)."""
     if not (0 <= x <= b <= a):
         raise ValueError(f"need 0 <= x <= b <= a, got a={a}, b={b}, x={x}")
-    out = Fraction(1)
-    for t in range(x):
-        out *= Fraction(b - t, a - t)
-    return out
+    return Fraction(math.perm(b, x), math.perm(a, x))
 
 
 def enumerate_subgraphs(

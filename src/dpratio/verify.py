@@ -127,10 +127,11 @@ def check_counters(prof: Profile, record: Record) -> list[CheckResult]:
         s = experiment.derive_seed(prof.cross_seed, t)
         m = experiment.derive_seed(s, 0) % (base.edge_count + 1)
         g = digraph.sample_subgraph(base, m, s)
-        pm = counting.count_permanent(digraph.to_general(g))
+        general = digraph.to_general(g)
+        pm = counting.count_permanent(general)
         ok &= record(counting.count_layered(g)) == pm
         if base.vertex_count <= 9:
-            ok &= oracles.count_bruteforce(digraph.to_general(g)) == pm
+            ok &= oracles.count_bruteforce(general) == pm
     return [
         CheckResult(
             "layered = permanent = brute-force counts on random subgraphs",

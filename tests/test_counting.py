@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -149,15 +150,43 @@ def test_permanent_size_limit():
         count_permanent(Digraph(n=31, edges=frozenset()))
 
 
+def zero_flags(raw: bytes) -> int:
+    # counting._zero_flags of the little-endian int of raw, with its masks
+    size = len(raw)
+    low = int.from_bytes(b"\x7f" * size, "little")
+    high = int.from_bytes(b"\x80" * size, "little")
+    return counting._zero_flags(int.from_bytes(raw, "little"), low, high)
+
+
 def test_permanent_max_n_fits_biased_byte():
     # a field of _glynn is 128 plus a signed row sum, at most n in size for
     # a digraph's A + I and n + 1 for a 0/1 matrix with loops plus I; at
-    # n = PERMANENT_MAX_N every such field must fit in a byte and come back
-    # as the signed byte of its sum
+    # n = PERMANENT_MAX_N every such field must fit in a byte and, XORed with
+    # 0x80, read back through the kernel's struct "b" format as its sum
     bound = PERMANENT_MAX_N + 1
-    fields = bytes(128 + s for s in range(-bound, bound + 1))
-    signed = memoryview(fields.translate(counting._UNBIAS)).cast("b")
-    assert list(signed) == list(range(-bound, bound + 1))
+    sums = range(-bound, bound + 1)
+    fields = int.from_bytes(bytes(128 + s for s in sums), "little")
+    high = int.from_bytes(b"\x80" * len(sums), "little")
+    signed = (fields ^ high).to_bytes(len(sums), "little")
+    assert struct.unpack(f"{len(sums)}b", signed) == tuple(sums)
+    # a block of n = PERMANENT_MAX_N zero fields between two blocks with one
+    # zero each: the flags times `ones` leave n in the block's top byte, and
+    # no partial sum carries into the next block's count byte
+    n = PERMANENT_MAX_N
+    ones = int.from_bytes(b"\x01" * n, "little")
+    blocks = b"\x00" + b"\x05" * (n - 1) + b"\x00" * n + b"\xf9" * (n - 1) + b"\x00"
+    size = len(blocks)
+    counts = (zero_flags(blocks) * ones).to_bytes(size + n, "little")
+    assert list(counts[n - 1 : size : n]) == [1, n, 1]
+    assert counts[n - 1 : size : n].translate(counting._KEEP) == bytes(3)
+
+
+def test_zero_flags_mark_exactly_the_zero_bytes():
+    # every byte value, each between two others, so a carry or borrow
+    # across bytes would show in a neighbour's flag
+    for order in (range(256), range(255, -1, -1), [0, 255] * 128):
+        flags = zero_flags(bytes(order)).to_bytes(len(order), "little")
+        assert list(flags) == [int(b == 0) for b in order]
 
 
 def matrix_cols(mat) -> list[int]:
@@ -183,6 +212,45 @@ def test_glynn_matches_naive_permanents():
             plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(mat)]
             assert _glynn(matrix_cols(mat), n) == naive_permanent(mat)
             assert _glynn(matrix_cols(plus_i), n) == naive_permanent(plus_i)
+
+
+def ryser_permanent(mat) -> int:
+    # Ryser's formula, perm = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} m_ij,
+    # with S walking the Gray code so each step moves one column in or out
+    n = len(mat)
+    cols = list(zip(*mat))
+    sums = [0] * n
+    subset = total = 0
+    for g in range(1, 1 << n):
+        j = (g & -g).bit_length() - 1
+        subset ^= 1 << j
+        sign = 1 if subset >> j & 1 else -1
+        sums = [s + sign * c for s, c in zip(sums, cols[j])]
+        p = math.prod(sums)
+        total += -p if subset.bit_count() & 1 else p
+    return -total if n & 1 else total
+
+
+def test_glynn_walk_matches_ryser_n9_to_n14():
+    # n >= 10 runs the outer Gray walk beside the 8-sign batch.  The empty
+    # matrix skips every block; its plus-I form I has no zero row sum, so it
+    # skips none, and nor does J_n at odd n; 0/1 matrices with loops and an
+    # all-ones row push the fields of their plus-I forms to 128 +- (n + 1)
+    rng = random.Random(2024)
+    for n in range(9, 15):
+        mats = [[[0] * n for _ in range(n)], [[1] * n for _ in range(n)]]
+        for density in (0.2, 0.5, 0.8):
+            mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            mats.append(mat)
+            looped = [row[:] for row in mat]
+            looped[rng.randrange(n)] = [1] * n
+            mats.append(looped)
+        for mat in mats:
+            plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(mat)]
+            assert _glynn(matrix_cols(mat), n) == ryser_permanent(mat)
+            assert _glynn(matrix_cols(plus_i), n) == ryser_permanent(plus_i)
+    assert ryser_permanent([[1] * 9 for _ in range(9)]) == math.factorial(9)
+    assert ryser_permanent([[int(i != j) for j in range(9)] for i in range(9)]) == 133496
 
 
 def test_count_permanent_matches_bruteforce_n9_n10():
