@@ -11,18 +11,25 @@ Two counters:
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
-  fixed-set size i at once.  The DP keeps one packed int per set F of
-  fixed rows: the count of used columns U sits in field U, of W = 8, 16
-  or 32 bits, the smallest with k! < 2^W, and each row moves every field
+  fixed-set size i at once.  The DP keeps one packed table per set F of
+  fixed rows: the count of used columns U sits in field U, of W = 8, 16,
+  32 or 64 bits, the smallest with k! < 2^W, and each row moves every field
   of a table at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
-  The k column masks span the 2^k fields of one table and depend only on
-  k, so they are made once per process (functools.cache) and kept for
-  every later layer and call, at every k (192 KB at k = 12).  The end
-  sizes are closed forms: i = 0 is the product of the layers'
-  perfect-matching counts and i = k the identity alone.  Each matrix row
-  of a size between them is read from its table in one
-  `operator.itemgetter` call.
+  2^g consecutive tables share one int of about 4 KB (g = 0 from k = 10
+  on, one table an int), so the k column masks span the fields of one
+  chunk; they depend only on k, so they are made once per process
+  (functools.cache) and kept for every later layer and call (192 KB at
+  k = 12).  Each chunk is read once, as a typed view in native byte order,
+  one `operator.itemgetter` call per fixed set.  Every layer but the last
+  runs on its transposed rows, so it gives the columns of its matrices;
+  the last gives rows.  The trace closes with one dot product per fixed
+  set, a column of T_1 ... T_(ell-1) with a row of T_ell; at ell >= 3 the
+  product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
+  Comput. 2009, section 2), so each entry of a layer adds one big-int
+  multiple of a whole column.  The end sizes are closed forms: i = 0 is
+  the product of the layers' perfect-matching counts and i = k the
+  identity alone.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), the permanent for a
@@ -44,7 +51,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, mul
 
 from .digraph import Digraph, SampledSubgraph
@@ -197,119 +204,230 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     where T_c^(i) is indexed by pairs of i-subsets (F of part c, F' of part
     c+1) with entry = number of perfect matchings of layer c avoiding F and
-    F'.  One list of packed tables per layer (see _layer_tables) holds these
-    entries for every i at once: T_c^(i)[F][F'] is field full ^ F' of
-    tables[F].  The end sizes take no matrices: the i = 0 term is the
-    derangement count, the product of each layer's perfect-matching count,
-    the top field of tables[0], and the i = k term is 1, the identity.  For
-    0 < i < k, row F of T_c^(i) is one itemgetter gather of C(k, i) >= 2
-    fields (so a tuple) from tables[F] read into an array in native byte
-    order.  That keeps each field's own bytes in the array's order, but a
-    big-endian int starts at its top field: field U is array item U on a
-    little-endian machine and item full ^ U on a big-endian one, so the
-    gather keys are full ^ F' on the first and F' on the second.  A size
-    whose matrix is all zero in some layer adds nothing and builds no further
-    matrices.  The trace then takes ell - 2 dense matrix products.
+    F'.  The end sizes take no matrices: the i = 0 term is the derangement
+    count, the product of each layer's perfect-matching count, and the
+    i = k term is 1, the identity.  For 0 < i < k, each layer's packed
+    tables (_layer_tables) are read once, one vector per fixed set
+    (_layer_vectors): every layer but the last runs on its transposed rows,
+    so its vectors are the columns of T_c, and the last one's are the rows
+    of T_ell.  With P = T_1 ... T_(ell-1),
+
+        trace(P T_ell) = sum_F column F of P . row F of T_ell.
+
+    At ell = 2, P = T_1: its columns are read from its chunk views beside
+    the last layer's rows, so no matrix is ever held as tuples.  Otherwise
+    each column of P is one Kronecker-packed int (_pack), whose fields are
+    sized once for the whole chain (_chain_bytes): column y of P T_c is
+    sum_z T_c[z][y] * column z of P, one big-int multiply-add per entry,
+    and no field carries, since every addend is nonnegative and each field
+    ends at most at its bound.  The packed columns are unpacked once
+    (_unpack) before the closing dots.
     """
     k = g.k
     check_layered_k(k)
-    full = (1 << k) - 1
     nbytes = _field_bytes(k)
-    code, size = _ARRAY_CODES[nbytes], nbytes << k
-    subsets_by_size: list[list[int]] = [[] for _ in range(k + 1)]
-    for mask in range(1 << k):
-        subsets_by_size[mask.bit_count()].append(mask)
-    sizes = range(1, k)
-    flip = full if sys.byteorder == "little" else 0  # array item of field full ^ F'
-    get_row = {i: itemgetter(*[flip ^ f for f in subsets_by_size[i]]) for i in sizes}
+    *heads, last = g.layers
+    derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
+    if len(heads) > 1:
+        sizes = [f.bit_count() for f in range(1, (1 << k) - 1)]  # |F| in the order of the vectors
+        widths = {i: _chain_bytes(k, i, len(g.layers)) for i in range(1, k)}
+        packed = {i: [] for i in widths}
+        for i, col in zip(sizes, cols):
+            packed[i].append(_pack(col, widths[i]))
+        for rows in heads[1:]:
+            matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
+            derangements *= matchings
+            packed = _column_products(packed, layer_cols, sizes)
+        unpacked = {
+            i: map(_unpack, packed[i], repeat(widths[i]), repeat(math.comb(k, i))) for i in widths
+        }
+        cols = (next(unpacked[i]) for i in sizes)
+    matchings, rows = _layer_vectors(last, k, nbytes)
+    # each column has as many entries as its row, so the dots run end to end
+    traces = sum(map(mul, chain.from_iterable(cols), chain.from_iterable(rows)))
+    derangements *= matchings
+    return CountPair(derangements=derangements, permutations=derangements + 1 + traces)
 
-    # mats[i] holds T_c^(i) for the layers so far; size i leaves once a layer's is zero
-    mats = {i: [] for i in sizes}
-    derangements = 1
-    for rows in g.layers:
-        tables = _layer_tables(rows, k)
-        derangements *= tables[0] >> (8 * nbytes * full)
-        for i in list(mats):
-            get = get_row[i]
-            mat = [
-                get(array(code, tables[f].to_bytes(size, sys.byteorder)))
-                for f in subsets_by_size[i]
-            ]
-            if any(map(any, mat)):
-                mats[i].append(mat)
-            else:
-                del mats[i]
-        del tables  # freed before the next layer's tables are built
-    permutations = derangements + 1 + sum(map(_trace_product, mats.values()))
-    return CountPair(derangements=derangements, permutations=permutations)
+
+def _transpose(rows, k: int) -> list[int]:
+    """The row masks of a layer with its edges reversed: bit r of row j is
+    bit j of rows[r]."""
+    return [sum(((row >> j) & 1) << r for r, row in enumerate(rows)) for j in range(k)]
 
 
 def _field_bytes(k: int) -> int:
-    """Bytes per field of a layer table: the smallest of 1, 2 and 4 whose
-    fields hold k!, the largest count a field can reach."""
-    return next(n for n in (1, 2, 4) if math.factorial(k) < 1 << 8 * n)
+    """Bytes per field of a layer table: the smallest of 1, 2, 4 and 8
+    whose fields hold k!, the largest count a field can reach."""
+    for n in (1, 2, 4, 8):
+        if math.factorial(k) < 1 << 8 * n:
+            return n
+    raise ValueError(f"no layer-table field of at most 8 bytes holds {k}! at k = {k}")
 
 
-# array typecode of each field width, chosen by item size, which C fixes
+# native typecode of each field width, chosen by item size, which C fixes
 # only as a minimum
-_ARRAY_CODES = {n: next(c for c in "BHIL" if array(c).itemsize == n) for n in (1, 2, 4)}
+_FIELD_CODES = {n: next(c for c in "BHIQL" if array(c).itemsize == n) for n in (1, 2, 4, 8)}
+
+#: a chunk of _layer_tables packs 2^g consecutive tables into about this
+#: many bytes, g >= 0
+_CHUNK_BYTES = 4096
+
+
+def _chunk_log(k: int, nbytes: int) -> int:
+    """g: each chunk of _layer_tables holds 2^g tables of 2^k fields of
+    nbytes each, at most _CHUNK_BYTES in all, or one table if that is
+    larger (k >= 10)."""
+    return min(k, max(0, (_CHUNK_BYTES // (nbytes << k)).bit_length() - 1))
 
 
 @functools.cache
-def _column_masks(k: int) -> tuple[int, ...]:
+def _column_masks(k: int, nbytes: int) -> tuple[int, ...]:
     """The k column masks of _layer_tables, made once per process per k:
-    mask j has all ones in the W-bit fields of the 2^k whose index U lacks
-    bit j, W = 8 * _field_bytes(k).  At k = 12 they take 12 * 4 B * 4096,
-    about 192 KB."""
-    nbytes = _field_bytes(k)
-    # mask j repeats 2^j full fields then 2^j empty ones, 2^(k-1-j) times
+    mask j has all ones in the nbytes-wide fields of a chunk's 2^(k+g)
+    whose index lacks bit j (g = _chunk_log), so it repeats once per table.
+    At k = 12 they take 12 * 4 B * 4096, about 192 KB."""
+    span = 1 << (k + _chunk_log(k, nbytes))
+    # mask j repeats 2^j full fields then 2^j empty ones
     runs = [b"\xff" * (nbytes << j) + b"\x00" * (nbytes << j) for j in range(k)]
-    return tuple(int.from_bytes(run * (1 << (k - 1 - j)), "little") for j, run in enumerate(runs))
+    return tuple(int.from_bytes(run * (span >> (j + 1)), "little") for j, run in enumerate(runs))
 
 
-def _layer_tables(rows, k: int) -> list[int]:
-    """Perfect-matching counts of every minor of one layer, one packed int
-    per fixed set: field U of tables[F] counts the matchings of the rows
-    outside the fixed set F into the used columns U, so the minor that drops
-    rows F and columns F' is field full ^ F' of tables[F], and every field
-    with |F| + |U| != k is 0.  Field U sits in the W bits at offset U * W,
-    W = 8 * _field_bytes(k).
+def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
+    """Perfect-matching counts of every minor of one layer, in packed
+    tables, one per fixed set: field U of table F counts the matchings of
+    the rows outside the fixed set F into the used columns U, so the minor
+    that drops rows F and columns F' is field full ^ F' of table F, and
+    every field with |F| + |U| != k is 0.  The tables come in chunks of
+    2^g (_chunk_log): chunks[c] holds table F = c * 2^g + f at field offset
+    f * 2^k, and a field is W = 8 * nbytes bits.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).
-    Before row t the list holds 2^t tables.  Matching row t to column j
-    moves those fields of a table whose U lacks bit j up by W * 2^j bits:
-    one mask (_column_masks), one shift and one add per column, summed into
-    the table's entry of `matched`.  Fixing the row keeps each table as the
-    one of F | 1 << t, so the tables after the row are `matched + tables`.  No
-    field carries: a field counts injections of the non-fixed rows into U,
-    at most |U|! <= k! < 2^W, and every addend is nonnegative, so no partial
-    sum exceeds its final value.
+    Matching row t to column j moves those fields of each table whose U
+    lacks bit j up by W * 2^j bits: one mask (_column_masks), one shift and
+    one add per column, summed into the chunk's entry of `matched`.  Fixing
+    the row keeps each table as the one of F | 1 << t: for t < g that table
+    sits 2^t tables higher in the same chunk, so the chunk after the row is
+    `matched + (chunk << W * 2^(k+t))`; from t = g on, it is in a new chunk,
+    so the chunks after the row are `matched + chunks`.  No field carries:
+    a field counts injections of the non-fixed rows into U, at most
+    |U|! <= k! < 2^W, and every addend is nonnegative, so no partial sum
+    exceeds its final value.
     """
-    width = 8 * _field_bytes(k)
-    masks = _column_masks(k)
-    tables = [1]  # before row 0: the empty state, one way
-    for row in rows:
+    width = 8 * nbytes
+    g = _chunk_log(k, nbytes)
+    masks = _column_masks(k, nbytes)
+    chunks = [1]  # before row 0: the empty state, one way
+    for t, row in enumerate(rows):
         cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
         matched = []
-        for x in tables:
+        for x in chunks:
             m = 0
             for mask, shift in cols:
                 m += (x & mask) << shift
             matched.append(m)
-        tables = matched + tables
-    return tables
+        if t < g:  # one chunk so far
+            chunks = [matched[0] + (chunks[0] << (width << (k + t)))]
+        else:
+            chunks = matched + chunks
+    return chunks
 
 
-def _trace_product(mats) -> int:
-    """trace(M_1 * ... * M_t) for t >= 2 square big-int matrices: dense
-    products up to M_(t-1), then the diagonal sum of P[x][y] * M_t[y][x]."""
-    *head, last = mats
-    m = head[0]
-    for nxt in head[1:]:
-        cols = list(zip(*nxt))
-        m = [[sum(map(mul, row, col)) for col in cols] for row in m]
-    return sum(sum(map(mul, row, col)) for row, col in zip(m, zip(*last)))
+@functools.cache
+def _readers(k: int, nbytes: int, order: str) -> tuple[tuple[itemgetter, ...], ...]:
+    """readers[c] reads, from chunk c of _layer_tables viewed as fields in
+    byte order `order`, the vectors of its fixed sets F with 0 < |F| < k,
+    in increasing F: row F of T^(i), i = |F|, is the fields full ^ x of
+    table F for every i-subset x, in increasing x.  One getter per size i
+    and table f within a chunk, shared by every chunk.  The view keeps
+    each field's own bytes in its order, but a big-endian int starts at
+    its top field: field f * 2^k + U is item f * 2^k + U on a
+    little-endian machine and (2^g - 1 - f) * 2^k + full ^ U on a
+    big-endian one.  Made once per process per (k, width, order), with
+    about one key per field of a chunk, 2^12 at k = 12."""
+    full = (1 << k) - 1
+    per = 1 << _chunk_log(k, nbytes)
+    subsets: list[list[int]] = [[] for _ in range(k + 1)]
+    for x in range(1 << k):
+        subsets[x.bit_count()].append(x)
+
+    def getter(f: int, i: int) -> itemgetter:
+        if order == "little":
+            return itemgetter(*[f << k | full ^ x for x in subsets[i]])
+        return itemgetter(*[(per - 1 - f) << k | x for x in subsets[i]])
+
+    getters = {(f, i): getter(f, i) for f in range(per) for i in range(1, k)}
+    return tuple(
+        tuple(getters[f, i] for f in range(per) if 0 < (i := (base | f).bit_count()) < k)
+        for base in range(0, 1 << k, per)
+    )
+
+
+def _layer_vectors(rows, k: int, nbytes: int):
+    """(m, vectors) of one layer: m its perfect-matching count, field full
+    of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
+    fixed set F with 0 < |F| < k, in increasing F.  Each chunk of
+    _layer_tables is popped as it turns into bytes in native order, viewed
+    as fields of its width (memoryview.cast, no copy), and read once by
+    the getters of _readers."""
+    order = sys.byteorder
+    width = 8 * nbytes
+    chunks = _layer_tables(rows, k, nbytes)
+    matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
+    code, size = _FIELD_CODES[nbytes], nbytes << (k + _chunk_log(k, nbytes))
+    # popped from the end, so views holds the chunks last first
+    views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
+    return matchings, _read(views, _readers(k, nbytes, order))
+
+
+def _read(views: list[memoryview], readers):
+    """The vectors of _layer_vectors from its chunk views, last chunk
+    first, each view dropped once read."""
+    for gets in readers:
+        chunk = views.pop()
+        for get in gets:
+            yield get(chunk)
+
+
+def _chain_bytes(k: int, i: int, ell: int) -> int:
+    """Bytes per field of a packed column of T_1^(i) ... T_(ell-1)^(i): the
+    C(k, i)^(ell-2) (k-i)!^(ell-1) bound of any entry, rounded up to 1, 2, 4
+    or 8 bytes, or to whole bytes past 8."""
+    bound = math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1)
+    nbytes = (bound.bit_length() + 7) // 8
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+
+def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:
+    """The packed columns of P T^(i) for each size i, given packed[i], those
+    of P^(i), and the columns of T in the order of `sizes`, the size of
+    each: column y of P T is sum_z T[z][y] * column z of P."""
+    product: dict[int, list[int]] = {i: [] for i in packed}
+    for i, col in zip(sizes, cols):
+        product[i].append(sum(map(mul, col, packed[i])))
+    return product
+
+
+#: struct format code of each packed column field width up to 8 bytes,
+#: standard sizes in little-endian order whatever the machine
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(col, nbytes: int) -> int:
+    """col as one int, entry x in the nbytes-wide field at byte x * nbytes."""
+    if nbytes in _STRUCT_CODES:
+        raw = struct.pack(f"<{len(col)}{_STRUCT_CODES[nbytes]}", *col)
+    else:
+        raw = b"".join(map(int.to_bytes, col, repeat(nbytes), repeat("little")))
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, nbytes: int, n: int) -> tuple[int, ...]:
+    """The n fields of x, low first, nbytes each: the inverse of _pack."""
+    raw = x.to_bytes(n * nbytes, "little")
+    if nbytes in _STRUCT_CODES:
+        return struct.unpack(f"<{n}{_STRUCT_CODES[nbytes]}", raw)
+    return tuple(int.from_bytes(raw[j : j + nbytes], "little") for j in range(0, len(raw), nbytes))
 
 
 def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:

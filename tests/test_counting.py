@@ -20,9 +20,14 @@ from dpratio.counting import (
     count,
     count_layered,
     count_permanent,
+    _chain_bytes,
+    _chunk_log,
+    _column_products,
     _field_bytes,
     _glynn,
     _layer_tables,
+    _pack,
+    _unpack,
 )
 from dpratio.digraph import (
     Digraph,
@@ -34,6 +39,17 @@ from dpratio.digraph import (
 from dpratio.experiment import derive_seed, run_mc
 from dpratio.oracles import closed_form_counts, count_bruteforce
 from dpratio.params import plan
+
+
+def layer_tables(rows, k: int) -> list[int]:
+    # the packed tables of one layer, one int per fixed set F: the chunks of
+    # _layer_tables split into their 2^g tables of 2^k fields each
+    nbytes = _field_bytes(k)
+    span = 8 * nbytes << k
+    per = 1 << _chunk_log(k, nbytes)
+    chunks = _layer_tables(rows, k, nbytes)
+    assert len(chunks) * per == 1 << k
+    return [(chunk >> span * f) & ((1 << span) - 1) for chunk in chunks for f in range(per)]
 
 
 def table_fields(table: int, k: int) -> list[int]:
@@ -331,13 +347,18 @@ def test_layered_k1_every_edge_subset():
 
 
 def test_layered_big_endian_field_order(monkeypatch):
-    # at k <= 5 a field is one byte, so the bytes of a table read as
+    # at k <= 5 a field is one byte, so the bytes of a chunk read as
     # sys.byteorder = "big" are exactly those of a big-endian machine, where
-    # field U is array item full ^ U; the counts must not change
+    # field f * 2^k + U of a chunk of 2^g tables is item
+    # (2^g - 1 - f) * 2^k + full ^ U; the counts must not change.  Every
+    # table of a layer shares one chunk here (g = k), and at ell >= 3 the
+    # packed columns, whose fields are wider than a byte, keep their own
+    # little-endian layout whatever sys.byteorder says
     rng = random.Random(1955)
     graphs = []
     for k in range(2, 6):
-        base = build_blowup(k, rng.choice([2, 3]))
+        assert _field_bytes(k) == 1 and _chunk_log(k, 1) == k
+        base = build_blowup(k, rng.choice([2, 3, 4]))
         for _ in range(8):
             g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
             graphs.append((g, count_permanent(to_general(g))))
@@ -348,8 +369,9 @@ def test_layered_big_endian_field_order(monkeypatch):
 
 def test_layered_middle_size_dies_in_second_layer():
     # k = 3, ell = 3: layers 0 and 2 full, layer 1 the one edge 0 -> 0.  Every
-    # 2 x 2 minor of layer 1 has permanent 0, so size i = 1 drops out at the
-    # second layer, while size 2 (one edge per minor) goes on: Y = 1 + 3
+    # 2 x 2 minor of layer 1 has permanent 0, so size i = 1 adds nothing from
+    # the second layer on (its packed columns are all 0), while size 2 (one
+    # edge per minor) goes on: Y = 1 + 3
     k, ell = 3, 3
     base = build_blowup(k, ell)
     layer_one_edge = k * k  # index of part-1 vertex 0 -> part-2 vertex 0
@@ -357,7 +379,7 @@ def test_layered_middle_size_dies_in_second_layer():
         base, [*range(k * k), layer_one_edge, *range(2 * k * k, 3 * k * k)]
     )
     size_one = [(f, ((1 << k) - 1) ^ fc) for f in (1, 2, 4) for fc in (1, 2, 4)]
-    first, second = _layer_tables(g.layers[0], k), _layer_tables(g.layers[1], k)
+    first, second = layer_tables(g.layers[0], k), layer_tables(g.layers[1], k)
     assert any(table_fields(first[f], k)[u] for f, u in size_one)
     assert not any(table_fields(second[f], k)[u] for f, u in size_one)
     assert count_layered(g) == count_permanent(to_general(g)) == CountPair(0, 4)
@@ -367,9 +389,10 @@ def test_layered_middle_size_dies_in_second_layer():
 def test_layered_k12_peak_rss():
     # one count of the full k = LAYERED_MAX_K = 12, ell = 2 blow-up, the
     # largest size count_layered admits, in a fresh process: peak RSS
-    # measured at 237.2 MB (Linux x86-64, CPython 3.11, about 2 s).  Keeping
-    # the first layer's tables alive through the second layer's build adds
-    # their 64 MB, so the bound is 5% over the measured peak
+    # measured at 160.0 MB (Linux x86-64, CPython 3.11, about 2 s), the
+    # first layer's 64 MB of chunk views beside the second layer's 64 MB of
+    # tables.  Copying each chunk into an array instead of viewing its
+    # bytes measured 195 MB, so the bound is 5% over the measured peak
     assert LAYERED_MAX_K == 12
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
@@ -387,7 +410,7 @@ def test_layered_k12_peak_rss():
         check=True,
     ).stdout.split()
     assert CountPair(int(out[0]), int(out[1])) == closed_form_counts(12, 2)
-    assert int(out[2]) / 1024 <= 1.05 * 237.2
+    assert int(out[2]) / 1024 <= 1.05 * 160.0
 
 
 def test_closed_form_examples():
@@ -401,8 +424,10 @@ def test_closed_form_examples():
 def test_closed_form_vs_layered_grid():
     shapes = [(k, ell) for k in range(1, 7) for ell in range(2, 5)]
     shapes += [(k, 2) for k in range(7, 11)]
-    # ell >= 5: the trace takes two or more dense products before its diagonal sum
-    shapes += [(k, ell) for k in range(1, 4) for ell in (5, 6)]
+    # ell >= 5: three or more packed column products before the closing dots;
+    # at k = 8, ell = 6 the packed fields are 10 bytes, past every struct code
+    shapes += [(k, ell) for k in range(1, 9) for ell in (5, 6)]
+    assert _chain_bytes(8, 1, 6) == 10
     for k, ell in shapes:
         assert closed_form_counts(k, ell) == count_layered(build_blowup(k, ell))
 
@@ -428,7 +453,7 @@ def test_layer_minors_match_permanents():
         if t % 4 == 1:
             rows[rng.randrange(k)] = 0  # an empty row
         full = (1 << k) - 1
-        tables = [table_fields(table, k) for table in _layer_tables(rows, k)]
+        tables = [table_fields(table, k) for table in layer_tables(rows, k)]
         assert len(tables) == 1 << k
         for f_rows, table in enumerate(tables):
             for used, cnt in enumerate(table):
@@ -463,22 +488,35 @@ def per_row_mask_table(rows, k: int) -> int:
     return cur
 
 
+def end_to_end(tables, span: int) -> int:
+    # tables[f] shifted up by span * f bits and summed, as one join of bytes
+    # where every table fits its span
+    assert all(table >> span == 0 for table in tables)
+    raw = b"".join(table.to_bytes(span // 8, "little") for table in tables)
+    return int.from_bytes(raw, "little")
+
+
 def test_layer_table_matches_per_row_masks():
-    # the split tables, laid end to end in the order of F, are the one-int table
+    # the chunks, and the tables split from them, laid end to end in the
+    # order of F, are the one-int table; k <= 9 packs several tables in a
+    # chunk (g > 0), k = 10 one table a chunk (g = 0)
+    assert [_chunk_log(k, _field_bytes(k)) for k in (1, 5, 7, 8, 9, 10)] == [1, 5, 4, 3, 1, 0]
     rng = random.Random(15)
-    for k in range(1, 10):
+    for k in range(1, 11):
         full = (1 << k) - 1
         layers = [[0] * k, [full] * k]  # the empty and the full layer
         for density in (0.3, 0.6, 0.9):
             rows = [sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)]
             rows[rng.randrange(k)] = rng.choice([0, full])
             layers.append(rows)
-        span = 8 * _field_bytes(k) << k  # bits of one table's 2^k fields
+        nbytes = _field_bytes(k)
+        span = 8 * nbytes << k  # bits of one table's 2^k fields
+        chunk_span = span << _chunk_log(k, nbytes)
         for rows in layers:
-            tables = _layer_tables(rows, k)
-            assert all(table >> span == 0 for table in tables)
-            flat = sum(table << span * f for f, table in enumerate(tables))
-            assert flat == per_row_mask_table(rows, k)
+            reference = per_row_mask_table(rows, k)
+            chunks = _layer_tables(rows, k, nbytes)
+            assert end_to_end(chunks, chunk_span) == reference
+            assert end_to_end(layer_tables(rows, k), span) == reference
 
 
 def test_layer_tables_k11_one_edge_per_row():
@@ -488,7 +526,7 @@ def test_layer_tables_k11_one_edge_per_row():
     k = 11
     width = 8 * _field_bytes(k)
     rows = [1 << (3 * r % k) for r in range(k)]
-    tables = _layer_tables(rows, k)
+    tables = layer_tables(rows, k)
     assert len(tables) == 1 << k
     for f, table in enumerate(tables):
         image = sum(rows[r] for r in range(k) if not (f >> r) & 1)
@@ -510,17 +548,81 @@ def test_import_keeps_no_masks():
 
 
 def test_layer_field_width():
-    # a field holds any count up to k!, in the fewest of 1, 2 and 4 bytes
-    for k in range(1, LAYERED_MAX_K + 1):
+    # a field holds any count up to k!, in the fewest of 1, 2, 4 and 8 bytes
+    for k in range(1, 21):
         nbytes = _field_bytes(k)
         assert math.factorial(k) < 1 << 8 * nbytes
         assert nbytes == 1 or math.factorial(k) >= 1 << 4 * nbytes
-    assert [_field_bytes(k) for k in (5, 6, 8, 9, 12)] == [1, 2, 2, 4, 4]
+    assert [_field_bytes(k) for k in (5, 6, 8, 9, 12, 13, 20)] == [1, 2, 2, 4, 4, 8, 8]
+    # 21! needs more than 64 bits: a clear error that names k
+    with pytest.raises(ValueError, match="k = 21"):
+        _field_bytes(21)
     # a full layer reaches k! at the empty fixed set, at the largest k of
     # the 1- and 2-byte widths and the smallest of the 4-byte width
     for k in (5, 8, 9):
-        tables = _layer_tables([(1 << k) - 1] * k, k)
+        tables = layer_tables([(1 << k) - 1] * k, k)
         assert table_fields(tables[0], k)[(1 << k) - 1] == math.factorial(k)
+
+
+def test_layered_forced_8_byte_fields(monkeypatch):
+    # the 8-byte width (k = 13..20) at small k: every field of every table
+    # 8 bytes wide, read through typecode "Q"; the counts must not change
+    rng = random.Random(1313)
+    graphs = []
+    for k in range(1, 6):
+        for ell in (2, 3, 4):
+            base = build_blowup(k, ell)
+            graphs.append((base, closed_form_counts(k, ell)))
+            for _ in range(3):
+                m = rng.randrange(base.edge_count + 1)
+                g = sample_subgraph(base, m, rng.randrange(1 << 30))
+                graphs.append((g, count_layered(g)))
+    monkeypatch.setattr(counting, "_field_bytes", lambda k: 8)
+    assert counting._FIELD_CODES[8] == "Q"
+    for g, expected in graphs:
+        assert count_layered(g) == expected
+        rows = g.layers[0]
+        assert _layer_tables(rows, g.k, 8) == [
+            int.from_bytes(b"".join(v.to_bytes(8, "little") for v in fields), "little")
+            for fields in chunk_fields(layer_tables(rows, g.k), g.k)
+        ]
+
+
+def chunk_fields(tables, k: int) -> list[list[int]]:
+    # the fields of the tables grouped as the chunks of 8-byte fields hold them
+    per = 1 << _chunk_log(k, 8)
+    fields = [table_fields(table, k) for table in tables]
+    return [sum(fields[c : c + per], []) for c in range(0, len(fields), per)]
+
+
+def naive_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_kronecker_column_products_past_64_bits():
+    # packed columns of A, times B, times C, unpacked, against the product
+    # written out entry by entry; an entry of B C is below 7 * 15 * 7 * 7 <
+    # 2^13, so with A's entries below 2^(W - 13) the products fit W-bit
+    # fields, and they pass 64 bits, which only the byte-slice unpack reads
+    rng = random.Random(64)
+    n = 7
+    for nbytes in (9, 10, 11):
+        a = [[rng.randrange(1 << (8 * nbytes - 13)) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randrange(1 << 4) for _ in range(n)] for _ in range(n)]
+        c = [[rng.randrange(1 << 3) for _ in range(n)] for _ in range(n)]
+        a[rng.randrange(n)] = [0] * n  # a zero row: a zero field inside each column
+        expected = naive_product(naive_product(a, b), c)
+        assert max(map(max, expected)) >= 1 << 64
+        assert max(map(max, expected)) < 1 << 8 * nbytes
+        sizes = (1,) * n  # one size, so every column is one of one matrix
+        packed = {1: [_pack(col, nbytes) for col in zip(*a)]}
+        for mat in (b, c):
+            packed = _column_products(packed, zip(*mat), sizes)
+        assert [_unpack(x, nbytes, n) for x in packed[1]] == list(zip(*expected))
+    # the struct widths pack and unpack to the same fields
+    for nbytes in (1, 2, 4, 8):
+        col = [rng.randrange(1 << 8 * nbytes) for _ in range(n)] + [1]
+        assert _unpack(_pack(col, nbytes), nbytes, n + 1) == tuple(col)
 
 
 #: (X, Y) of trials 0-3 of run_mc(plan(0.3, 8), 4, seed=0), ell = 2, m = 102:
