@@ -8,17 +8,20 @@ denominator C(T, m), from one binomial walked down in x, and reduces a single
 Fraction at the end.  The second moments share one pair sum over the fixed
 vertices (i, j) per part of two permutations (`_pair_weights`); E[X^2] is
 its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
-power of one packed layer polynomial, never enumerations of the compositions.
+power of one packed layer polynomial per pair, never enumerations of the
+compositions; the powers of a row i add into packed ints that are each
+unpacked once, so the dict of weights takes one sum per field of a row.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
+from .counting import _pack, _unpack
 from .digraph import blowup_edge_count, csv_text, report_json
 from .params import ConstructionPlan
 from .series import f_eval, h_exact
@@ -127,64 +130,88 @@ def expected_y_asymptotic(k: int, ell: int, p: float) -> float:
     return expected_x_asymptotic(k, ell, p) + math.log(f_eval(ell, 1.0 / p).value)
 
 
-def _poly_power(coeffs: list[int], ell: int) -> list[int]:
-    """Coefficients of (sum_t coeffs[t] z^t)^ell, coeffs >= 0 not all 0 and
-    ell >= 1, from one `pow` of the coefficients packed in nb-byte fields
-    (Kronecker substitution).  No field carries: a coefficient of the power
-    is at most its value at z = 1, sum(coeffs)^ell, whose byte length is nb."""
-    nb = ((sum(coeffs) ** ell).bit_length() + 7) // 8
-    packed = int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
-    raw = pow(packed, ell).to_bytes(nb * (ell * (len(coeffs) - 1) + 1), "little")
-    return [int.from_bytes(raw[s : s + nb], "little") for s in range(0, len(raw), nb)]
+def _run_fields(gs: list[list[int]], ell: int) -> tuple[int, ...]:
+    """Coefficients of sum_d z^(ell*d) (sum_t gs[d][t] z^t)^ell, low first,
+    for gs of nonnegative lists not all 0 and ell >= 1: one `pow` per list,
+    packed in nb-byte fields and added shifted into one int, unpacked once
+    (Kronecker substitution, D. Harvey, J. Symbolic Comput. 2009, section 2).
+    No field carries: a coefficient is at most the value at z = 1,
+    sum_d sum(gs[d])^ell, whose byte length is nb."""
+    nb = (sum(sum(g) ** ell for g in gs).bit_length() + 7) // 8
+    row = 0
+    for d, g in enumerate(gs):
+        row += pow(_pack(g, nb), ell) << (8 * nb * ell * d)
+    return _unpack(row, nb, -(-row.bit_length() // (8 * nb)))
 
 
-def _pair_weights(k: int, ell: int, pairs) -> dict[int, int]:
-    """Weights x -> count of the E[Y^2] pair sum over the (i, j) in pairs,
-    for _edge_expectation.
+#: a run of a row of _pair_weights goes on while each pair's own field
+#: width is within this many bytes of its first pair's
+_RUN_SLACK_BYTES = 8
+
+
+def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
+    """Weights x -> count of the E[Y^2] pair sum over 0 <= i, j <= n, for
+    _edge_expectation.
 
     i and j are the fixed vertices per part of the two permutations.  The
-    per-layer weight g(t) = C(k-i, t) C(k-t, j) h(k-j-t, k-i-t-2j) counts
-    the ways to share t edges (out-of-range binomials are 0, the second h
-    argument is clamped to [0, k-j-t]).  Each g(t) is a nonnegative count,
-    so `_poly_power` takes (sum_t g(t) z^t)^ell exactly, with no field
-    carry; its coefficient at z^b sums over layer profiles with b shared
+    per-layer weight g(t) = C(k-i, t) C(k-t, j) h(a, max(0, a-i-j)), with
+    a = k-j-t, counts the ways to share t edges; past t = k - max(i, j) a
+    binomial is 0, so g stops there.  The coefficient of
+    (sum_t g(t) z^t)^ell at z^b sums over layer profiles with b shared
     edges in total, and scaled by (k!/i!)^ell it weighs a union of
     (2k-i-j)*ell - b edges.
+
+    Row i shifts the power of pair (i, j) by ell*j fields, so field f
+    weighs (2k-i)*ell - f edges whatever j is: the powers add into packed
+    ints that are each unpacked once (`_run_fields`), and the prefactor
+    (k!/i!)^ell multiplies once per field.  A pair's own field width, the
+    byte length of sum(g)^ell, falls with j (from 210 bytes to 1 at k = 25,
+    ell = 20), and a `pow` at a wider field costs more, so a row packs in
+    runs of j at a width each: a run goes on while each pair's own width
+    is within _RUN_SLACK_BYTES of its first pair's.
     """
-    # all (i, j, t) terms ask for about (k + 1)^2 distinct h(a, b): each once
+    # h(a, a - s) for s = i + j, clamped at 0: about (k + 1)^2 / 2 distinct h_exact
     h = functools.cache(h_exact)
+    hs = [[h(a, max(0, a - s)) for a in range(k + 1)] for s in range(2 * n + 1)]
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(k + 1)]
+    comb_j = [[comb[k - t][j] for t in range(k - j + 1)] for j in range(n + 1)]  # C(k-t, j)
     weights: dict[int, int] = {}
-    for i, j in pairs:
-        g = []
-        for t in range(k + 1):
-            c = math.comb(k - i, t) * math.comb(k - t, j)
-            a = k - j - t
-            g.append(c * h(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
+    for i in range(n + 1):
+        runs: list[tuple[int, int, list[list[int]]]] = []  # (first width, first j, gs)
+        for j in range(n + 1):
+            top_t = k - max(i, j)
+            binomials = map(mul, comb[k - i][: top_t + 1], comb_j[j])
+            # a = k-j-t runs down from k - j to k - j - top_t
+            g = list(map(mul, binomials, reversed(hs[i + j][k - j - top_t : k - j + 1])))
+            width = ((sum(g) ** ell).bit_length() + 7) // 8
+            if not runs or abs(width - runs[-1][0]) >= _RUN_SLACK_BYTES:
+                runs.append((width, j, []))
+            runs[-1][2].append(g)
         prefactor = (math.factorial(k) // math.factorial(i)) ** ell
-        shift = (2 * k - i - j) * ell
-        for b, coeff in enumerate(_poly_power(g, ell)):
-            if coeff:
-                weights[shift - b] = weights.get(shift - b, 0) + prefactor * coeff
+        for _, j0, gs in runs:
+            base = (2 * k - i - j0) * ell
+            for f, coeff in enumerate(_run_fields(gs, ell)):
+                if coeff:
+                    weights[base - f] = weights.get(base - f, 0) + prefactor * coeff
     return weights
 
 
 def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
-    """E[X^2], exact: the (0, 0) term of the E[Y^2] pair sum, since a
-    derangement is a permutation with no fixed vertex.  Its per-layer
-    weight is g(t) = C(k,t) h(k-t, k-t), and the union of a pair of
-    derangements sharing b edges has 2k*ell - b edges.
+    """E[X^2], exact: the (0, 0) term of the E[Y^2] pair sum (the kernel
+    `_pair_weights` with i = j = 0), since a derangement is a permutation
+    with no fixed vertex.  Its per-layer weight is g(t) = C(k,t) h(k-t, k-t),
+    and the union of a pair of derangements sharing b edges has
+    2k*ell - b edges.
     """
-    return _edge_expectation(k, ell, m, _pair_weights(k, ell, [(0, 0)]))
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, 0))
 
 
 def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     """Exact-rational upper bound on E[Y^2]: the pair sum over (i, j) =
-    fixed vertices per part of each permutation (see _pair_weights).
+    fixed vertices per part of each permutation, 0 <= i, j <= k, one packed
+    row per i (see _pair_weights).
     """
-    # lazy: a list of the (k + 1)^2 tuples, made up front, measured about 5%
-    # slower for a fresh `expect --r 0.45 --k 18` (more garbage collection)
-    pairs = itertools.product(range(k + 1), repeat=2)
-    return _edge_expectation(k, ell, m, _pair_weights(k, ell, pairs))
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, k))
 
 
 def moment_report(

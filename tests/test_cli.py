@@ -355,6 +355,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve_r0.3_k8.json", "solve --r 0.3 --k 8"),
         ("expect_k2_ell2_m6.json", "expect --k 2 --ell 2 --m 6"),
         ("expect_k2_ell2_m6.csv", "expect --k 2 --ell 2 --m 6 --format csv"),
+        ("expect_r0.45_k18.json", "expect --r 0.45 --k 18"),
+        ("expect_r0.3_k25.csv", "expect --r 0.3 --k 25 --format csv"),
         ("mc_r0.3_k4_trials3.json", "mc --r 0.3 --k 4 --trials 3"),
         ("sweep_r0.3_k2-3_trials2.csv", "sweep --r 0.3 --k-list 2,3 --trials 2"),
         ("verify_tiny.txt", "verify --profile tiny"),

@@ -1,6 +1,6 @@
-"""Seven scans: names nothing reads, imports outside the standard library,
-the boundary around the oracles, the benchmark's hold on the library, and
-the README's CLI synopsis.
+"""Eight scans: names nothing reads, imports outside the standard library,
+the boundary around the oracles, the benchmark's hold on the library, the
+README's CLI synopsis, and the benchmark records at the repository root.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -30,10 +30,16 @@ unseen, since only `bench/smoke.py` runs it.
 Every option string of every `dpratio` subcommand appears in that
 subcommand's synopsis line(s) of the README's CLI block, so the synopsis
 keeps up with `cli.build_parser()`.
+
+Every `BENCH_*.json` at the root names the parent and the change it
+measured by git SHA, holds at least ten alternating pairs, and compares
+the two sides on each of its workloads in every end-to-end metric of
+`BENCHMARK.json`, so no record leaves out a metric the benchmark bounds.
 """
 
 import argparse
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -351,3 +357,54 @@ def test_scan_finds_missing_cli_option():
 
 def test_readme_synopsis_names_every_cli_option():
     assert missing_options((ROOT / "README.md").read_text(), build_parser()) == []
+
+
+SHA = re.compile(r"[0-9a-f]{40}")
+
+
+def bench_record_problems(record: dict, metrics: list[str]) -> list[str]:
+    """What a root `BENCH_*.json` lacks: the parent's `git_sha`; the
+    change's `git_sha`, which may be null only beside a `src_tree` (the
+    change's commit is made after the file); at least ten pairs; and on
+    each workload a `comparison` entry for every metric in `metrics`."""
+    problems = []
+    if not SHA.fullmatch(str(record.get("parent", {}).get("git_sha"))):
+        problems.append("parent git_sha")
+    change = record.get("change", {})
+    if "git_sha" not in change or not SHA.fullmatch(
+        str(change["git_sha"] or change.get("src_tree"))
+    ):
+        problems.append("change git_sha")
+    if not record.get("pairs", 0) >= 10:
+        problems.append("pairs")
+    if not record.get("workloads"):
+        problems.append("workloads")
+    for name, workload in record.get("workloads", {}).items():
+        comparison = workload.get("comparison", {})
+        problems += [f"{name} {m}" for m in metrics if m not in comparison]
+    return problems
+
+
+def test_scan_finds_incomplete_bench_record():
+    record = {
+        "parent": {"git_sha": "a" * 40},
+        "change": {"git_sha": None, "src_tree": "b" * 40},
+        "pairs": 10,
+        "workloads": {"w": {"comparison": {"m1": {}, "m2": {}}}},
+    }
+    assert bench_record_problems(record, ["m1", "m2"]) == []
+    assert bench_record_problems(record, ["m1", "m2", "m3"]) == ["w m3"]
+    del record["workloads"]["w"]["comparison"]["m2"]
+    assert bench_record_problems(record, ["m1", "m2"]) == ["w m2"]
+    record["change"] = {"src_tree": "b" * 40}
+    record["parent"]["git_sha"] = None
+    record["pairs"] = 9
+    assert bench_record_problems(record, ["m1"]) == ["parent git_sha", "change git_sha", "pairs"]
+
+
+def test_bench_records_are_complete():
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    found = {p.name: bench_record_problems(json.loads(p.read_text()), metrics) for p in records}
+    assert {name: problems for name, problems in found.items() if problems} == {}

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,8 @@ import pytest
 
 from dpratio.moments import (
     _edge_expectation,
-    _poly_power,
+    _pair_weights,
+    _run_fields,
     expected_x_asymptotic,
     expected_x_exact,
     expected_y_asymptotic,
@@ -20,7 +23,7 @@ from dpratio.moments import (
 )
 from dpratio.oracles import closed_form_counts, falling_ratio_exact
 from dpratio.params import plan
-from dpratio.series import f_eval
+from dpratio.series import f_eval, h_exact
 
 
 def test_edge_expectation_comb_walk():
@@ -142,31 +145,77 @@ def _naive_power(coeffs, ell):
     return out
 
 
-def test_poly_power_matches_naive_convolution():
-    rng = random.Random(16)
-    vectors = [
-        [1],
-        [0, 1],
-        [3, 0, 0, 5, 0, 7],  # zeros inside
-        [0, 2**64 + 1, 0, 2**70 - 3, 1],  # entries past 64 bits
-        [rng.randrange(2**90) for _ in range(9)],
-        [rng.choice([0, 1, 255, 256, 2**63]) for _ in range(12)],
-    ]
-    for coeffs in vectors:
+def _naive_pair_weights(k, ell, n):
+    # the E[Y^2] pair sum one (i, j) at a time: g(t) over every t <= k, the
+    # out-of-range binomials 0, its ell-th power by list convolution, and
+    # the prefactor once per coefficient
+    h = functools.cache(h_exact)
+    weights = {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            g = []
+            for t in range(k + 1):
+                c = math.comb(k - i, t) * math.comb(k - t, j)
+                a = k - j - t
+                g.append(c * h(a, min(a, max(0, k - i - t - 2 * j))) if c else 0)
+            prefactor = (math.factorial(k) // math.factorial(i)) ** ell
+            for b, coeff in enumerate(_naive_power(g, ell)):
+                x = (2 * k - i - j) * ell - b
+                weights[x] = weights.get(x, 0) + prefactor * coeff
+    return {x: w for x, w in weights.items() if w}
+
+
+def test_pair_weights_match_naive_pair_sum():
+    # rows split into runs from (k, ell) = (6, 7), (7, 6), (8, 5), (9, 4) on; (9, 8): 3 a row
+    for k in range(1, 10):
         for ell in range(1, 9):
-            assert _poly_power(coeffs, ell) == _naive_power(coeffs, ell), (coeffs, ell)
-    # sum(g)^ell on a byte boundary, reached by a coefficient of the power
-    # when g has one nonzero entry; a field one byte narrower carries
-    for coeffs, ell, top in [
-        ([0, 255, 0], 1, 2**8 - 1),
-        ([0, 0, 2**16 - 1, 0], 1, 2**16 - 1),
-        ([0, 16, 0], 2, 2**8),
-        ([0, 2**8, 0, 0], 3, 2**24),
-        ([2**16], 1, 2**16),
+            for n in (0, k):  # E[X^2], the E[Y^2] bound
+                assert _pair_weights(k, ell, n) == _naive_pair_weights(k, ell, n), (k, ell, n)
+
+
+def _naive_run(gs, ell):
+    out = []
+    for d, g in enumerate(gs):
+        shifted = [0] * (ell * d) + _naive_power(g, ell)
+        out = [a + b for a, b in itertools.zip_longest(out, shifted, fillvalue=0)]
+    while out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_run_fields_match_naive_convolution():
+    rng = random.Random(16)
+    groups = [
+        [[1]],
+        [[0, 1]],
+        [[3, 0, 0, 5, 0, 7]],  # zeros inside
+        [[0, 2**64 + 1, 0, 2**70 - 3, 1]],  # entries past 64 bits
+        [[rng.randrange(2**90) for _ in range(9)]],
+        [[rng.choice([0, 1, 255, 256, 2**63]) for _ in range(12)]],
+        [[5, 0, 1], [0, 0, 0, 2], [7]],  # later lists longer, zero-led, shorter
+        [[rng.randrange(2**40) for _ in range(rng.randrange(1, 8))] for _ in range(6)],
+    ]
+    for gs in groups:
+        for ell in range(1, 9):
+            assert list(_run_fields(gs, ell)) == _naive_run(gs, ell), (gs, ell)
+    # the value at z = 1 on a byte boundary, reached by one field of one
+    # list's power or of a sum of shifted powers (at 2^16 and the second
+    # 2^24, each list's own power fits a narrower field than the sum);
+    # a field one byte narrower carries
+    for gs, ell, top in [
+        ([[255]], 1, 2**8 - 1),
+        ([[0, 128], [127]], 1, 2**8 - 1),
+        ([[0, 0, 2**16 - 1, 0]], 1, 2**16 - 1),
+        ([[0, 2**8 - 1], [2**16 - 2**8]], 1, 2**16 - 1),
+        ([[0, 16, 0]], 2, 2**8),
+        ([[2**16]], 1, 2**16),
+        ([[0, 2**15], [2**15]], 1, 2**16),
+        ([[0, 2**8, 0, 0]], 3, 2**24),
+        ([[0, 0, 0, 2**11], [0, 0, 2**11], [0, 2**11], [2**11]], 2, 2**24),
     ]:
-        got = _poly_power(coeffs, ell)
+        got = _run_fields(gs, ell)
         assert max(got) == top
-        assert got == _naive_power(coeffs, ell)
+        assert list(got) == _naive_run(gs, ell)
 
 
 def _digest(q: Fraction) -> str:
@@ -207,6 +256,15 @@ FROZEN_SECOND_MOMENT_DIGESTS = {
     (3, 200, 1000): (
         "12792795c2d7ae3f9f2026a67a699218442ee5cf475bc0af3abefc4e278b34f0",
         "228e3aafaa9711b24ddde62ecc90f25fe8f4b0e77ab5ebae1550c7d55d58cb15",
+    ),
+    # rows of several runs each, recorded before the row-packed kernel
+    (25, 6, 1875): (
+        "7fb2f633b88e5aa04363a045f6923c9559bb8acceedb3ef65d71ff12dcc9c6ec",
+        "8fd06384201c8b8dec9319f8a7b1c7bdbbe6392dee813d52a61bdec17c3bd136",
+    ),
+    (20, 8, 2000): (
+        "3d5818c4ab4f0616b4c249997989415c7b049a64306c81fd0506a87b157c6d24",
+        "f1055cbf427d37e66c59f01c6fb3e98b7e4463207cac1d357de56187bee51c4e",
     ),
 }
 
