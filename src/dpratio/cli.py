@@ -119,7 +119,58 @@ def _cmd_verify(args) -> int:
     return 0 if summary.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: subcommand -> (help, handler, its options as (flag, add_argument keywords))
+_COMMANDS = {
+    "construct": ("emit a blow-up digraph", _cmd_construct, [
+        ("--k", dict(type=int, required=True)),
+        ("--ell", dict(type=int, required=True)),
+        ("--format", dict(choices=["edgelist", "json"], default="json")),
+        ("--out", {}),
+    ]),
+    "count": ("count derangements and permutations", _cmd_count, [
+        ("--in", dict(dest="infile", required=True)),
+        ("--out", {}),
+    ]),
+    "solve": ("solve (ell, p) from a target ratio r", _cmd_solve, [
+        ("--r", dict(type=float, required=True)),
+        ("--k", dict(type=int, help="also assemble m for this part size")),
+        ("--out", {}),
+    ]),
+    "expect": ("exact and asymptotic moment report", _cmd_expect, [
+        ("--r", dict(type=float)),
+        ("--k", dict(type=int)),
+        ("--ell", dict(type=int)),
+        ("--m", dict(type=int)),
+        ("--format", dict(choices=["json", "csv"], default="json")),
+        ("--out", {}),
+    ]),
+    "mc": ("Monte Carlo concentration experiment", _cmd_mc, [
+        ("--r", dict(type=float, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--trials", dict(type=int, required=True)),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
+        ("--epsilon", dict(type=float, default=DEFAULT_EPSILON)),
+        ("--workers", dict(type=int, default=1)),
+        ("--trials-csv", dict(help="also write per-trial CSV here")),
+        ("--out", {}),
+    ]),
+    "sweep": ("convergence sweep over part sizes", _cmd_sweep, [
+        ("--r", dict(type=float, required=True)),
+        ("--k-list", dict(required=True, help="comma-separated part sizes")),
+        ("--trials", dict(type=int, default=0)),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
+        ("--out", {}),
+    ]),
+    "verify": ("run the cross-check suite", _cmd_verify, [
+        ("--profile", dict(choices=list(PROFILES), default="small")),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The dpratio parser; given a subcommand's name, with only that
+    subcommand, whose help, usage and errors stay the full parser's (the
+    metavar keeps every command in the top-level usage line)."""
     ap = argparse.ArgumentParser(
         prog="dpratio",
         description=(
@@ -129,63 +180,22 @@ def build_parser() -> argparse.ArgumentParser:
             "parameters, and compute exact and asymptotic moments."
         ),
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="emit a blow-up digraph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--format", choices=["edgelist", "json"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("count", help="count derangements and permutations")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("solve", help="solve (ell, p) from a target ratio r")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--k", type=int, help="also assemble m for this part size")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("expect", help="exact and asymptotic moment report")
-    p.add_argument("--r", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_expect)
-
-    p = sub.add_parser("mc", help="Monte Carlo concentration experiment")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--trials-csv", help="also write per-trial CSV here")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("sweep", help="convergence sweep over part sizes")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--k-list", required=True, help="comma-separated part sizes")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the cross-check suite")
-    p.add_argument("--profile", choices=list(PROFILES), default="small")
-    p.set_defaults(func=_cmd_verify)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_, func, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, no command or an unknown one: the full parser's help and errors
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -140,8 +140,12 @@ def convergence_sweep(
     and (when trials > 0) the empirical mean ratio."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    k_list = sorted(k_list)
+    for k, next_k in zip(k_list, k_list[1:]):
+        if k == next_k:
+            raise ValueError(f"k_list repeats k={k}; a sweep has one row per k")
     rows = []
-    for k in sorted(k_list):
+    for k in k_list:
         cplan = plan(r, k)
         report = moment_report_for_plan(cplan)
         rows.append({

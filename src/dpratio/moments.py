@@ -11,11 +11,13 @@ its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
 power of one packed layer polynomial per pair, never enumerations of the
 compositions; the powers of a row i add into packed ints that are each
 unpacked once, so the dict of weights takes one sum per field of a row.
+The forbidden-matching counts h(a, b) of the pair sum come from their
+recurrence, one subtraction each; `series.h_exact` is the inclusion-exclusion
+reference the tests and cross-checks hold them to.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,7 @@ from operator import mul
 from .counting import _pack, _unpack
 from .digraph import blowup_edge_count, csv_text, report_json
 from .params import ConstructionPlan
-from .series import f_eval, h_exact
+from .series import f_eval
 
 SECOND_MOMENT_MAX_K = 25
 
@@ -170,9 +172,15 @@ def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
     runs of j at a width each: a run goes on while each pair's own width
     is within _RUN_SLACK_BYTES of its first pair's.
     """
-    # h(a, a - s) for s = i + j, clamped at 0: about (k + 1)^2 / 2 distinct h_exact
-    h = functools.cache(h_exact)
-    hs = [[h(a, max(0, a - s)) for a in range(k + 1)] for s in range(2 * n + 1)]
+    # h[a][b] = h(a, b) for 0 <= b <= a <= k, one subtraction an entry:
+    # h(a, 0) = a! and h(a, b) = h(a, b-1) - h(a-1, b-1)
+    h = [[1]]
+    for a in range(1, k + 1):
+        row = [a * h[-1][0]]
+        for prev in h[-1]:
+            row.append(row[-1] - prev)
+        h.append(row)
+    hs = [[h[a][max(0, a - s)] for a in range(k + 1)] for s in range(2 * n + 1)]  # h(a, a - s)
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(k + 1)]
     comb_j = [[comb[k - t][j] for t in range(k - j + 1)] for j in range(n + 1)]  # C(k-t, j)
     weights: dict[int, int] = {}

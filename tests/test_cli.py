@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpratio
-from dpratio.cli import main
+from dpratio.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +203,7 @@ def test_value_error_exits_2_without_traceback(capsys):
         ["sweep", "--r", "0.3", "--k-list", "4", "--trials", "-1"],
         ["sweep", "--r", "0.3", "--k-list", ","],
         ["sweep", "--r", "0.3", "--k-list", "4,a"],
+        ["sweep", "--r", "0.3", "--k-list", "2,2"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3"],
         ["expect", "--r", "0.3", "--k", "4", "--m", "7"],
         ["expect", "--r", "0.3", "--k", "4", "--ell", "3", "--m", "7"],
@@ -222,6 +224,51 @@ def test_asymptotic_log_overflow_names_field(capsys):
         assert err == (
             f"error: ey_asym_log is past the float range (f_{ell}(1/p) > 1.8e308 at p = {p})\n"
         )
+
+
+COMMANDS = ["construct", "count", "solve", "expect", "mc", "sweep", "verify"]
+
+
+def _argparse_exit(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, "--help"] for cmd in COMMANDS]
+    + [
+        ["expect", "--bogus", "1"],  # a top-level error after a named command
+        ["expect", "--k", "x"],
+        ["mc", "--k", "4", "--trials", "2"],
+        ["bogus"],
+        [],
+        ["-h"],
+    ],
+)
+def test_cli_matches_full_parser(argv):
+    # main builds only the named subcommand's parser; every help and error
+    # text and exit code stays the full parser's
+    expected = _argparse_exit(lambda a: build_parser().parse_args(a), argv)
+    assert _argparse_exit(main, argv) == expected
+    # the full parser's own texts: every command in the top-level usage
+    # line, and the subcommand argument named by its dest
+    if argv[:2] == ["expect", "--bogus"]:
+        assert expected[2].startswith(f"usage: dpratio [-h] {{{','.join(COMMANDS)}}} ...\n")
+    if argv == []:
+        assert expected[2].endswith("error: the following arguments are required: command\n")
+
+
+def test_named_command_builds_one_subparser():
+    def commands(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    assert list(commands(build_parser())) == COMMANDS
+    for cmd in COMMANDS:
+        assert list(commands(build_parser(cmd))) == [cmd]
 
 
 def test_k_list_error_names_flag_and_entry(capsys):

@@ -80,6 +80,9 @@ def test_run_mc_rejects():
             run_mc(cp, 2, epsilon=epsilon)
     with pytest.raises(ValueError, match="trials must be >= 0"):
         convergence_sweep(0.3, [4], trials=-1)
+    # one row per k: a repeated k is refused, not swept twice
+    with pytest.raises(ValueError, match="k_list repeats k=4; a sweep has one row per k"):
+        convergence_sweep(0.3, [4, 2, 4], trials=1)
 
 
 def test_per_trial_csv_shape():

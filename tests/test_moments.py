@@ -166,11 +166,12 @@ def _naive_pair_weights(k, ell, n):
 
 
 def test_pair_weights_match_naive_pair_sum():
-    # rows split into runs from (k, ell) = (6, 7), (7, 6), (8, 5), (9, 4) on; (9, 8): 3 a row
-    for k in range(1, 10):
-        for ell in range(1, 9):
-            for n in (0, k):  # E[X^2], the E[Y^2] bound
-                assert _pair_weights(k, ell, n) == _naive_pair_weights(k, ell, n), (k, ell, n)
+    # rows split into runs from (k, ell) = (6, 7), (7, 6), (8, 5), (9, 4) on; (9, 8): 3 a row;
+    # the shapes past k = 9 hold the h(a, b) recurrence to h_exact further down the table
+    shapes = [(k, ell, n) for k in range(1, 10) for ell in range(1, 9) for n in (0, k)]
+    shapes += [(12, 2, 12), (14, 2, 0), (14, 3, 14)]
+    for k, ell, n in shapes:  # n = 0: E[X^2]; n = k: the E[Y^2] bound
+        assert _pair_weights(k, ell, n) == _naive_pair_weights(k, ell, n), (k, ell, n)
 
 
 def _naive_run(gs, ell):
