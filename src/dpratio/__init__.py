@@ -35,12 +35,7 @@ from .moments import (
     second_moment_y_upper,
 )
 from .params import ConstructionPlan, choose_ell, plan, solve_p
-from .series import (
-    SeriesValue,
-    f_eval,
-    falling_ratio_asymptotic,
-    h_exact,
-)
+from .series import SeriesValue, f_eval
 from .verify import verify_all
 
 __version__ = "0.1.0"

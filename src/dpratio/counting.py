@@ -334,29 +334,24 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
 
 
 @functools.cache
-def _readers(k: int, nbytes: int, order: str) -> tuple[tuple[itemgetter, ...], ...]:
-    """readers[c] reads, from chunk c of _layer_tables viewed as fields in
-    byte order `order`, the vectors of its fixed sets F with 0 < |F| < k,
-    in increasing F: row F of T^(i), i = |F|, is the fields full ^ x of
-    table F for every i-subset x, in increasing x.  One getter per size i
-    and table f within a chunk, shared by every chunk.  The view keeps
-    each field's own bytes in its order, but a big-endian int starts at
-    its top field: field f * 2^k + U is item f * 2^k + U on a
-    little-endian machine and (2^g - 1 - f) * 2^k + full ^ U on a
-    big-endian one.  Made once per process per (k, width, order), with
-    about one key per field of a chunk, 2^12 at k = 12."""
+def _readers(k: int, nbytes: int) -> tuple[tuple[itemgetter, ...], ...]:
+    """readers[c] reads, from chunk c of _layer_tables viewed with field
+    f * 2^k + U as item f * 2^k + U, the vectors of its fixed sets F with
+    0 < |F| < k, in increasing F: row F of T^(i), i = |F|, is the fields
+    full ^ x of table F for every i-subset x, in increasing x.  One getter
+    per size i and table f within a chunk, shared by every chunk.  Made
+    once per process per (k, width), with about one key per field of a
+    chunk, 2^12 at k = 12."""
     full = (1 << k) - 1
     per = 1 << _chunk_log(k, nbytes)
     subsets: list[list[int]] = [[] for _ in range(k + 1)]
     for x in range(1 << k):
         subsets[x.bit_count()].append(x)
-
-    def getter(f: int, i: int) -> itemgetter:
-        if order == "little":
-            return itemgetter(*[f << k | full ^ x for x in subsets[i]])
-        return itemgetter(*[(per - 1 - f) << k | x for x in subsets[i]])
-
-    getters = {(f, i): getter(f, i) for f in range(per) for i in range(1, k)}
+    getters = {
+        (f, i): itemgetter(*[f << k | full ^ x for x in subsets[i]])
+        for f in range(per)
+        for i in range(1, k)
+    }
     return tuple(
         tuple(getters[f, i] for f in range(per) if 0 < (i := (base | f).bit_count()) < k)
         for base in range(0, 1 << k, per)
@@ -369,7 +364,9 @@ def _layer_vectors(rows, k: int, nbytes: int):
     fixed set F with 0 < |F| < k, in increasing F.  Each chunk of
     _layer_tables is popped as it turns into bytes in native order, viewed
     as fields of its width (memoryview.cast, no copy), and read once by
-    the getters of _readers."""
+    the getters of _readers.  The view keeps each field's own bytes in
+    native order, but a big-endian int starts at its top field, so there
+    the view is read reversed (a negative stride, no copy either)."""
     order = sys.byteorder
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
@@ -377,7 +374,9 @@ def _layer_vectors(rows, k: int, nbytes: int):
     code, size = _FIELD_CODES[nbytes], nbytes << (k + _chunk_log(k, nbytes))
     # popped from the end, so views holds the chunks last first
     views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
-    return matchings, _read(views, _readers(k, nbytes, order))
+    if order == "big":
+        views = [view[::-1] for view in views]
+    return matchings, _read(views, _readers(k, nbytes))
 
 
 def _read(views: list[memoryview], readers):

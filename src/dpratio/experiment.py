@@ -17,7 +17,13 @@ from typing import NamedTuple
 
 from .counting import check_layered_k, count_layered
 from .digraph import build_blowup, csv_text, report_json, sample_subgraph
-from .moments import expected_x_exact, expected_y_exact, moment_report_for_plan
+from .moments import (
+    _exact_float,
+    check_second_moment_k,
+    expected_x_exact,
+    expected_y_exact,
+    second_moment_x_exact,
+)
 from .params import ConstructionPlan, plan
 
 DEFAULT_EPSILON = 0.05
@@ -137,7 +143,9 @@ def convergence_sweep(
     seed: int = DEFAULT_SEED,
 ) -> list[dict]:
     """One row per k (ascending): exact ratio, its error vs r, concentration,
-    and (when trials > 0) the empirical mean ratio."""
+    and (when trials > 0) the empirical mean ratio.  The ratio and the X
+    concentration are the `moment_report` fields of the plan, from E[X],
+    E[Y] and E[X^2] alone; k is refused where `moment_report` refuses it."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     k_list = sorted(k_list)
@@ -147,15 +155,22 @@ def convergence_sweep(
     rows = []
     for k in k_list:
         cplan = plan(r, k)
-        report = moment_report_for_plan(cplan)
+        check_second_moment_k(k)
+        ell, m = cplan.ell, cplan.m
+        ex = expected_x_exact(k, ell, m)
+        ratio = _exact_float("ratio_exact_float", ex / expected_y_exact(k, ell, m))
         rows.append({
             "k": k,
-            "ell": cplan.ell,
-            "m": cplan.m,
+            "ell": ell,
+            "m": m,
             "p": cplan.p,
-            "exact_ratio": report.ratio_exact_float,
-            "abs_error": abs(report.ratio_exact_float - r),
-            "x_concentration": report.x_concentration,
+            "exact_ratio": ratio,
+            "abs_error": abs(ratio - r),
+            "x_concentration": (
+                _exact_float("x_concentration", second_moment_x_exact(k, ell, m) / (ex * ex) - 1)
+                if ex
+                else None
+            ),
             "empirical_mean_ratio": (
                 run_mc(cplan, trials, seed=seed).empirical_mean_ratio
                 if trials > 0

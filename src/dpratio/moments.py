@@ -11,9 +11,9 @@ its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
 power of one packed layer polynomial per pair, never enumerations of the
 compositions; the powers of a row i add into packed ints that are each
 unpacked once, so the dict of weights takes one sum per field of a row.
-The forbidden-matching counts h(a, b) of the pair sum come from their
-recurrence, one subtraction each; `series.h_exact` is the inclusion-exclusion
-reference the tests and cross-checks hold them to.
+The forbidden-matching counts h(a, b) of the pair sum come from
+`series.h_table`, the one route to them, which the cross-checks hold to the
+oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import mul
 from .counting import _pack, _unpack
 from .digraph import blowup_edge_count, csv_text, report_json
 from .params import ConstructionPlan
-from .series import f_eval
+from .series import f_eval, h_table
 
 SECOND_MOMENT_MAX_K = 25
 
@@ -172,14 +172,7 @@ def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
     runs of j at a width each: a run goes on while each pair's own width
     is within _RUN_SLACK_BYTES of its first pair's.
     """
-    # h[a][b] = h(a, b) for 0 <= b <= a <= k, one subtraction an entry:
-    # h(a, 0) = a! and h(a, b) = h(a, b-1) - h(a-1, b-1)
-    h = [[1]]
-    for a in range(1, k + 1):
-        row = [a * h[-1][0]]
-        for prev in h[-1]:
-            row.append(row[-1] - prev)
-        h.append(row)
+    h = h_table(k)
     hs = [[h[a][max(0, a - s)] for a in range(k + 1)] for s in range(2 * n + 1)]  # h(a, a - s)
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(k + 1)]
     comb_j = [[comb[k - t][j] for t in range(k - j + 1)] for j in range(n + 1)]  # C(k-t, j)
@@ -204,6 +197,12 @@ def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
     return weights
 
 
+def check_second_moment_k(k: int) -> None:
+    """ValueError when the exact second moments refuse part size k."""
+    if k > SECOND_MOMENT_MAX_K:
+        raise ValueError(f"ex2/ey2 exact computation limited to k <= {SECOND_MOMENT_MAX_K}")
+
+
 def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     """E[X^2], exact: the (0, 0) term of the E[Y^2] pair sum (the kernel
     `_pair_weights` with i = j = 0), since a derangement is a permutation
@@ -226,11 +225,10 @@ def moment_report(
     k: int, ell: int, m: int, p: float | None = None, r: float | None = None
 ) -> MomentReport:
     """All exact and asymptotic moments plus derived concentration numbers."""
-    blowup_edge_count(k, ell)  # rejects k < 1 and ell < 2 in constant time
-    if k > SECOND_MOMENT_MAX_K:
-        raise ValueError(f"ex2/ey2 exact computation limited to k <= {SECOND_MOMENT_MAX_K}")
+    total = blowup_edge_count(k, ell)  # rejects k < 1 and ell < 2 in constant time
+    check_second_moment_k(k)
     if p is None:
-        p = m / (k * k * ell)
+        p = m / total
     ex = expected_x_exact(k, ell, m)
     ey = expected_y_exact(k, ell, m)
     ex2 = second_moment_x_exact(k, ell, m)

@@ -1,15 +1,19 @@
 """Independent oracles for the exact formulas: every reference route the
 cross-checks in `dpratio.verify` compare a production route against.
 
-* count_bruteforce    -- counts by building every permutation, n <= 10;
-* closed_form_counts  -- the full blow-up's counts in closed form;
-* falling_ratio_exact -- (b)_x / (a)_x as one reduced ratio of falling factorials;
-* enumerate_subgraphs -- every m-edge subgraph of a blow-up;
-* h_bruteforce        -- h(a, b) by enumerating permutations;
-* h_window_error      -- the deviation of h(a, b) from a!/e, in exact rationals;
-* exhaustive_moments  -- the moments by enumerating every m-edge subgraph.
+* count_bruteforce         -- counts by building every permutation, n <= 10;
+* closed_form_counts       -- the full blow-up's counts in closed form;
+* falling_ratio_exact      -- (b)_x / (a)_x as one reduced ratio of falling factorials;
+* falling_ratio_asymptotic -- the explicit part of its asymptotic form;
+* enumerate_subgraphs      -- every m-edge subgraph of a blow-up;
+* h_exact                  -- h(a, b) by inclusion-exclusion;
+* h_bruteforce             -- h(a, b) by enumerating permutations;
+* h_window_error           -- the deviation of the production table
+                              `series.h_table` from a!/e, in exact rationals;
+* exhaustive_moments       -- the moments by enumerating every m-edge subgraph.
 
-Each shares no code with the route it checks; the enumerations are slow by
+Each shares no code with the route it checks, except `h_window_error`,
+which measures the production table itself; the enumerations are slow by
 design.  Only `dpratio.verify` imports this module, so no production route
 rests on an oracle (`tests/test_hygiene.py` enforces this).  Calls go
 through the module attributes (`counting.x`, not a bare `x`), so wrappers
@@ -85,6 +89,17 @@ def falling_ratio_exact(a: int, b: int, x: int) -> Fraction:
     return Fraction(math.perm(b, x), math.perm(a, x))
 
 
+def falling_ratio_asymptotic(a: int, b: int, x: int) -> float:
+    """Explicit part of the asymptotic form (b/a)^x exp{(x^2/2)(1/a - 1/b)}.
+
+    Diagnostic companion to `falling_ratio_exact`; the dropped
+    correction is O(x^3/b^2 + x/b).
+    """
+    if not (0 <= x <= b <= a) or b <= 0:
+        raise ValueError(f"need 0 <= x <= b <= a with b > 0, got a={a}, b={b}, x={x}")
+    return (b / a) ** x * math.exp((x * x / 2.0) * (1.0 / a - 1.0 / b))
+
+
 def enumerate_subgraphs(
     base: digraph.SampledSubgraph, m: int
 ) -> Iterator[digraph.SampledSubgraph]:
@@ -100,6 +115,19 @@ def enumerate_subgraphs(
         yield digraph.SampledSubgraph.from_edge_indices(base, combo)
 
 
+def h_exact(a: int, b: int) -> int:
+    """Number of perfect matchings of K_{a,a} avoiding a fixed b-edge matching.
+
+    Inclusion-exclusion: sum_w (-1)^w C(b,w) (a-w)!.  Always in [0, a!];
+    h(a, a) is the derangement number of a.
+    """
+    if a < 0 or b < 0 or b > a:
+        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
+    return sum(
+        (-1) ** w * math.comb(b, w) * math.factorial(a - w) for w in range(b + 1)
+    )
+
+
 def h_bruteforce(a: int, b: int) -> int:
     """Perfect matchings of K_{a,a} avoiding the fixed matching {i -> i: i < b}."""
     return sum(
@@ -110,7 +138,8 @@ def h_bruteforce(a: int, b: int) -> int:
 
 
 def h_window_error(a: int) -> float:
-    """max_b |e h(a,b)/a! - 1| over the window a - a^(1/10) <= b <= a.
+    """max_b |e h(a,b)/a! - 1| over the window a - a^(1/10) <= b <= a, h
+    from row a of the production table `series.h_table`.
 
     The window always holds b = a - 1, where the deviation is about 1/a
     (0.0999..., 0.05 and 0.025 at a = 10, 20, 40), so it decays like 1/a.
@@ -121,7 +150,7 @@ def h_window_error(a: int) -> float:
     """
     lo = math.ceil(a - a ** (1 / 10))
     fact = math.factorial(a)
-    hs = [series.h_exact(a, b) for b in range(lo, a + 1)]
+    hs = series.h_table(a)[a][lo:]
     n, nfact = 60, math.factorial(60)
     s = Fraction(sum(nfact // math.factorial(j) for j in range(n + 1)), nfact)
     ends = {

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .digraph import report_json
+from .digraph import blowup_edge_count, report_json
 from .series import f_eval
 
 
@@ -93,7 +93,7 @@ def plan(r: float, k: int | None = None) -> ConstructionPlan:
     p, x = solve_p(r, ell)
     if k is None:
         return ConstructionPlan(r=r, ell=ell, p=p, x=x, k=None, m=None)
-    total = k * k * ell
+    total = blowup_edge_count(k, ell)
     a, b = p.as_integer_ratio()
     # nearest integer to p*total, ties up; in integers, so _smallest_k is exact
     m = (2 * a * total + b) // (2 * b)

@@ -1,6 +1,6 @@
-"""Special functions: the entire series f_ell, the forbidden-matching count
-h(a, b), and the asymptotic falling-factorial ratio (b)_x / (a)_x (its exact
-form is the oracle `oracles.falling_ratio_exact`).
+"""Special functions: the entire series f_ell and the table of
+forbidden-matching counts h(a, b), by their recurrence.  The
+inclusion-exclusion form of h(a, b) is the oracle `oracles.h_exact`.
 """
 
 from __future__ import annotations
@@ -53,26 +53,21 @@ def f_eval(ell: int, x: float) -> SeriesValue:
         i += 1
 
 
-def h_exact(a: int, b: int) -> int:
-    """Number of perfect matchings of K_{a,a} avoiding a fixed b-edge matching.
+def h_table(k: int) -> list[list[int]]:
+    """Rows h[a][b] = h(a, b) for 0 <= b <= a <= k, where h(a, b) counts the
+    perfect matchings of K_{a,a} avoiding a fixed b-edge matching: always in
+    [0, a!], and h(a, a) is the derangement number of a.
 
-    Inclusion-exclusion: sum_w (-1)^w C(b,w) (a-w)!.  Always in [0, a!];
-    h(a, a) is the derangement number of a.
+    One subtraction an entry: h(a, 0) = a! and h(a, b) = h(a, b-1) -
+    h(a-1, b-1), since of the matchings avoiding the first b-1 edges, those
+    using edge b are the matchings of K_{a-1,a-1} avoiding b-1 edges.
     """
-    if a < 0 or b < 0 or b > a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return sum(
-        (-1) ** w * math.comb(b, w) * math.factorial(a - w) for w in range(b + 1)
-    )
-
-
-def falling_ratio_asymptotic(a: int, b: int, x: int) -> float:
-    """Explicit part of the asymptotic form (b/a)^x exp{(x^2/2)(1/a - 1/b)}.
-
-    Diagnostic companion to `oracles.falling_ratio_exact`; the dropped
-    correction is O(x^3/b^2 + x/b).
-    """
-    if not (0 <= x <= b <= a) or b <= 0:
-        raise ValueError(f"need 0 <= x <= b <= a with b > 0, got a={a}, b={b}, x={x}")
-    return (b / a) ** x * math.exp((x * x / 2.0) * (1.0 / a - 1.0 / b))
-
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    h = [[1]]
+    for a in range(1, k + 1):
+        row = [a * h[-1][0]]
+        for prev in h[-1]:
+            row.append(row[-1] - prev)
+        h.append(row)
+    return h

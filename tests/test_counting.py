@@ -350,7 +350,8 @@ def test_layered_big_endian_field_order(monkeypatch):
     # at k <= 5 a field is one byte, so the bytes of a chunk read as
     # sys.byteorder = "big" are exactly those of a big-endian machine, where
     # field f * 2^k + U of a chunk of 2^g tables is item
-    # (2^g - 1 - f) * 2^k + full ^ U; the counts must not change.  Every
+    # (2^g - 1 - f) * 2^k + full ^ U of the view, and item f * 2^k + U of
+    # the reversed view the readers take; the counts must not change.  Every
     # table of a layer shares one chunk here (g = k), and at ell >= 3 the
     # packed columns, whose fields are wider than a byte, keep their own
     # little-endian layout whatever sys.byteorder says

@@ -111,6 +111,26 @@ def test_sweep_single_k_matches_report():
     assert rows[0]["x_concentration"] == rep.x_concentration
 
 
+def test_sweep_rows_match_reports_and_refuse_as_they_do():
+    # the sweep takes its columns from E[X], E[Y] and E[X^2] alone; each
+    # must equal the full report's, and k past SECOND_MOMENT_MAX_K is refused
+    # with the report's message
+    from dpratio.moments import SECOND_MOMENT_MAX_K, moment_report_for_plan
+
+    for r, ks in ((0.3, [2, 8, 25]), (0.45, [3, 12, 25]), (0.1, [4, 11])):
+        for row in convergence_sweep(r, ks):
+            rep = moment_report_for_plan(plan(r, row["k"]))
+            assert row["exact_ratio"] == rep.ratio_exact_float
+            assert row["abs_error"] == abs(rep.ratio_exact_float - r)
+            assert row["x_concentration"] == rep.x_concentration
+    k = SECOND_MOMENT_MAX_K + 1
+    with pytest.raises(ValueError) as refused:
+        moment_report_for_plan(plan(0.3, k))
+    with pytest.raises(ValueError) as swept:
+        convergence_sweep(0.3, [4, k])
+    assert str(swept.value) == str(refused.value)
+
+
 def test_sweep_uses_choose_ell():
     rows = convergence_sweep(0.45, [4], trials=0)
     assert rows[0]["ell"] == 3

@@ -1,6 +1,7 @@
-"""Eight scans: names nothing reads, imports outside the standard library,
-the boundary around the oracles, the benchmark's hold on the library, the
-README's CLI synopsis, and the benchmark records at the repository root.
+"""Nine scans: names nothing reads, imports outside the standard library,
+the boundary around the oracles, production functions only checks read, the
+benchmark's hold on the library, the README's CLI synopsis, and the
+benchmark records at the repository root.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -21,6 +22,11 @@ production routes against.  No library module but `verify.py` imports it,
 so no production route can rest on an oracle, and every public function of
 `oracles.py` is read in `verify.py` or in `oracles.py` itself: an oracle no
 check uses is not kept.
+
+Every module-level function of a production module (every library module
+but `oracles.py`, `verify.py` and `__init__.py`) is read by a production
+module: a function that only the checks or the tests read is a reference
+route, and belongs in `oracles.py`.
 
 Every `dpratio` name a benchmark script (`bench/*.py`) imports resolves in
 `src/`, and every module named in `bench/spans.py`'s `MODULES` exists: a
@@ -213,6 +219,36 @@ def test_scan_finds_unread_oracle():
 def test_every_oracle_is_used_by_a_check():
     src = ROOT / "src" / "dpratio"
     assert unread_oracles((src / "oracles.py").read_text(), (src / "verify.py").read_text()) == []
+
+
+def unread_in_production(sources: dict[str, str]) -> list[str]:
+    """`module.function` for each module-level function of the production
+    modules in `sources` (file name -> source) that none of them reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [
+        f"{name.removesuffix('.py')}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name not in read
+    ]
+
+
+def test_scan_finds_production_function_only_checks_read():
+    sources = {
+        "a.py": "def f(): return g()\ndef g(): pass\ndef h(): pass\ndef _i(): pass\nJ = 1\n",
+        "b.py": "from . import a\ndef main(): a._i()\nif __name__ == '__main__':\n    main()\n",
+    }
+    assert unread_in_production(sources) == ["a.f", "a.h"]
+
+
+def test_every_production_function_is_read_in_production():
+    sources = {
+        p.name: p.read_text()
+        for p in LIBRARY
+        if p.name not in ("oracles.py", "verify.py", "__init__.py")
+    }
+    assert unread_in_production(sources) == []
 
 
 def top_level_bindings(tree: ast.Module) -> set[str]:

@@ -21,9 +21,9 @@ from dpratio.moments import (
     second_moment_x_exact,
     second_moment_y_upper,
 )
-from dpratio.oracles import closed_form_counts, falling_ratio_exact
+from dpratio.oracles import closed_form_counts, falling_ratio_exact, h_exact
 from dpratio.params import plan
-from dpratio.series import f_eval, h_exact
+from dpratio.series import f_eval
 
 
 def test_edge_expectation_comb_walk():
@@ -167,7 +167,7 @@ def _naive_pair_weights(k, ell, n):
 
 def test_pair_weights_match_naive_pair_sum():
     # rows split into runs from (k, ell) = (6, 7), (7, 6), (8, 5), (9, 4) on; (9, 8): 3 a row;
-    # the shapes past k = 9 hold the h(a, b) recurrence to h_exact further down the table
+    # the shapes past k = 9 hold series.h_table to h_exact further down the table
     shapes = [(k, ell, n) for k in range(1, 10) for ell in range(1, 9) for n in (0, k)]
     shapes += [(12, 2, 12), (14, 2, 0), (14, 3, 14)]
     for k, ell, n in shapes:  # n = 0: E[X^2]; n = k: the E[Y^2] bound

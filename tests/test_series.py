@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpratio.oracles import falling_ratio_exact
-from dpratio.series import (
-    f_eval,
-    falling_ratio_asymptotic,
-    h_exact,
-)
+from dpratio.oracles import falling_ratio_asymptotic, falling_ratio_exact, h_exact
+from dpratio.series import f_eval, h_table
 
 
 def test_f_eval_at_zero():
@@ -100,18 +96,25 @@ def test_f_at_one_bounds():
         assert 2 <= v <= 2 + 1 / (2**ell - 1) + 1e-13
 
 
-def test_h_exact_basics():
+def test_h_table_basics():
+    h = h_table(7)
+    assert [len(row) for row in h] == list(range(1, 9))
     for a in range(8):
-        assert h_exact(a, 0) == math.factorial(a)
-    assert h_exact(2, 1) == 1
-    assert h_exact(4, 4) == 9  # derangement number of 4
+        assert h[a][0] == math.factorial(a)
+    assert h[2][1] == 1
+    assert h[4][4] == 9  # derangement number of 4
+    assert h_table(0) == [[1]]
+    with pytest.raises(ValueError):
+        h_table(-1)
 
 
-def test_h_exact_bounds():
+def test_h_table_bounds():
+    h = h_table(60)
     for a in range(61):
         for b in range(a + 1):
-            v = h_exact(a, b)
-            assert 0 <= v <= math.factorial(a)
+            assert 0 <= h[a][b] <= math.factorial(a)
+    # the recurrence against inclusion-exclusion, entry by entry
+    assert h[:41] == [[h_exact(a, b) for b in range(a + 1)] for a in range(41)]
 
 
 def test_h_exact_rejects():

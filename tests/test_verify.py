@@ -23,7 +23,7 @@ def test_h_window_error_matches_mpmath():
         with mpmath.workdps(60):
             ref = float(
                 max(
-                    abs(mpmath.e * mpmath.mpf(series.h_exact(a, b)) / math.factorial(a) - 1)
+                    abs(mpmath.e * mpmath.mpf(oracles.h_exact(a, b)) / math.factorial(a) - 1)
                     for b in range(lo, a + 1)
                 )
             )
@@ -34,3 +34,23 @@ def test_check_h_runs_without_mpmath(monkeypatch):
     monkeypatch.setitem(sys.modules, "mpmath", None)  # any import of it now fails
     results = verify.check_h(verify.PROFILES["tiny"], lambda c: c)
     assert len(results) == 2 and all(r.passed for r in results)
+
+
+def test_check_h_reads_the_production_table(monkeypatch):
+    # series.h_table with h(3, 1) = 4 read as 5 and h(10, 9) one above its
+    # value: the table check must fail, and the window error must move
+    table = series.h_table
+
+    def off_by_one(k):
+        h = table(k)
+        for a, b in ((3, 1), (10, 9)):
+            if k >= a:
+                h[a][b] += 1
+        return h
+
+    assert all(r.passed for r in verify.check_h(verify.PROFILES["tiny"], lambda c: c))
+    monkeypatch.setattr(series, "h_table", off_by_one)
+    results = verify.check_h(verify.PROFILES["tiny"], lambda c: c)
+    assert [r.passed for r in results] == [False, True]
+    assert oracles.h_window_error(10) != 0.09999999420565592
+    assert not verify.verify_all("tiny").passed
