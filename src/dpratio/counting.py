@@ -4,10 +4,11 @@ Two counters:
 
 * count_permanent  -- Glynn permanents of A and of A+I, one pass each,
   any digraph with n <= 30: the sign patterns of up to 8 columns side by
-  side in one packed int, a Gray-code walk over the rest; each step skips,
-  in C, the patterns with a zero row sum (most of them, for a sparse
-  digraph), found by byte-wise big-int arithmetic in which no byte
-  carries into the next;
+  side in one packed int, a Gray-code walk over the rest; each step skips
+  the patterns with a zero row sum (most of them, for a sparse digraph),
+  found with one table lookup per row in tables built once per pass, which
+  map each value a row's field held before the walk to the patterns that
+  held it;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -52,7 +53,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 
 from .digraph import Digraph, SampledSubgraph
 
@@ -72,13 +73,13 @@ class CountPair:
 
 
 #: Columns 1.._GLYNN_BATCH have their sign patterns side by side in one
-#: packed int of _glynn, 256 patterns a step; widths 6 to 10 measured
-#: within about 10% of each other at n = 16 and 18, width 4 slower
+#: packed int of _glynn, 256 patterns a step.  With the per-row lookup,
+#: widths 6..10 took, in ms (the fastest of 8 fresh processes, each the
+#: fastest of 7 runs; 2 vCPUs): the permanents of the 50 `verify --profile
+#: tiny` cross-check graphs 55/44/44/43/47, K_16 31/29/27/26/27, K_18
+#: 135/128/124/117/123; over 10 more alternating processes widths 9 and 10
+#: beat 8 in 6/6/5 and 6/4/2 of 10 (cross-check, K_16, K_18): a tie, so 8
 _GLYNN_BATCH = 8
-
-#: bytes.translate table from a block's zero count to _glynn's keep flag:
-#: 0 -> 1, anything else -> 0
-_KEEP = bytes(b == 0 for b in range(256))
 
 
 def _sign_blocks(cols: list[int], n: int, h: int) -> int:
@@ -101,13 +102,17 @@ def _sign_blocks(cols: list[int], n: int, h: int) -> int:
     return even | (odd << (width << (h - 1)))
 
 
-def _zero_flags(x: int, low: int, high: int) -> int:
-    """1 in each byte of x that is 0, 0 in every other byte; low and high
-    hold 0x7f and 0x80 in each byte of x.  A byte's low 7 bits plus 0x7f is
-    at most 0xfe, so it stays in its byte and sets bit 7 unless those bits
-    are all 0; ORed with the byte itself, bit 7 is clear exactly when the
-    byte is 0."""
-    return (((((x & low) + low) | x) & high) ^ high) >> 7
+@functools.cache
+def _flag(v: int) -> bytes:
+    """bytes.translate table that maps byte value v to 1 and every other
+    value to 0; made on first use, at most 256 of them per process."""
+    return bytes(v) + b"\x01" + bytes(255 - v)
+
+
+def _value_masks(fields: bytes, values: range) -> dict[int, int]:
+    """For each v of values that fields holds, the int with a 1 in byte b
+    for each b with fields[b] == v, and 0 in every other byte."""
+    return {v: int.from_bytes(fields.translate(_flag(v)), "little") for v in values if v in fields}
 
 
 def _glynn(cols: list[int], n: int) -> int:
@@ -118,58 +123,79 @@ def _glynn(cols: list[int], n: int) -> int:
     prod_j delta_j * prod_i (sum_j delta_j m_ij), by perm(M) = perm(M^T).
     The 2^h patterns of columns 1..h, h = min(n - 1, _GLYNN_BATCH), sit in
     n-byte blocks of one int (_sign_blocks).  The other n - 1 - h signs walk
-    the Gray code, so each step flips one sign and moves every block at once
-    by one add or subtract of twice that packed column.
+    the Gray code (_glynn_steps), so each step flips one sign and moves
+    every block at once by one add or subtract of twice that packed column.
 
     Each field is 128 + sum_j delta_j m_ij.  count_permanent passes A or
     A + I of a digraph, whose rows sum to at most n <= PERMANENT_MAX_N = 30,
     so every field stays in [98, 158] within its byte: the packed sums equal
     the per-field sums, with no borrow or carry between fields.  XOR with
     0x80 in every byte turns each field into its row sum as a two's
-    complement byte, 0 exactly for a zero row sum.
-
-    A block with a zero row sum adds nothing, and most blocks of a sparse
-    matrix have one, so each step finds those blocks in C and multiplies
-    out only the rest.  The zero fields' flags (_zero_flags), multiplied by
-    `ones`, a 1 in each of n bytes, leave each block's zero count in its
-    top byte: every partial sum of a byte is at most n <= PERMANENT_MAX_N
-    < 256, so none carries into the next.  One strided slice and translate
-    of those counts give `keep`, a 1 byte per block with no zero row sum.
-    Each kept block is read as n signed bytes (struct "b"), and the row-sum
-    products are summed in C.
+    complement byte.  A block with a zero row sum adds nothing, so only the
+    blocks a step keeps are read, each as n signed bytes (struct "b"), and
+    their row-sum products are summed in C.
     O(2^(n-1) * n).
     """
     if n == 0:
         return 1
     h = min(n - 1, _GLYNN_BATCH)
-    blocks = 1 << h
-    evens = (blocks + 1) >> 1
-    packed = _sign_blocks(cols, n, h)
-    twos = int.from_bytes((b"\x02" + b"\x00" * (n - 1)) * blocks, "little")
-    steps = [twos * cols[j] for j in range(h + 1, n)]
     size = n << h
+    evens = ((1 << h) + 1) >> 1
     high = int.from_bytes(b"\x80" * size, "little")
-    low = int.from_bytes(b"\x7f" * size, "little")
-    ones = int.from_bytes(b"\x01" * n, "little")
     even_offsets = range(0, evens * n, n)
     odd_offsets = range(evens * n, size, n)
     unpack_from = struct.Struct(f"{n}b").unpack_from
-    acc = signs = 0
-    for walk in range(1 << (n - 1 - h)):
-        if walk:
-            bit = walk & -walk
-            signs ^= bit
-            step = steps[bit.bit_length() - 1]
-            packed = packed - step if signs & bit else packed + step
-        sums = packed ^ high
-        zeros = _zero_flags(sums, low, high) * ones
-        keep = zeros.to_bytes(size + n, "little")[n - 1 : size : n].translate(_KEEP)
-        signed = repeat(sums.to_bytes(size, "little"))
+    acc = 0
+    for walk, packed, keep in _glynn_steps(cols, n, h):
+        signed = repeat((packed ^ high).to_bytes(size, "little"))
         p = sum(map(math.prod, map(unpack_from, signed, compress(even_offsets, keep)))) - sum(
             map(math.prod, map(unpack_from, signed, compress(odd_offsets, keep[evens:])))
         )
         acc += -p if walk & 1 else p  # odd walk: an odd number of walked signs negative
     return acc >> (n - 1)
+
+
+def _glynn_steps(cols: list[int], n: int, h: int):
+    """(walk, packed, keep) for each step of _glynn's Gray walk that keeps
+    a block: packed holds the step's blocks, and keep is 1 in the byte of
+    each block with no zero row sum, 0 in the others.
+
+    Most blocks of a sparse matrix have a zero row sum, so the search for
+    them is done once, before the walk.  A step moves field i of every
+    block by the same amount, minus twice the walked entries of row i that
+    are negative, so row i's sum is zero at a step exactly in the blocks
+    whose field i was, before the walk, 128 plus twice those entries: byte
+    i of `target`, which stays in [128, 128 + 2 * (n + 1)] within its byte.
+    zeros[i] maps each value field i can match (_value_masks) to the blocks
+    that held it before the walk, one byte per block, so one lookup per row
+    and their OR give the step's blocks with a zero row sum.  A step in
+    which every block has one only moves `packed`."""
+    blocks = 1 << h
+    size = n << h
+    packed = _sign_blocks(cols, n, h)
+    fields = packed.to_bytes(size, "little")
+    walked = sum(cols[h + 1 :]).to_bytes(n, "little")  # row i's walked entries sum to walked[i]
+    zeros = [_value_masks(fields[i:size:n], range(128, 129 + 2 * w, 2)) for i, w in enumerate(walked)]
+    every = int.from_bytes(b"\x01" * blocks, "little")
+    twos = int.from_bytes((b"\x02" + b"\x00" * (n - 1)) * blocks, "little")
+    steps = [(twos * cols[j], 2 * cols[j]) for j in range(h + 1, n)]
+    target = int.from_bytes(b"\x80" * n, "little")
+    nothing = repeat(0)  # dict.get's default: no block held that value
+    signs = 0
+    for walk in range(1 << (n - 1 - h)):
+        if walk:
+            bit = walk & -walk
+            signs ^= bit
+            step, row_step = steps[bit.bit_length() - 1]
+            if signs & bit:
+                packed -= step
+                target += row_step
+            else:
+                packed += step
+                target -= row_step
+        skip = functools.reduce(or_, map(dict.get, zeros, target.to_bytes(n, "little"), nothing))
+        if skip != every:
+            yield walk, packed, (skip ^ every).to_bytes(blocks, "little")
 
 
 def count_permanent(g: Digraph) -> CountPair:

@@ -166,14 +166,6 @@ def test_permanent_size_limit():
         count_permanent(Digraph(n=31, edges=frozenset()))
 
 
-def zero_flags(raw: bytes) -> int:
-    # counting._zero_flags of the little-endian int of raw, with its masks
-    size = len(raw)
-    low = int.from_bytes(b"\x7f" * size, "little")
-    high = int.from_bytes(b"\x80" * size, "little")
-    return counting._zero_flags(int.from_bytes(raw, "little"), low, high)
-
-
 def test_permanent_max_n_fits_biased_byte():
     # a field of _glynn is 128 plus a signed row sum, at most n in size for
     # a digraph's A + I and n + 1 for a 0/1 matrix with loops plus I; at
@@ -185,24 +177,28 @@ def test_permanent_max_n_fits_biased_byte():
     high = int.from_bytes(b"\x80" * len(sums), "little")
     signed = (fields ^ high).to_bytes(len(sums), "little")
     assert struct.unpack(f"{len(sums)}b", signed) == tuple(sums)
-    # a block of n = PERMANENT_MAX_N zero fields between two blocks with one
-    # zero each: the flags times `ones` leave n in the block's top byte, and
-    # no partial sum carries into the next block's count byte
+    # the lookup's target byte is 128 plus twice a sum of walked entries of
+    # one row, so at most 128 + 2 * bound: it fits in a byte, and at
+    # n = PERMANENT_MAX_N the packed sum of every walked column of J + I
+    # (each row's entries summing to bound) has each row's sum in its byte
+    assert 128 + 2 * bound <= 255
     n = PERMANENT_MAX_N
-    ones = int.from_bytes(b"\x01" * n, "little")
-    blocks = b"\x00" + b"\x05" * (n - 1) + b"\x00" * n + b"\xf9" * (n - 1) + b"\x00"
-    size = len(blocks)
-    counts = (zero_flags(blocks) * ones).to_bytes(size + n, "little")
-    assert list(counts[n - 1 : size : n]) == [1, n, 1]
-    assert counts[n - 1 : size : n].translate(counting._KEEP) == bytes(3)
+    cols = matrix_cols([[1 + (i == j) for j in range(n)] for i in range(n)])
+    target = int.from_bytes(b"\x80" * n, "little") + 2 * sum(cols)
+    assert list(target.to_bytes(n, "little")) == [128 + 2 * bound] * n
 
 
-def test_zero_flags_mark_exactly_the_zero_bytes():
+def test_value_masks_mark_exactly_the_matching_bytes():
     # every byte value, each between two others, so a carry or borrow
-    # across bytes would show in a neighbour's flag
-    for order in (range(256), range(255, -1, -1), [0, 255] * 128):
-        flags = zero_flags(bytes(order)).to_bytes(len(order), "little")
-        assert list(flags) == [int(b == 0) for b in order]
+    # across bytes would show in a neighbour's mask; the masks cover the
+    # values asked for that the fields hold, and no other
+    for order in (range(256), range(255, -1, -1), [0, 255] * 128, [128, 98, 128, 190] * 3):
+        fields = bytes(order)
+        for values in (range(256), range(128, 191, 2)):
+            masks = counting._value_masks(fields, values)
+            assert sorted(masks) == sorted(set(values) & set(fields))
+            for v, mask in masks.items():
+                assert list(mask.to_bytes(len(fields), "little")) == [int(b == v) for b in fields]
 
 
 def matrix_cols(mat) -> list[int]:
@@ -269,6 +265,74 @@ def test_glynn_walk_matches_ryser_n9_to_n14():
     assert ryser_permanent([[int(i != j) for j in range(9)] for i in range(9)]) == 133496
 
 
+def naive_steps(cols, n: int, h: int) -> dict[int, tuple[bytes, bytes]]:
+    # _glynn_steps written out: at walk step w the walked columns h+1+t
+    # with bit t of the Gray code w ^ (w >> 1) are negative, so field i of
+    # every block drops by twice their entries in row i; a block is kept
+    # when none of its fields is 128, a zero row sum, and a step when it
+    # keeps a block
+    blocks = 1 << h
+    start = counting._sign_blocks(cols, n, h).to_bytes(n << h, "little")
+    entries = [[(c >> 8 * i) & 0xFF for i in range(n)] for c in cols]  # entries[j][i] = m_ij
+    steps = {}
+    for walk in range(1 << (n - 1 - h)):
+        gray = walk ^ (walk >> 1)
+        negative = [h + 1 + t for t in range(n - 1 - h) if gray >> t & 1]
+        drop = [2 * sum(entries[j][i] for j in negative) for i in range(n)]
+        fields = bytes(start[b * n + i] - drop[i] for b in range(blocks) for i in range(n))
+        keep = bytes(128 not in fields[b * n : (b + 1) * n] for b in range(blocks))
+        if any(keep):
+            steps[walk] = (fields, keep)
+    return steps
+
+
+def test_glynn_steps_keep_exactly_the_blocks_without_a_zero_row_sum():
+    # every step of the walk, against a naive per-block check: the kernel's
+    # batch width and a narrow one (more steps), on sparse and dense 0/1
+    # matrices with loops and their plus-I forms, whose rows with all ones
+    # put fields at 128 + (n + 1)
+    rng = random.Random(2525)
+    for n in range(10, 15):
+        mats = [[[1] * n for _ in range(n)]]
+        for density in (0.15, 0.4):
+            mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            mat[rng.randrange(n)] = [1] * n
+            mats.append(mat)
+        for mat in mats:
+            plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(mat)]
+            for cols in (matrix_cols(mat), matrix_cols(plus_i)):
+                for h in (min(n - 1, counting._GLYNN_BATCH), 3):
+                    size = n << h
+                    found = {
+                        walk: (packed.to_bytes(size, "little"), keep)
+                        for walk, packed, keep in counting._glynn_steps(cols, n, h)
+                    }
+                    assert found == naive_steps(cols, n, h)
+
+
+def test_glynn_matches_ryser_on_rows_the_walk_skips():
+    # rows the lookup treats apart: one on batch columns 0..h only (its
+    # zero blocks never move), one on walked columns only (at a step where
+    # its sum is 0, every block is skipped, so the whole step is), a zero
+    # row, and entries of 2 in the plus-I form of a 0/1 matrix with loops
+    rng = random.Random(2526)
+    for n in range(10, 14):
+        h = min(n - 1, counting._GLYNN_BATCH)
+        mat = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)]
+        mat[0] = [int(j <= h and j % 2 == 0) for j in range(n)]
+        mat[n - 1] = [int(j in (h + 1, h + 2)) for j in range(n)]
+        mat[1] = [1] * n
+        zero_row = [row[:] for row in mat]
+        zero_row[2] = [0] * n
+        for m in (mat, zero_row):
+            plus_i = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(m)]
+            assert _glynn(matrix_cols(m), n) == ryser_permanent(m)
+            assert _glynn(matrix_cols(plus_i), n) == ryser_permanent(plus_i)
+        # row n - 1 sums to 0 whenever one of its two walked columns is negative
+        kept_steps = len(list(counting._glynn_steps(matrix_cols(mat), n, h)))
+        assert kept_steps < 1 << (n - 1 - h) or n - 1 - h == 1
+
+
 def test_count_permanent_matches_bruteforce_n9_n10():
     # from n = 10 the outer Gray walk runs beside the 8-sign batch
     rng = random.Random(2010)
@@ -285,6 +349,30 @@ def test_count_permanent_frozen_n18():
     g = random_digraph(18, 0.4, random.Random(18))
     assert g.edge_count == 121
     assert count_permanent(g) == CountPair(43970620, 786246624)
+
+
+#: (n, density, edge count, X, Y) of random_digraph(n, density, rng) drawn in
+#: this order from one random.Random(2517): frozen values, recorded once
+#: with the Glynn kernel that found zero-sum blocks by byte-wise arithmetic
+#: over every block, before the per-row lookup replaced it
+FROZEN_N17_TO_N20 = [
+    (17, 0.1, 25, 0, 4),
+    (17, 0.6, 156, 5408177201, 36682808812),
+    (18, 0.25, 73, 0, 194538),
+    (18, 0.9, 272, 269008182228851, 832421370294072),
+    (19, 0.15, 68, 76, 160146),
+    (19, 0.45, 151, 3480303802, 41564822173),
+    (20, 0.2, 66, 0, 38262),
+    (20, 0.35, 138, 475605140, 10049414312),
+]
+
+
+def test_count_permanent_frozen_n17_to_n20():
+    rng = random.Random(2517)
+    for n, density, edge_count, der, per in FROZEN_N17_TO_N20:
+        g = random_digraph(n, density, rng)
+        assert g.edge_count == edge_count
+        assert count_permanent(g) == CountPair(der, per)
 
 
 def test_count_permanent_examples():
@@ -538,6 +626,21 @@ def test_import_keeps_no_masks():
     # masks are made by the first count at each k, never at import
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = "import dpratio, dpratio.counting as c; print(c._column_masks.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0"
+
+
+def test_import_builds_no_flag_tables():
+    # the translate tables of the Glynn lookup are made by the first
+    # permanent that needs them, never at import
+    src = os.path.dirname(os.path.dirname(dpratio.__file__))
+    probe = "import dpratio.cli, dpratio.counting as c; print(c._flag.cache_info().currsize)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
