@@ -49,7 +49,6 @@ import functools
 import math
 import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -102,17 +101,11 @@ def _sign_blocks(cols: list[int], n: int, h: int) -> int:
     return even | (odd << (width << (h - 1)))
 
 
-@functools.cache
-def _flag(v: int) -> bytes:
-    """bytes.translate table that maps byte value v to 1 and every other
-    value to 0; made on first use, at most 256 of them per process."""
-    return bytes(v) + b"\x01" + bytes(255 - v)
-
-
 def _value_masks(fields: bytes, values: range) -> dict[int, int]:
     """For each v of values that fields holds, the int with a 1 in byte b
     for each b with fields[b] == v, and 0 in every other byte."""
-    return {v: int.from_bytes(fields.translate(_flag(v)), "little") for v in values if v in fields}
+    flags = {v: bytes(v) + b"\x01" + bytes(255 - v) for v in values if v in fields}  # v -> 1
+    return {v: int.from_bytes(fields.translate(flag), "little") for v, flag in flags.items()}
 
 
 def _glynn(cols: list[int], n: int) -> int:
@@ -243,7 +236,8 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     At ell = 2, P = T_1: its columns are read from its chunk views beside
     the last layer's rows, so no matrix is ever held as tuples.  Otherwise
     each column of P is one Kronecker-packed int (_pack), whose fields are
-    sized once for the whole chain (_chain_bytes): column y of P T_c is
+    sized once for the whole chain by the C(k, i)^(ell-2) (k-i)!^(ell-1)
+    bound of any entry of P^(i) (_field_width): column y of P T_c is
     sum_z T_c[z][y] * column z of P, one big-int multiply-add per entry,
     and no field carries, since every addend is nonnegative and each field
     ends at most at its bound.  The packed columns are unpacked once
@@ -251,12 +245,18 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     """
     k = g.k
     check_layered_k(k)
-    nbytes = _field_bytes(k)
+    nbytes = _field_width(math.factorial(k))
+    if nbytes > 8:
+        raise ValueError(f"no layer-table field of at most 8 bytes holds {k}! at k = {k}")
     *heads, last = g.layers
     derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
     if len(heads) > 1:
+        ell = len(g.layers)
         sizes = [f.bit_count() for f in range(1, (1 << k) - 1)]  # |F| in the order of the vectors
-        widths = {i: _chain_bytes(k, i, len(g.layers)) for i in range(1, k)}
+        widths = {
+            i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
+            for i in range(1, k)
+        }
         packed = {i: [] for i in widths}
         for i, col in zip(sizes, cols):
             packed[i].append(_pack(col, widths[i]))
@@ -281,18 +281,17 @@ def _transpose(rows, k: int) -> list[int]:
     return [sum(((row >> j) & 1) << r for r, row in enumerate(rows)) for j in range(k)]
 
 
-def _field_bytes(k: int) -> int:
-    """Bytes per field of a layer table: the smallest of 1, 2, 4 and 8
-    whose fields hold k!, the largest count a field can reach."""
-    for n in (1, 2, 4, 8):
-        if math.factorial(k) < 1 << 8 * n:
-            return n
-    raise ValueError(f"no layer-table field of at most 8 bytes holds {k}! at k = {k}")
+def _field_width(bound: int) -> int:
+    """Bytes per field of the layer tables, the packed chain columns and the
+    moment runs: the fewest of 1, 2, 4 and 8 that hold bound, or whole bytes
+    past 8."""
+    nbytes = max(1, (bound.bit_length() + 7) // 8)
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
 
-# native typecode of each field width, chosen by item size, which C fixes
-# only as a minimum
-_FIELD_CODES = {n: next(c for c in "BHIQL" if array(c).itemsize == n) for n in (1, 2, 4, 8)}
+#: format code of each field width up to 8 bytes, the standard struct size
+#: of _pack and _unpack and the native item size of the chunk views alike
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 #: a chunk of _layer_tables packs 2^g consecutive tables into about this
 #: many bytes, g >= 0
@@ -397,7 +396,7 @@ def _layer_vectors(rows, k: int, nbytes: int):
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
     matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
-    code, size = _FIELD_CODES[nbytes], nbytes << (k + _chunk_log(k, nbytes))
+    code, size = _CODES[nbytes], nbytes << (k + _chunk_log(k, nbytes))
     # popped from the end, so views holds the chunks last first
     views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
     if order == "big":
@@ -414,15 +413,6 @@ def _read(views: list[memoryview], readers):
             yield get(chunk)
 
 
-def _chain_bytes(k: int, i: int, ell: int) -> int:
-    """Bytes per field of a packed column of T_1^(i) ... T_(ell-1)^(i): the
-    C(k, i)^(ell-2) (k-i)!^(ell-1) bound of any entry, rounded up to 1, 2, 4
-    or 8 bytes, or to whole bytes past 8."""
-    bound = math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1)
-    nbytes = (bound.bit_length() + 7) // 8
-    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
-
-
 def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:
     """The packed columns of P T^(i) for each size i, given packed[i], those
     of P^(i), and the columns of T in the order of `sizes`, the size of
@@ -433,15 +423,10 @@ def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, lis
     return product
 
 
-#: struct format code of each packed column field width up to 8 bytes,
-#: standard sizes in little-endian order whatever the machine
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _pack(col, nbytes: int) -> int:
     """col as one int, entry x in the nbytes-wide field at byte x * nbytes."""
-    if nbytes in _STRUCT_CODES:
-        raw = struct.pack(f"<{len(col)}{_STRUCT_CODES[nbytes]}", *col)
+    if nbytes in _CODES:
+        raw = struct.pack(f"<{len(col)}{_CODES[nbytes]}", *col)
     else:
         raw = b"".join(map(int.to_bytes, col, repeat(nbytes), repeat("little")))
     return int.from_bytes(raw, "little")
@@ -450,8 +435,8 @@ def _pack(col, nbytes: int) -> int:
 def _unpack(x: int, nbytes: int, n: int) -> tuple[int, ...]:
     """The n fields of x, low first, nbytes each: the inverse of _pack."""
     raw = x.to_bytes(n * nbytes, "little")
-    if nbytes in _STRUCT_CODES:
-        return struct.unpack(f"<{n}{_STRUCT_CODES[nbytes]}", raw)
+    if nbytes in _CODES:
+        return struct.unpack(f"<{n}{_CODES[nbytes]}", raw)
     return tuple(int.from_bytes(raw[j : j + nbytes], "little") for j in range(0, len(raw), nbytes))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .counting import _pack, _unpack
+from .counting import _field_width, _pack, _unpack
 from .digraph import blowup_edge_count, csv_text, report_json
 from .params import ConstructionPlan
 from .series import f_eval, h_table
@@ -138,8 +138,8 @@ def _run_fields(gs: list[list[int]], ell: int) -> tuple[int, ...]:
     packed in nb-byte fields and added shifted into one int, unpacked once
     (Kronecker substitution, D. Harvey, J. Symbolic Comput. 2009, section 2).
     No field carries: a coefficient is at most the value at z = 1,
-    sum_d sum(gs[d])^ell, whose byte length is nb."""
-    nb = (sum(sum(g) ** ell for g in gs).bit_length() + 7) // 8
+    sum_d sum(gs[d])^ell, which nb-byte fields hold (_field_width)."""
+    nb = _field_width(sum(sum(g) ** ell for g in gs))
     row = 0
     for d, g in enumerate(gs):
         row += pow(_pack(g, nb), ell) << (8 * nb * ell * d)

@@ -10,12 +10,14 @@ cross-checks in `dpratio.verify` compare a production route against.
 * h_bruteforce             -- h(a, b) by enumerating permutations;
 * h_window_error           -- the deviation of the production table
                               `series.h_table` from a!/e, in exact rationals;
-* exhaustive_moments       -- the moments by enumerating every m-edge subgraph.
+* exhaustive_moments       -- the moments by enumerating every m-edge subgraph,
+                              each counted by count_bruteforce.
 
 Each shares no code with the route it checks, except `h_window_error`,
-which measures the production table itself; the enumerations are slow by
-design.  Only `dpratio.verify` imports this module, so no production route
-rests on an oracle (`tests/test_hygiene.py` enforces this).  Calls go
+which measures the production table itself, and none calls a counter of
+`dpratio.counting`; the enumerations are slow by design.  Only
+`dpratio.verify` imports this module, so no production route rests on an
+oracle (`tests/test_hygiene.py` enforces this).  Calls go
 through the module attributes (`counting.x`, not a bare `x`), so wrappers
 installed on those modules (as `bench/spans.py` does) see them.
 """
@@ -163,12 +165,13 @@ def h_window_error(a: int) -> float:
 
 
 def exhaustive_moments(k: int, ell: int, m: int) -> tuple[Fraction, ...]:
-    """(E[X], E[Y], E[X^2], E[Y^2]) by enumerating every m-edge subgraph."""
+    """(E[X], E[Y], E[X^2], E[Y^2]) by enumerating every m-edge subgraph and
+    counting each by brute force (count_bruteforce, so n = k*ell <= 10)."""
     base = digraph.build_blowup(k, ell)
     n = math.comb(base.edge_count, m)
     sx = sy = sx2 = sy2 = 0
     for g in enumerate_subgraphs(base, m):
-        c = counting.count_permanent(digraph.to_general(g))
+        c = count_bruteforce(digraph.to_general(g))
         sx += c.derangements
         sy += c.permutations
         sx2 += c.derangements**2

@@ -153,6 +153,13 @@ def check_falling_ratio(prof: Profile, record: Record) -> list[CheckResult]:
     for k in (4, 8, 16):
         cp = params.plan(0.3, k)
         a, b, x = digraph.blowup_edge_count(k, cp.ell), cp.m, k * cp.ell
+        # E[Y] reads the production binomial walk from x = k*ell down to 0
+        ok &= moments.expected_y_exact(k, cp.ell, b) == sum(
+            (math.comb(k, i) * math.factorial(k - i)) ** cp.ell
+            * oracles.falling_ratio_exact(a, b, (k - i) * cp.ell)
+            for i in range(k + 1)
+            if (k - i) * cp.ell <= b
+        )
         exact = float(oracles.falling_ratio_exact(a, b, x))
         errs.append(abs(oracles.falling_ratio_asymptotic(a, b, x) / exact - 1.0))
     return [

@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,10 @@ from dpratio.counting import (
     count,
     count_layered,
     count_permanent,
-    _chain_bytes,
+    _CODES,
     _chunk_log,
     _column_products,
-    _field_bytes,
+    _field_width,
     _glynn,
     _layer_tables,
     _pack,
@@ -41,10 +42,15 @@ from dpratio.oracles import closed_form_counts, count_bruteforce
 from dpratio.params import plan
 
 
+def field_bytes(k: int) -> int:
+    # bytes per field of a layer table at part size k, as count_layered sizes it
+    return _field_width(math.factorial(k))
+
+
 def layer_tables(rows, k: int) -> list[int]:
     # the packed tables of one layer, one int per fixed set F: the chunks of
     # _layer_tables split into their 2^g tables of 2^k fields each
-    nbytes = _field_bytes(k)
+    nbytes = field_bytes(k)
     span = 8 * nbytes << k
     per = 1 << _chunk_log(k, nbytes)
     chunks = _layer_tables(rows, k, nbytes)
@@ -54,7 +60,7 @@ def layer_tables(rows, k: int) -> list[int]:
 
 def table_fields(table: int, k: int) -> list[int]:
     # the 2^k counts of one packed layer table, field U in bits U*W .. U*W + W - 1
-    width = 8 * _field_bytes(k)
+    width = 8 * field_bytes(k)
     assert table >> (width << k) == 0  # nothing past field 2^k - 1
     return [(table >> (width * u)) & ((1 << width) - 1) for u in range(1 << k)]
 
@@ -446,7 +452,7 @@ def test_layered_big_endian_field_order(monkeypatch):
     rng = random.Random(1955)
     graphs = []
     for k in range(2, 6):
-        assert _field_bytes(k) == 1 and _chunk_log(k, 1) == k
+        assert field_bytes(k) == 1 and _chunk_log(k, 1) == k
         base = build_blowup(k, rng.choice([2, 3, 4]))
         for _ in range(8):
             g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
@@ -516,7 +522,7 @@ def test_closed_form_vs_layered_grid():
     # ell >= 5: three or more packed column products before the closing dots;
     # at k = 8, ell = 6 the packed fields are 10 bytes, past every struct code
     shapes += [(k, ell) for k in range(1, 9) for ell in (5, 6)]
-    assert _chain_bytes(8, 1, 6) == 10
+    assert _field_width(math.comb(8, 1) ** 4 * math.factorial(7) ** 5) == 10
     for k, ell in shapes:
         assert closed_form_counts(k, ell) == count_layered(build_blowup(k, ell))
 
@@ -561,7 +567,7 @@ def test_layer_minors_match_permanents():
 def per_row_mask_table(rows, k: int) -> int:
     # the layer DP on one int, state F << k | U in field F << k | U, with
     # each column mask made for its row at the row's size
-    nbytes = _field_bytes(k)
+    nbytes = field_bytes(k)
     width = 8 * nbytes
     cur = 1
     for t, row in enumerate(rows):
@@ -589,7 +595,7 @@ def test_layer_table_matches_per_row_masks():
     # the chunks, and the tables split from them, laid end to end in the
     # order of F, are the one-int table; k <= 9 packs several tables in a
     # chunk (g > 0), k = 10 one table a chunk (g = 0)
-    assert [_chunk_log(k, _field_bytes(k)) for k in (1, 5, 7, 8, 9, 10)] == [1, 5, 4, 3, 1, 0]
+    assert [_chunk_log(k, field_bytes(k)) for k in (1, 5, 7, 8, 9, 10)] == [1, 5, 4, 3, 1, 0]
     rng = random.Random(15)
     for k in range(1, 11):
         full = (1 << k) - 1
@@ -598,7 +604,7 @@ def test_layer_table_matches_per_row_masks():
             rows = [sum(1 << j for j in range(k) if rng.random() < density) for _ in range(k)]
             rows[rng.randrange(k)] = rng.choice([0, full])
             layers.append(rows)
-        nbytes = _field_bytes(k)
+        nbytes = field_bytes(k)
         span = 8 * nbytes << k  # bits of one table's 2^k fields
         chunk_span = span << _chunk_log(k, nbytes)
         for rows in layers:
@@ -613,7 +619,7 @@ def test_layer_tables_k11_one_edge_per_row():
     # of tables[F] is 1 exactly when U is the image of the rows outside F,
     # and every other field is 0
     k = 11
-    width = 8 * _field_bytes(k)
+    width = 8 * field_bytes(k)
     rows = [1 << (3 * r % k) for r in range(k)]
     tables = layer_tables(rows, k)
     assert len(tables) == 1 << k
@@ -636,31 +642,38 @@ def test_import_keeps_no_masks():
     assert out.strip() == "0"
 
 
-def test_import_builds_no_flag_tables():
-    # the translate tables of the Glynn lookup are made by the first
-    # permanent that needs them, never at import
-    src = os.path.dirname(os.path.dirname(dpratio.__file__))
-    probe = "import dpratio.cli, dpratio.counting as c; print(c._flag.cache_info().currsize)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "0"
+def test_field_width_bounds():
+    # the one width rule of every packed field: the fewest of 1, 2, 4 and 8
+    # bytes that hold the bound, whole bytes past 8
+    bounds = [0, 1, 255, 256, 2**16, 2**32, 2**64 - 1, 2**64, 2**72]
+    assert [_field_width(b) for b in bounds] == [1, 1, 1, 2, 4, 8, 8, 9, 10]
 
 
-def test_layer_field_width():
+def test_codes_have_their_widths():
+    # each code is its width both as a standard struct size (_pack, _unpack)
+    # and as a native item size (the chunk views' memoryview.cast)
+    assert sorted(_CODES) == [1, 2, 4, 8]
+    for n, c in _CODES.items():
+        assert array(c).itemsize == n
+        assert struct.calcsize("<" + c) == n
+
+
+def test_layer_field_width(monkeypatch):
     # a field holds any count up to k!, in the fewest of 1, 2, 4 and 8 bytes
     for k in range(1, 21):
-        nbytes = _field_bytes(k)
+        nbytes = field_bytes(k)
         assert math.factorial(k) < 1 << 8 * nbytes
         assert nbytes == 1 or math.factorial(k) >= 1 << 4 * nbytes
-    assert [_field_bytes(k) for k in (5, 6, 8, 9, 12, 13, 20)] == [1, 2, 2, 4, 4, 8, 8]
-    # 21! needs more than 64 bits: a clear error that names k
+    assert [field_bytes(k) for k in (5, 6, 8, 9, 12, 13, 20)] == [1, 2, 2, 4, 4, 8, 8]
+    # 21! needs more than 64 bits: a clear error that names k, past the
+    # part size guard, before any table is built
+    def refuse(rows, k, nbytes):
+        raise AssertionError(f"tables built at k = {k}, {nbytes}-byte fields")
+
+    monkeypatch.setattr(counting, "LAYERED_MAX_K", 21)
+    monkeypatch.setattr(counting, "_layer_vectors", refuse)
     with pytest.raises(ValueError, match="k = 21"):
-        _field_bytes(21)
+        count_layered(build_blowup(21, 2))
     # a full layer reaches k! at the empty fixed set, at the largest k of
     # the 1- and 2-byte widths and the smallest of the 4-byte width
     for k in (5, 8, 9):
@@ -669,8 +682,9 @@ def test_layer_field_width():
 
 
 def test_layered_forced_8_byte_fields(monkeypatch):
-    # the 8-byte width (k = 13..20) at small k: every field of every table
-    # 8 bytes wide, read through typecode "Q"; the counts must not change
+    # the 8-byte width (k = 13..20) at small k: every field of every table,
+    # and of every packed column, 8 bytes wide, the tables read through
+    # typecode "Q"; the counts must not change
     rng = random.Random(1313)
     graphs = []
     for k in range(1, 6):
@@ -681,8 +695,8 @@ def test_layered_forced_8_byte_fields(monkeypatch):
                 m = rng.randrange(base.edge_count + 1)
                 g = sample_subgraph(base, m, rng.randrange(1 << 30))
                 graphs.append((g, count_layered(g)))
-    monkeypatch.setattr(counting, "_field_bytes", lambda k: 8)
-    assert counting._FIELD_CODES[8] == "Q"
+    monkeypatch.setattr(counting, "_field_width", lambda bound: 8)
+    assert _CODES[8] == "Q"
     for g, expected in graphs:
         assert count_layered(g) == expected
         rows = g.layers[0]

@@ -202,8 +202,11 @@ def test_run_fields_match_naive_convolution():
     # the value at z = 1 on a byte boundary, reached by one field of one
     # list's power or of a sum of shifted powers (at 2^16 and the second
     # 2^24, each list's own power fits a narrower field than the sum);
-    # a field one byte narrower carries
+    # a field one width step narrower carries.  Totals of 3 and 5 bytes
+    # pack in 4- and 8-byte fields
     for gs, ell, top in [
+        ([[0, 2**24 - 1, 0]], 1, 2**24 - 1),
+        ([[0, 2**39], [2**39 - 1]], 1, 2**40 - 1),
         ([[255]], 1, 2**8 - 1),
         ([[0, 128], [127]], 1, 2**8 - 1),
         ([[0, 0, 2**16 - 1, 0]], 1, 2**16 - 1),

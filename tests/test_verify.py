@@ -1,10 +1,11 @@
+import inspect
 import math
 import sys
 
 import mpmath
 import pytest
 
-from dpratio import oracles, series, verify
+from dpratio import counting, moments, oracles, series, verify
 
 
 def test_verify_rejects_unknown_profile():
@@ -54,3 +55,33 @@ def test_check_h_reads_the_production_table(monkeypatch):
     assert [r.passed for r in results] == [False, True]
     assert oracles.h_window_error(10) != 0.09999999420565592
     assert not verify.verify_all("tiny").passed
+
+
+def test_check_falling_ratio_reads_the_production_walk(monkeypatch):
+    # moments._edge_expectation with each step of its binomial walk one
+    # above its value: criterion 4's exact line must fail on E[Y], while
+    # the asymptotic line still passes
+    source = inspect.getsource(moments._edge_expectation)
+    step = "c = c * (total - x) // (m - x)"
+    assert source.count(step) == 1
+    namespace = dict(vars(moments))
+    exec(source.replace(step, step + " + 1"), namespace)
+    tiny = verify.PROFILES["tiny"]
+    assert all(r.passed for r in verify.check_falling_ratio(tiny, lambda c: c))
+    monkeypatch.setattr(moments, "_edge_expectation", namespace["_edge_expectation"])
+    results = verify.check_falling_ratio(tiny, lambda c: c)
+    assert [r.passed for r in results] == [False, True]
+    assert not verify.verify_all("tiny").passed
+
+
+def test_exhaustive_moments_calls_no_counter(monkeypatch):
+    # the moment oracle counts each subgraph by brute force, never through
+    # a production counter
+    expected = [oracles.exhaustive_moments(2, 2, m) for m in (0, 4, 8)]
+
+    def refuse(g):
+        raise AssertionError("the oracle called a production counter")
+
+    for name in ("count", "count_layered", "count_permanent"):
+        monkeypatch.setattr(counting, name, refuse)
+    assert [oracles.exhaustive_moments(2, 2, m) for m in (0, 4, 8)] == expected
