@@ -17,12 +17,17 @@ Two counters:
   32 or 64 bits, the smallest with k! < 2^W, and each row moves every field
   of a table at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
-  2^g consecutive tables share one int of about 4 KB (g = 0 from k = 10
-  on, one table an int), so the k column masks span the fields of one
+  Tables share ints, chunks of 2^g slots of one table each, about 4 KB
+  (g = 0 from k = 10 on), so the k column masks span the fields of one
   chunk; they depend only on k, so they are made once per process
   (functools.cache) and kept for every later layer and call (192 KB at
-  k = 12).  Each chunk is read once, as a typed view in native byte order,
-  one `operator.itemgetter` call per fixed set.  Every layer but the last
+  k = 12).  Within a slot, tables of fixed sets of different sizes never
+  share a nonzero field, so one chunk adds several of them: a per-k plan,
+  made once, merges the chunks row by row, and a layer ends in
+  C(k-g, floor((k-g)/2)) chunks instead of 2^(k-g), Sperner's bound on an
+  antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read once,
+  as a typed view in native byte order, one `operator.itemgetter` call
+  per fixed set, by the size of the set.  Every layer but the last
   runs on its transposed rows, so it gives the columns of its matrices;
   the last gives rows.  The trace closes with one dot product per fixed
   set, a column of T_1 ... T_(ell-1) with a row of T_ell; at ell >= 3 the
@@ -45,6 +50,7 @@ of the adjacency matrix.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import struct
@@ -162,11 +168,22 @@ def _glynn_steps(cols: list[int], n: int, h: int):
     zeros[i] maps each value field i can match (_value_masks) to the blocks
     that held it before the walk, one byte per block, so one lookup per row
     and their OR give the step's blocks with a zero row sum.  A step in
-    which every block has one only moves `packed`."""
+    which every block has one only moves `packed`.
+
+    A walk of one step (h = n - 1, no walked column) builds no per-row
+    tables: one mask flags every field at 128, and its product with n ones
+    counts each block's flags in the block's top byte, at most n < 256."""
     blocks = 1 << h
     size = n << h
     packed = _sign_blocks(cols, n, h)
     fields = packed.to_bytes(size, "little")
+    if h == n - 1:
+        flags = _value_masks(fields, range(128, 129)).get(128, 0)
+        counts = (flags * int.from_bytes(b"\x01" * n, "little")).to_bytes(size + n, "little")
+        keep = counts[n - 1 : size : n].translate(b"\x01" + bytes(255))  # no zero row sum: 1
+        if 1 in keep:
+            yield 0, packed, keep
+        return
     walked = sum(cols[h + 1 :]).to_bytes(n, "little")  # row i's walked entries sum to walked[i]
     zeros = [_value_masks(fields[i:size:n], range(128, 129 + 2 * w, 2)) for i, w in enumerate(walked)]
     every = int.from_bytes(b"\x01" * blocks, "little")
@@ -226,22 +243,24 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     F'.  The end sizes take no matrices: the i = 0 term is the derangement
     count, the product of each layer's perfect-matching count, and the
     i = k term is 1, the identity.  For 0 < i < k, each layer's packed
-    tables (_layer_tables) are read once, one vector per fixed set
-    (_layer_vectors): every layer but the last runs on its transposed rows,
-    so its vectors are the columns of T_c, and the last one's are the rows
-    of T_ell.  With P = T_1 ... T_(ell-1),
+    tables (_layer_tables) are read once, one vector per fixed set, in the
+    order the chunks hold them (_layer_vectors, _readers): every layer but
+    the last runs on its transposed rows, so its vectors are the columns of
+    T_c, and the last one's are the rows of T_ell, in the same order.  With
+    P = T_1 ... T_(ell-1),
 
         trace(P T_ell) = sum_F column F of P . row F of T_ell.
 
     At ell = 2, P = T_1: its columns are read from its chunk views beside
     the last layer's rows, so no matrix is ever held as tuples.  Otherwise
-    each column of P is one Kronecker-packed int (_pack), whose fields are
+    each column of P is one Kronecker-packed int (_pack), kept at the rank
+    of its fixed set among the sets of its size, whose fields are
     sized once for the whole chain by the C(k, i)^(ell-2) (k-i)!^(ell-1)
     bound of any entry of P^(i) (_field_width): column y of P T_c is
     sum_z T_c[z][y] * column z of P, one big-int multiply-add per entry,
     and no field carries, since every addend is nonnegative and each field
-    ends at most at its bound.  The packed columns are unpacked once
-    (_unpack) before the closing dots.
+    ends at most at its bound.  Each packed column is unpacked once
+    (_unpack), in the order of the last layer's rows, for its closing dot.
     """
     k = g.k
     check_layered_k(k)
@@ -252,22 +271,19 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
     if len(heads) > 1:
         ell = len(g.layers)
-        sizes = [f.bit_count() for f in range(1, (1 << k) - 1)]  # |F| in the order of the vectors
+        slots = _readers(k, nbytes)[1]  # (|F|, rank of F) in the order of the vectors
         widths = {
             i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
             for i in range(1, k)
         }
-        packed = {i: [] for i in widths}
-        for i, col in zip(sizes, cols):
-            packed[i].append(_pack(col, widths[i]))
+        packed = {i: [0] * math.comb(k, i) for i in widths}
+        for (i, r), col in zip(slots, cols):
+            packed[i][r] = _pack(col, widths[i])
         for rows in heads[1:]:
             matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
             derangements *= matchings
-            packed = _column_products(packed, layer_cols, sizes)
-        unpacked = {
-            i: map(_unpack, packed[i], repeat(widths[i]), repeat(math.comb(k, i))) for i in widths
-        }
-        cols = (next(unpacked[i]) for i in sizes)
+            packed = _column_products(packed, layer_cols, slots)
+        cols = (_unpack(packed[i][r], widths[i], math.comb(k, i)) for i, r in slots)
     matchings, rows = _layer_vectors(last, k, nbytes)
     # each column has as many entries as its row, so the dots run end to end
     traces = sum(map(mul, chain.from_iterable(cols), chain.from_iterable(rows)))
@@ -323,64 +339,133 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
     the rows outside the fixed set F into the used columns U, so the minor
     that drops rows F and columns F' is field full ^ F' of table F, and
     every field with |F| + |U| != k is 0.  The tables come in chunks of
-    2^g (_chunk_log): chunks[c] holds table F = c * 2^g + f at field offset
-    f * 2^k, and a field is W = 8 * nbytes bits.
+    2^g slots (_chunk_log): table F sits in slot f = F mod 2^g, at field
+    offset f * 2^k, of the chunk that _chunk_plan gives its high part
+    F - f, and a field is W = 8 * nbytes bits.  A chunk holds several high
+    parts, all of different sizes, so at each slot the tables it adds never
+    share a nonzero field, and table F is fields |U| = k - |F| of its slot.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).
     Matching row t to column j moves those fields of each table whose U
     lacks bit j up by W * 2^j bits: one mask (_column_masks), one shift and
-    one add per column, summed into the chunk's entry of `matched`.  Fixing
-    the row keeps each table as the one of F | 1 << t: for t < g that table
-    sits 2^t tables higher in the same chunk, so the chunk after the row is
-    `matched + (chunk << W * 2^(k+t))`; from t = g on, it is in a new chunk,
-    so the chunks after the row are `matched + chunks`.  No field carries:
-    a field counts injections of the non-fixed rows into U, at most
-    |U|! <= k! < 2^W, and every addend is nonnegative, so no partial sum
-    exceeds its final value.
+    one add per column.  Fixing the row keeps each table as the one of
+    F | 1 << t: for t < g that table sits 2^t slots higher in the same
+    chunk, so the chunk after the row is its matched self plus
+    `chunk << W * 2^(k+t)`; from t = g on, it is a new high part, and each
+    chunk after the row adds the matched and the fixed chunks of the row
+    before that _chunk_plan names.  The sum stays separable: after row t,
+    table F is nonzero only at |U| = t + 1 - |F|, and the next row matches
+    every table by the same linear map and relabels F alike.  No field
+    carries: a field counts injections of the non-fixed rows into U, at
+    most |U|! <= k! < 2^W, every addend is nonnegative, and the tables
+    added into one chunk have no nonzero field in common.
     """
     width = 8 * nbytes
     g = _chunk_log(k, nbytes)
     masks = _column_masks(k, nbytes)
+    steps = _chunk_plan(k, nbytes)[0]
     chunks = [1]  # before row 0: the empty state, one way
     for t, row in enumerate(rows):
         cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
-        matched = []
-        for x in chunks:
-            m = 0
-            for mask, shift in cols:
-                m += (x & mask) << shift
-            matched.append(m)
         if t < g:  # one chunk so far
-            chunks = [matched[0] + (chunks[0] << (width << (k + t)))]
+            step, shift = [((0,), (0,))], width << (k + t)
         else:
-            chunks = matched + chunks
+            step, shift = steps[t - g], 0
+        grown = []
+        for matched, fixed in step:
+            x = 0
+            for c in fixed:
+                x += chunks[c] << shift
+            for c in matched:
+                for mask, up in cols:
+                    x += (chunks[c] & mask) << up
+            grown.append(x)
+        chunks = grown
     return chunks
 
 
 @functools.cache
-def _readers(k: int, nbytes: int) -> tuple[tuple[itemgetter, ...], ...]:
-    """readers[c] reads, from chunk c of _layer_tables viewed with field
-    f * 2^k + U as item f * 2^k + U, the vectors of its fixed sets F with
-    0 < |F| < k, in increasing F: row F of T^(i), i = |F|, is the fields
-    full ^ x of table F for every i-subset x, in increasing x.  One getter
-    per size i and table f within a chunk, shared by every chunk.  Made
-    once per process per (k, width), with about one key per field of a
-    chunk, 2^12 at k = 12."""
+def _chunk_plan(k: int, nbytes: int):
+    """(steps, highs): which chunks of _layer_tables add into which, made
+    once per process per (k, width).  steps[t - g] lists, for each chunk
+    after row t >= g (g = _chunk_log), the pair (matched, fixed) of the
+    chunks before the row whose matched and whose fixed forms add into it;
+    each chunk before the row is in one matched and one fixed list.  highs[c]
+    lists the high parts F - (F mod 2^g) of the tables in chunk c after
+    the last row, chunk 0 holding the empty set first.
+
+    The tables of two high parts can share a chunk when their sizes differ
+    (see _layer_tables), so the plan merges chunks by their sets of
+    high-part sizes: the sizes of a chunk form an interval, its matched
+    chunk keeps them and its fixed chunk adds 1 to each.  Each row places
+    the matched chunks, then the fixed ones, in order, each into the first
+    chunk whose sizes end just below its own or start just above them, or
+    into a new chunk: first fit, keyed by interval.  That gives
+    C(n, floor(n/2)) chunks after the row, n = t + 1 - g, the most sets of
+    one size among the subsets of n rows, so no plan has fewer (Sperner).
+    """
+    g = _chunk_log(k, nbytes)
+    highs, spans = [(0,)], [(0, 0)]
+    steps = []
+    for t in range(g, k):
+        n = len(highs)
+        items = spans + [(a + 1, b + 1) for a, b in spans]  # matched, then fixed
+        groups: list[tuple[list[int], list[int]]] = []
+        merged: list[list[int]] = []
+        spans = []
+        ends: dict[int, list[int]] = {}  # chunks by their largest size, increasing
+        starts: dict[int, list[int]] = {}  # chunks by their smallest size, increasing
+        for x, (lo, hi) in enumerate(items):
+            fits = [cs[0] for cs in (ends.get(lo - 1), starts.get(hi + 1)) if cs]
+            if fits:
+                c = min(fits)
+                a, b = spans[c]
+                ends[b].remove(c)
+                starts[a].remove(c)
+                spans[c] = a, b = min(a, lo), max(b, hi)
+            else:
+                c, a, b = len(spans), lo, hi
+                spans.append((a, b))
+                groups.append(([], []))
+                merged.append([])
+            bisect.insort(ends.setdefault(b, []), c)
+            bisect.insort(starts.setdefault(a, []), c)
+            groups[c][x >= n].append(x % n)  # matched, or fixed
+            merged[c].extend(highs[x] if x < n else [f | 1 << t for f in highs[x - n]])
+        steps.append(tuple((tuple(m), tuple(f)) for m, f in groups))
+        highs = merged
+    return tuple(steps), tuple(map(tuple, highs))
+
+
+@functools.cache
+def _readers(k: int, nbytes: int):
+    """(readers, slots): readers[c] reads, from chunk c of _layer_tables
+    viewed with field f * 2^k + U as item f * 2^k + U, the vectors of its
+    fixed sets F with 0 < |F| < k, slot by slot and within a slot in the
+    order of _chunk_plan's high parts: row F of T^(i), i = |F|, is the
+    fields full ^ x of slot f = F mod 2^g for every i-subset x, in
+    increasing x, since the slot's other tables are 0 there.  One getter
+    per slot f and size i, shared by every chunk; slots[v] is (i, the rank
+    of F among the i-subsets) of vector v.  Made once per process per
+    (k, width), with about one key per field of a chunk, 2^12 at k = 12."""
     full = (1 << k) - 1
     per = 1 << _chunk_log(k, nbytes)
     subsets: list[list[int]] = [[] for _ in range(k + 1)]
     for x in range(1 << k):
         subsets[x.bit_count()].append(x)
+    rank = {x: r for sizes in subsets for r, x in enumerate(sizes)}
     getters = {
         (f, i): itemgetter(*[f << k | full ^ x for x in subsets[i]])
         for f in range(per)
         for i in range(1, k)
     }
-    return tuple(
-        tuple(getters[f, i] for f in range(per) if 0 < (i := (base | f).bit_count()) < k)
-        for base in range(0, 1 << k, per)
-    )
+    readers, slots = [], []
+    for highs in _chunk_plan(k, nbytes)[1]:
+        fixed = [f | h for f in range(per) for h in highs if 0 < (f | h).bit_count() < k]
+        readers.append(tuple(getters[f % per, f.bit_count()] for f in fixed))
+        slots.extend((f.bit_count(), rank[f]) for f in fixed)
+    return tuple(readers), tuple(slots)
 
 
 def _layer_vectors(rows, k: int, nbytes: int):
@@ -401,7 +486,7 @@ def _layer_vectors(rows, k: int, nbytes: int):
     views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
     if order == "big":
         views = [view[::-1] for view in views]
-    return matchings, _read(views, _readers(k, nbytes))
+    return matchings, _read(views, _readers(k, nbytes)[0])
 
 
 def _read(views: list[memoryview], readers):
@@ -413,13 +498,14 @@ def _read(views: list[memoryview], readers):
             yield get(chunk)
 
 
-def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:
+def _column_products(packed: dict[int, list[int]], cols, slots) -> dict[int, list[int]]:
     """The packed columns of P T^(i) for each size i, given packed[i], those
-    of P^(i), and the columns of T in the order of `sizes`, the size of
-    each: column y of P T is sum_z T[z][y] * column z of P."""
-    product: dict[int, list[int]] = {i: [] for i in packed}
-    for i, col in zip(sizes, cols):
-        product[i].append(sum(map(mul, col, packed[i])))
+    of P^(i) in rank order, and the columns of T in the order of `slots`,
+    the (size, rank) of each: column y of P T is sum_z T[z][y] * column z
+    of P."""
+    product = {i: [0] * len(cols_i) for i, cols_i in packed.items()}
+    for (i, r), col in zip(slots, cols):
+        product[i][r] = sum(map(mul, col, packed[i]))
     return product
 
 

@@ -23,6 +23,7 @@ from dpratio.counting import (
     count_permanent,
     _CODES,
     _chunk_log,
+    _chunk_plan,
     _column_products,
     _field_width,
     _glynn,
@@ -48,14 +49,41 @@ def field_bytes(k: int) -> int:
 
 
 def layer_tables(rows, k: int) -> list[int]:
-    # the packed tables of one layer, one int per fixed set F: the chunks of
-    # _layer_tables split into their 2^g tables of 2^k fields each
+    # the packed tables of one layer, one int per fixed set F: each chunk of
+    # _layer_tables split into its 2^g slots of 2^k fields, and each slot
+    # into the tables of the chunk's high parts, table F being the slot's
+    # fields with |U| = k - |F|; the tables must add back up to the chunk,
+    # so a field outside every table of its slot is 0
     nbytes = field_bytes(k)
     span = 8 * nbytes << k
     per = 1 << _chunk_log(k, nbytes)
     chunks = _layer_tables(rows, k, nbytes)
-    assert len(chunks) * per == 1 << k
-    return [(chunk >> span * f) & ((1 << span) - 1) for chunk in chunks for f in range(per)]
+    highs = _chunk_plan(k, nbytes)[1]
+    assert len(chunks) == len(highs)
+    sized = size_masks(k, nbytes)
+    tables = [None] * (1 << k)
+    for chunk, parts in zip(chunks, highs):
+        split = 0
+        for f in range(per):
+            slot = (chunk >> span * f) & ((1 << span) - 1)
+            for high in parts:
+                fixed = f | high
+                tables[fixed] = slot & sized[k - fixed.bit_count()]
+                split += tables[fixed] << span * f
+        assert split == chunk
+    assert None not in tables
+    return tables
+
+
+def size_masks(k: int, nbytes: int) -> list[int]:
+    # mask s has all ones in the fields U of one table with |U| = s
+    return [
+        int.from_bytes(
+            b"".join((b"\xff" if u.bit_count() == s else b"\x00") * nbytes for u in range(1 << k)),
+            "little",
+        )
+        for s in range(k + 1)
+    ]
 
 
 def table_fields(table: int, k: int) -> list[int]:
@@ -440,6 +468,85 @@ def test_layered_k1_every_edge_subset():
             assert count_layered(g) == count_permanent(to_general(g)) == expected
 
 
+@pytest.fixture
+def chunk_bytes(monkeypatch):
+    # sets _CHUNK_BYTES for one test: the caches keyed by (k, width) hold
+    # masks, plans and getters for chunks of the old size, so they are
+    # emptied when the size is set and again when the test ends
+    cached = (counting._column_masks, counting._chunk_plan, counting._readers)
+
+    def set_bytes(n: int) -> None:
+        for c in cached:
+            c.cache_clear()
+        monkeypatch.setattr(counting, "_CHUNK_BYTES", n)
+
+    yield set_bytes
+    for c in cached:
+        c.cache_clear()
+
+
+def test_layered_merged_chunks_one_byte_fields(chunk_bytes, monkeypatch):
+    # at k <= 5 a field is one byte and every table shares one chunk, so no
+    # plan row runs; with smaller chunks the rows from g on add chunks as
+    # _chunk_plan says (g = 0 at every k with one-byte chunks, g = 1 at
+    # k = 5 with 64-byte ones), read in both byte orders as in
+    # test_layered_big_endian_field_order; the counts must not change
+    rng = random.Random(2727)
+    graphs = []
+    for k in range(1, 6):
+        for ell in (2, 3, 4):
+            base = build_blowup(k, ell)
+            graphs.append((base, closed_form_counts(k, ell)))
+            for _ in range(3):
+                g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
+                graphs.append((g, count_permanent(to_general(g))))
+    for size, logs in ((1, [0] * 5), (64, [1, 2, 3, 2, 1])):
+        chunk_bytes(size)
+        assert [_chunk_log(k, 1) for k in range(1, 6)] == logs
+        for order in ("little", "big"):
+            monkeypatch.setattr(sys, "byteorder", order)
+            for g, expected in graphs:
+                assert count_layered(g) == expected
+
+
+def check_plan(k: int, nbytes: int) -> None:
+    # every row from g on has C(n, floor(n/2)) chunks, n = t + 1 - g, each
+    # chunk before it matched into one chunk and fixed into one; replayed,
+    # the plan puts no two high parts of one size in a chunk at any row,
+    # and after the last every fixed set lies in exactly one chunk
+    g = _chunk_log(k, nbytes)
+    per = 1 << g
+    steps, highs = _chunk_plan(k, nbytes)
+    assert len(steps) == k - g
+    parts = [[0]]
+    for t, step in enumerate(steps, g):
+        n = t + 1 - g
+        assert len(step) == math.comb(n, n // 2)
+        assert sorted(c for matched, _ in step for c in matched) == list(range(len(parts)))
+        assert sorted(c for _, fixed in step for c in fixed) == list(range(len(parts)))
+        parts = [
+            [h for c in matched for h in parts[c]] + [h | 1 << t for c in fixed for h in parts[c]]
+            for matched, fixed in step
+        ]
+        for hs in parts:
+            assert len({h.bit_count() for h in hs}) == len(hs)
+    assert [sorted(hs) for hs in parts] == [sorted(hs) for hs in highs]
+    assert sorted(f | h for hs in highs for h in hs for f in range(per)) == list(range(1 << k))
+    assert all(h % per == 0 for hs in highs for h in hs)
+    assert highs[0][0] == 0  # table 0, whose top field is the layer's matchings
+
+
+def test_chunk_plan_merges_to_sperner_width(chunk_bytes):
+    # at each k's own chunk size, then at one table a chunk (g = 0) for
+    # every k <= 13
+    for k in range(1, 14):
+        check_plan(k, field_bytes(k))
+    chunk_bytes(1)
+    for k in range(1, 14):
+        assert _chunk_log(k, field_bytes(k)) == 0
+        check_plan(k, field_bytes(k))
+
+
 def test_layered_big_endian_field_order(monkeypatch):
     # at k <= 5 a field is one byte, so the bytes of a chunk read as
     # sys.byteorder = "big" are exactly those of a big-endian machine, where
@@ -484,10 +591,11 @@ def test_layered_middle_size_dies_in_second_layer():
 def test_layered_k12_peak_rss():
     # one count of the full k = LAYERED_MAX_K = 12, ell = 2 blow-up, the
     # largest size count_layered admits, in a fresh process: peak RSS
-    # measured at 160.0 MB (Linux x86-64, CPython 3.11, about 2 s), the
-    # first layer's 64 MB of chunk views beside the second layer's 64 MB of
-    # tables.  Copying each chunk into an array instead of viewing its
-    # bytes measured 195 MB, so the bound is 5% over the measured peak
+    # measured at 59.3 MB (Linux x86-64, CPython 3.11, about 0.7 s), the
+    # first layer's C(12, 6) = 924 chunk views of 16 KB (15 MB) beside the
+    # second layer's last row, 462 chunks before it and 924 after.  One
+    # chunk per table measured 160 MB, and CPython 3.10, 3.12 and 3.13
+    # measured 55.9, 58.5 and 58.3-60.9 MB; the bound is 5% over 59.3 MB
     assert LAYERED_MAX_K == 12
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
@@ -505,7 +613,7 @@ def test_layered_k12_peak_rss():
         check=True,
     ).stdout.split()
     assert CountPair(int(out[0]), int(out[1])) == closed_form_counts(12, 2)
-    assert int(out[2]) / 1024 <= 1.05 * 160.0
+    assert int(out[2]) / 1024 <= 1.05 * 59.3
 
 
 def test_closed_form_examples():
@@ -610,7 +718,10 @@ def test_layer_table_matches_per_row_masks():
         for rows in layers:
             reference = per_row_mask_table(rows, k)
             chunks = _layer_tables(rows, k, nbytes)
-            assert end_to_end(chunks, chunk_span) == reference
+            # chunk c adds the reference's runs of 2^g tables at its high parts
+            highs = _chunk_plan(k, nbytes)[1]
+            runs = [sum((reference >> span * h) & ((1 << chunk_span) - 1) for h in hs) for hs in highs]
+            assert chunks == runs
             assert end_to_end(layer_tables(rows, k), span) == reference
 
 
@@ -629,9 +740,13 @@ def test_layer_tables_k11_one_edge_per_row():
 
 
 def test_import_keeps_no_masks():
-    # masks are made by the first count at each k, never at import
+    # masks, chunk plans and getters are made by the first count at each k,
+    # never at import
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
-    probe = "import dpratio, dpratio.counting as c; print(c._column_masks.cache_info().currsize)"
+    probe = (
+        "import dpratio, dpratio.counting as c; "
+        "print(*(f.cache_info().currsize for f in (c._column_masks, c._chunk_plan, c._readers)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -639,7 +754,7 @@ def test_import_keeps_no_masks():
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_field_width_bounds():
@@ -707,10 +822,14 @@ def test_layered_forced_8_byte_fields(monkeypatch):
 
 
 def chunk_fields(tables, k: int) -> list[list[int]]:
-    # the fields of the tables grouped as the chunks of 8-byte fields hold them
+    # the fields of the tables grouped as the chunks of 8-byte fields hold
+    # them: slot by slot, the fields of the chunk's high parts added
     per = 1 << _chunk_log(k, 8)
     fields = [table_fields(table, k) for table in tables]
-    return [sum(fields[c : c + per], []) for c in range(0, len(fields), per)]
+    return [
+        [sum(vs) for f in range(per) for vs in zip(*(fields[f | h] for h in hs))]
+        for hs in _chunk_plan(k, 8)[1]
+    ]
 
 
 def naive_product(a, b):
@@ -732,10 +851,10 @@ def test_kronecker_column_products_past_64_bits():
         expected = naive_product(naive_product(a, b), c)
         assert max(map(max, expected)) >= 1 << 64
         assert max(map(max, expected)) < 1 << 8 * nbytes
-        sizes = (1,) * n  # one size, so every column is one of one matrix
+        slots = [(1, r) for r in range(n)]  # one size, so every column is one of one matrix
         packed = {1: [_pack(col, nbytes) for col in zip(*a)]}
         for mat in (b, c):
-            packed = _column_products(packed, zip(*mat), sizes)
+            packed = _column_products(packed, zip(*mat), slots)
         assert [_unpack(x, nbytes, n) for x in packed[1]] == list(zip(*expected))
     # the struct widths pack and unpack to the same fields
     for nbytes in (1, 2, 4, 8):
@@ -775,6 +894,26 @@ def test_layered_interleaved_k():
             base = build_blowup(k, 3)
             g = sample_subgraph(base, base.edge_count * 2 // 3, k)
         assert count_layered(g) == count_permanent(to_general(g))
+
+
+#: (k, ell, m, seed, X, Y) of sample_subgraph(build_blowup(k, ell), m, seed),
+#: m that of plan(0.3, k) at ell = 2 and of plan(0.45, k) at ell = 3: frozen
+#: values, recorded once with the counter whose layer tables kept one chunk
+#: per 2^g fixed sets, before chunks of different sizes were added together
+FROZEN_K9_TO_K11 = [
+    (9, 2, 129, 2709, 1346756544, 4991542770),
+    (9, 3, 237, 2709, 23351589273600000, 52279915795909986),
+    (10, 2, 159, 2710, 92638747080, 335988411551),
+    (10, 3, 293, 2710, 22822579209830400000, 50877264547179191767),
+    (11, 2, 192, 2711, 7088449076352, 25486440698250),
+    (11, 3, 355, 2711, 29618152945326489600000, 65869965102910538481012),
+]
+
+
+def test_layered_frozen_k9_to_k11():
+    for k, ell, m, seed, der, per in FROZEN_K9_TO_K11:
+        g = sample_subgraph(build_blowup(k, ell), m, seed)
+        assert count_layered(g) == CountPair(der, per)
 
 
 def test_layered_frozen_mc_ell3_trials():
