@@ -17,25 +17,23 @@ Two counters:
   32 or 64 bits, the smallest with k! < 2^W, and each row moves every field
   of a table at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
-  Tables share ints, chunks of 2^g slots of one table each, about 4 KB
-  (g = 0 from k = 10 on), so the k column masks span the fields of one
-  chunk; they depend only on k, so they are made once per process
-  (functools.cache) and kept for every later layer and call (192 KB at
-  k = 12).  Within a slot, tables of fixed sets of different sizes never
-  share a nonzero field, so one chunk adds several of them: a per-k plan,
-  made once, merges the chunks row by row, and a layer ends in
-  C(k-g, floor((k-g)/2)) chunks instead of 2^(k-g), Sperner's bound on an
-  antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read once,
-  as a typed view in native byte order, one `operator.itemgetter` call
-  per fixed set, by the size of the set.  Every layer but the last
-  runs on its transposed rows, so it gives the columns of its matrices;
-  the last gives rows.  The trace closes with one dot product per fixed
-  set, a column of T_1 ... T_(ell-1) with a row of T_ell; at ell >= 3 the
-  product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
-  Comput. 2009, section 2), so each entry of a layer adds one big-int
-  multiple of a whole column.  The end sizes are closed forms: i = 0 is
-  the product of the layers' perfect-matching counts and i = k the
-  identity alone.
+  The k column masks span the 2^k fields of one table; they depend only
+  on k, so they are made once per process (functools.cache) and kept for
+  every later layer and call (192 KB at k = 12).  Tables of fixed sets of
+  different sizes never share a nonzero field, so one int, a chunk of 2^k
+  fields, adds several of them: a per-k plan, made once, merges the
+  chunks row by row, and a layer ends in C(k, floor(k/2)) chunks instead
+  of 2^k, Sperner's bound on an antichain of subsets (924 of 16 KB at
+  k = 12).  Each chunk is read once, as a typed view in native byte order,
+  one `operator.itemgetter` call per fixed set, by the size of the set.
+  Every layer but the last runs on its transposed rows, so it gives the
+  columns of its matrices; the last gives rows.  The trace closes with one
+  dot product per fixed set, a column of T_1 ... T_(ell-1) with a row of
+  T_ell; at ell >= 3 the product's columns are Kronecker-packed ints
+  (D. Harvey, J. Symbolic Comput. 2009, section 2), so each entry of a
+  layer adds one big-int multiple of a whole column.  The end sizes are
+  closed forms: i = 0 is the product of the layers' perfect-matching
+  counts and i = k the identity alone.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), the permanent for a
@@ -271,7 +269,7 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
     if len(heads) > 1:
         ell = len(g.layers)
-        slots = _readers(k, nbytes)[1]  # (|F|, rank of F) in the order of the vectors
+        slots = _readers(k)[1]  # (|F|, rank of F) in the order of the vectors
         widths = {
             i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
             for i in range(1, k)
@@ -309,28 +307,14 @@ def _field_width(bound: int) -> int:
 #: of _pack and _unpack and the native item size of the chunk views alike
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-#: a chunk of _layer_tables packs 2^g consecutive tables into about this
-#: many bytes, g >= 0
-_CHUNK_BYTES = 4096
-
-
-def _chunk_log(k: int, nbytes: int) -> int:
-    """g: each chunk of _layer_tables holds 2^g tables of 2^k fields of
-    nbytes each, at most _CHUNK_BYTES in all, or one table if that is
-    larger (k >= 10)."""
-    return min(k, max(0, (_CHUNK_BYTES // (nbytes << k)).bit_length() - 1))
-
-
 @functools.cache
 def _column_masks(k: int, nbytes: int) -> tuple[int, ...]:
     """The k column masks of _layer_tables, made once per process per k:
-    mask j has all ones in the nbytes-wide fields of a chunk's 2^(k+g)
-    whose index lacks bit j (g = _chunk_log), so it repeats once per table.
-    At k = 12 they take 12 * 4 B * 4096, about 192 KB."""
-    span = 1 << (k + _chunk_log(k, nbytes))
+    mask j has all ones in the nbytes-wide fields of a chunk's 2^k whose
+    index lacks bit j.  At k = 12 they take 12 * 4 B * 4096, about 192 KB."""
     # mask j repeats 2^j full fields then 2^j empty ones
     runs = [b"\xff" * (nbytes << j) + b"\x00" * (nbytes << j) for j in range(k)]
-    return tuple(int.from_bytes(run * (span >> (j + 1)), "little") for j, run in enumerate(runs))
+    return tuple(int.from_bytes(run * (1 << (k - j - 1)), "little") for j, run in enumerate(runs))
 
 
 def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
@@ -338,45 +322,35 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
     tables, one per fixed set: field U of table F counts the matchings of
     the rows outside the fixed set F into the used columns U, so the minor
     that drops rows F and columns F' is field full ^ F' of table F, and
-    every field with |F| + |U| != k is 0.  The tables come in chunks of
-    2^g slots (_chunk_log): table F sits in slot f = F mod 2^g, at field
-    offset f * 2^k, of the chunk that _chunk_plan gives its high part
-    F - f, and a field is W = 8 * nbytes bits.  A chunk holds several high
-    parts, all of different sizes, so at each slot the tables it adds never
-    share a nonzero field, and table F is fields |U| = k - |F| of its slot.
+    every field with |F| + |U| != k is 0.  A field is W = 8 * nbytes bits.
+    The tables come added into chunks of 2^k fields, chunk c holding the
+    fixed sets that _chunk_plan lists for it, all of different sizes, so
+    table F is the fields |U| = k - |F| of its chunk.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).
     Matching row t to column j moves those fields of each table whose U
     lacks bit j up by W * 2^j bits: one mask (_column_masks), one shift and
     one add per column.  Fixing the row keeps each table as the one of
-    F | 1 << t: for t < g that table sits 2^t slots higher in the same
-    chunk, so the chunk after the row is its matched self plus
-    `chunk << W * 2^(k+t)`; from t = g on, it is a new high part, and each
-    chunk after the row adds the matched and the fixed chunks of the row
-    before that _chunk_plan names.  The sum stays separable: after row t,
-    table F is nonzero only at |U| = t + 1 - |F|, and the next row matches
-    every table by the same linear map and relabels F alike.  No field
-    carries: a field counts injections of the non-fixed rows into U, at
-    most |U|! <= k! < 2^W, every addend is nonnegative, and the tables
-    added into one chunk have no nonzero field in common.
+    F | 1 << t, so each chunk after the row adds the matched and the fixed
+    chunks of the row before that _chunk_plan names.  The sum stays
+    separable: after row t, table F is nonzero only at |U| = t + 1 - |F|,
+    and the next row matches every table by the same linear map and
+    relabels F alike.  No field carries: a field counts injections of the
+    non-fixed rows into U, at most |U|! <= k! < 2^W, every addend is
+    nonnegative, and the tables added into one chunk have no nonzero field
+    in common.
     """
     width = 8 * nbytes
-    g = _chunk_log(k, nbytes)
     masks = _column_masks(k, nbytes)
-    steps = _chunk_plan(k, nbytes)[0]
     chunks = [1]  # before row 0: the empty state, one way
-    for t, row in enumerate(rows):
+    for row, step in zip(rows, _chunk_plan(k)[0]):
         cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
-        if t < g:  # one chunk so far
-            step, shift = [((0,), (0,))], width << (k + t)
-        else:
-            step, shift = steps[t - g], 0
         grown = []
         for matched, fixed in step:
             x = 0
             for c in fixed:
-                x += chunks[c] << shift
+                x += chunks[c]
             for c in matched:
                 for mask, up in cols:
                     x += (chunks[c] & mask) << up
@@ -386,30 +360,28 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
 
 
 @functools.cache
-def _chunk_plan(k: int, nbytes: int):
-    """(steps, highs): which chunks of _layer_tables add into which, made
-    once per process per (k, width).  steps[t - g] lists, for each chunk
-    after row t >= g (g = _chunk_log), the pair (matched, fixed) of the
-    chunks before the row whose matched and whose fixed forms add into it;
-    each chunk before the row is in one matched and one fixed list.  highs[c]
-    lists the high parts F - (F mod 2^g) of the tables in chunk c after
-    the last row, chunk 0 holding the empty set first.
+def _chunk_plan(k: int):
+    """(steps, sets): which chunks of _layer_tables add into which, made
+    once per process per k.  steps[t] lists, for each chunk after row t,
+    the pair (matched, fixed) of the chunks before the row whose matched
+    and whose fixed forms add into it; each chunk before the row is in one
+    matched and one fixed list.  sets[c] lists the fixed sets of the tables
+    in chunk c after the last row, chunk 0 holding the empty set first.
 
-    The tables of two high parts can share a chunk when their sizes differ
+    The tables of two fixed sets can share a chunk when their sizes differ
     (see _layer_tables), so the plan merges chunks by their sets of
-    high-part sizes: the sizes of a chunk form an interval, its matched
+    fixed-set sizes: the sizes of a chunk form an interval, its matched
     chunk keeps them and its fixed chunk adds 1 to each.  Each row places
     the matched chunks, then the fixed ones, in order, each into the first
     chunk whose sizes end just below its own or start just above them, or
     into a new chunk: first fit, keyed by interval.  That gives
-    C(n, floor(n/2)) chunks after the row, n = t + 1 - g, the most sets of
-    one size among the subsets of n rows, so no plan has fewer (Sperner).
+    C(t + 1, floor((t + 1)/2)) chunks after row t, the most sets of one
+    size among the subsets of t + 1 rows, so no plan has fewer (Sperner).
     """
-    g = _chunk_log(k, nbytes)
-    highs, spans = [(0,)], [(0, 0)]
+    sets, spans = [(0,)], [(0, 0)]
     steps = []
-    for t in range(g, k):
-        n = len(highs)
+    for t in range(k):
+        n = len(sets)
         items = spans + [(a + 1, b + 1) for a, b in spans]  # matched, then fixed
         groups: list[tuple[list[int], list[int]]] = []
         merged: list[list[int]] = []
@@ -432,38 +404,32 @@ def _chunk_plan(k: int, nbytes: int):
             bisect.insort(ends.setdefault(b, []), c)
             bisect.insort(starts.setdefault(a, []), c)
             groups[c][x >= n].append(x % n)  # matched, or fixed
-            merged[c].extend(highs[x] if x < n else [f | 1 << t for f in highs[x - n]])
+            merged[c].extend(sets[x] if x < n else [f | 1 << t for f in sets[x - n]])
         steps.append(tuple((tuple(m), tuple(f)) for m, f in groups))
-        highs = merged
-    return tuple(steps), tuple(map(tuple, highs))
+        sets = merged
+    return tuple(steps), tuple(map(tuple, sets))
 
 
 @functools.cache
-def _readers(k: int, nbytes: int):
+def _readers(k: int):
     """(readers, slots): readers[c] reads, from chunk c of _layer_tables
-    viewed with field f * 2^k + U as item f * 2^k + U, the vectors of its
-    fixed sets F with 0 < |F| < k, slot by slot and within a slot in the
-    order of _chunk_plan's high parts: row F of T^(i), i = |F|, is the
-    fields full ^ x of slot f = F mod 2^g for every i-subset x, in
-    increasing x, since the slot's other tables are 0 there.  One getter
-    per slot f and size i, shared by every chunk; slots[v] is (i, the rank
-    of F among the i-subsets) of vector v.  Made once per process per
-    (k, width), with about one key per field of a chunk, 2^12 at k = 12."""
+    viewed with field U as item U, the vectors of its fixed sets F with
+    0 < |F| < k, in the order of _chunk_plan's sets: row F of T^(i),
+    i = |F|, is the fields full ^ x of the chunk for every i-subset x, in
+    increasing x, since the chunk's other tables are 0 there.  One getter
+    per size i, shared by every chunk; slots[v] is (i, the rank of F among
+    the i-subsets) of vector v.  Made once per process per k, with about
+    one key per field of a chunk, 2^12 at k = 12."""
     full = (1 << k) - 1
-    per = 1 << _chunk_log(k, nbytes)
     subsets: list[list[int]] = [[] for _ in range(k + 1)]
     for x in range(1 << k):
         subsets[x.bit_count()].append(x)
     rank = {x: r for sizes in subsets for r, x in enumerate(sizes)}
-    getters = {
-        (f, i): itemgetter(*[f << k | full ^ x for x in subsets[i]])
-        for f in range(per)
-        for i in range(1, k)
-    }
+    getters = {i: itemgetter(*[full ^ x for x in subsets[i]]) for i in range(1, k)}
     readers, slots = [], []
-    for highs in _chunk_plan(k, nbytes)[1]:
-        fixed = [f | h for f in range(per) for h in highs if 0 < (f | h).bit_count() < k]
-        readers.append(tuple(getters[f % per, f.bit_count()] for f in fixed))
+    for sets in _chunk_plan(k)[1]:
+        fixed = [f for f in sets if 0 < f.bit_count() < k]
+        readers.append(tuple(getters[f.bit_count()] for f in fixed))
         slots.extend((f.bit_count(), rank[f]) for f in fixed)
     return tuple(readers), tuple(slots)
 
@@ -471,22 +437,22 @@ def _readers(k: int, nbytes: int):
 def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
-    fixed set F with 0 < |F| < k, in increasing F.  Each chunk of
-    _layer_tables is popped as it turns into bytes in native order, viewed
-    as fields of its width (memoryview.cast, no copy), and read once by
-    the getters of _readers.  The view keeps each field's own bytes in
-    native order, but a big-endian int starts at its top field, so there
-    the view is read reversed (a negative stride, no copy either)."""
+    fixed set F with 0 < |F| < k, in the order of _readers' slots.  Each
+    chunk of _layer_tables is popped as it turns into bytes in native
+    order, viewed as fields of its width (memoryview.cast, no copy), and
+    read once by the getters of _readers.  The view keeps each field's own
+    bytes in native order, but a big-endian int starts at its top field, so
+    there the view is read reversed (a negative stride, no copy either)."""
     order = sys.byteorder
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
     matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
-    code, size = _CODES[nbytes], nbytes << (k + _chunk_log(k, nbytes))
+    code, size = _CODES[nbytes], nbytes << k
     # popped from the end, so views holds the chunks last first
     views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
     if order == "big":
         views = [view[::-1] for view in views]
-    return matchings, _read(views, _readers(k, nbytes)[0])
+    return matchings, _read(views, _readers(k)[0])
 
 
 def _read(views: list[memoryview], readers):

@@ -22,7 +22,6 @@ from dpratio.counting import (
     count_layered,
     count_permanent,
     _CODES,
-    _chunk_log,
     _chunk_plan,
     _column_products,
     _field_width,
@@ -50,27 +49,19 @@ def field_bytes(k: int) -> int:
 
 def layer_tables(rows, k: int) -> list[int]:
     # the packed tables of one layer, one int per fixed set F: each chunk of
-    # _layer_tables split into its 2^g slots of 2^k fields, and each slot
-    # into the tables of the chunk's high parts, table F being the slot's
-    # fields with |U| = k - |F|; the tables must add back up to the chunk,
-    # so a field outside every table of its slot is 0
+    # _layer_tables split into the tables of the chunk's fixed sets, table F
+    # being the chunk's fields with |U| = k - |F|; the tables must add back
+    # up to the chunk, so a field outside every table of its chunk is 0
     nbytes = field_bytes(k)
-    span = 8 * nbytes << k
-    per = 1 << _chunk_log(k, nbytes)
     chunks = _layer_tables(rows, k, nbytes)
-    highs = _chunk_plan(k, nbytes)[1]
-    assert len(chunks) == len(highs)
+    sets = _chunk_plan(k)[1]
+    assert len(chunks) == len(sets)
     sized = size_masks(k, nbytes)
     tables = [None] * (1 << k)
-    for chunk, parts in zip(chunks, highs):
-        split = 0
-        for f in range(per):
-            slot = (chunk >> span * f) & ((1 << span) - 1)
-            for high in parts:
-                fixed = f | high
-                tables[fixed] = slot & sized[k - fixed.bit_count()]
-                split += tables[fixed] << span * f
-        assert split == chunk
+    for chunk, fixed in zip(chunks, sets):
+        for f in fixed:
+            tables[f] = chunk & sized[k - f.bit_count()]
+        assert sum(tables[f] for f in fixed) == chunk
     assert None not in tables
     return tables
 
@@ -468,31 +459,49 @@ def test_layered_k1_every_edge_subset():
             assert count_layered(g) == count_permanent(to_general(g)) == expected
 
 
-@pytest.fixture
-def chunk_bytes(monkeypatch):
-    # sets _CHUNK_BYTES for one test: the caches keyed by (k, width) hold
-    # masks, plans and getters for chunks of the old size, so they are
-    # emptied when the size is set and again when the test ends
-    cached = (counting._column_masks, counting._chunk_plan, counting._readers)
+def test_chunk_plan_merges_to_sperner_width():
+    # at every k <= 13, every row t has C(t + 1, floor((t + 1)/2)) chunks
+    # after it, each chunk before it matched into one chunk and fixed into
+    # one; replayed, the plan puts no two fixed sets of one size in a chunk
+    # at any row, and after the last every fixed set lies in exactly one
+    # chunk
+    for k in range(1, 14):
+        steps, sets = _chunk_plan(k)
+        assert len(steps) == k
+        parts = [[0]]
+        for t, step in enumerate(steps):
+            assert len(step) == math.comb(t + 1, (t + 1) // 2)
+            assert sorted(c for matched, _ in step for c in matched) == list(range(len(parts)))
+            assert sorted(c for _, fixed in step for c in fixed) == list(range(len(parts)))
+            parts = [
+                [f for c in matched for f in parts[c]]
+                + [f | 1 << t for c in fixed for f in parts[c]]
+                for matched, fixed in step
+            ]
+            for fs in parts:
+                assert len({f.bit_count() for f in fs}) == len(fs)
+        assert [sorted(fs) for fs in parts] == [sorted(fs) for fs in sets]
+        assert sorted(f for fs in sets for f in fs) == list(range(1 << k))
+        assert sets[0][0] == 0  # table 0, whose top field is the layer's matchings
 
-    def set_bytes(n: int) -> None:
-        for c in cached:
-            c.cache_clear()
-        monkeypatch.setattr(counting, "_CHUNK_BYTES", n)
 
-    yield set_bytes
-    for c in cached:
-        c.cache_clear()
-
-
-def test_layered_merged_chunks_one_byte_fields(chunk_bytes, monkeypatch):
-    # at k <= 5 a field is one byte and every table shares one chunk, so no
-    # plan row runs; with smaller chunks the rows from g on add chunks as
-    # _chunk_plan says (g = 0 at every k with one-byte chunks, g = 1 at
-    # k = 5 with 64-byte ones), read in both byte orders as in
-    # test_layered_big_endian_field_order; the counts must not change
-    rng = random.Random(2727)
+def test_layered_big_endian_field_order(monkeypatch):
+    # at k <= 5 a field is one byte, so the bytes of a chunk read as
+    # sys.byteorder = "big" are exactly those of a big-endian machine, where
+    # field U of a chunk is item full ^ U of the view, and item U of the
+    # reversed view the readers take; every row adds chunks as _chunk_plan
+    # says, and the counts must not change in either byte order.  At
+    # ell >= 3 the packed columns, whose fields are wider than a byte, keep
+    # their own little-endian layout whatever sys.byteorder says
+    rng = random.Random(1955)
     graphs = []
+    for k in range(2, 6):
+        assert field_bytes(k) == 1
+        base = build_blowup(k, rng.choice([2, 3, 4]))
+        for _ in range(8):
+            g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
+            graphs.append((g, count_permanent(to_general(g))))
+    rng = random.Random(2727)
     for k in range(1, 6):
         for ell in (2, 3, 4):
             base = build_blowup(k, ell)
@@ -500,73 +509,10 @@ def test_layered_merged_chunks_one_byte_fields(chunk_bytes, monkeypatch):
             for _ in range(3):
                 g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
                 graphs.append((g, count_permanent(to_general(g))))
-    for size, logs in ((1, [0] * 5), (64, [1, 2, 3, 2, 1])):
-        chunk_bytes(size)
-        assert [_chunk_log(k, 1) for k in range(1, 6)] == logs
-        for order in ("little", "big"):
-            monkeypatch.setattr(sys, "byteorder", order)
-            for g, expected in graphs:
-                assert count_layered(g) == expected
-
-
-def check_plan(k: int, nbytes: int) -> None:
-    # every row from g on has C(n, floor(n/2)) chunks, n = t + 1 - g, each
-    # chunk before it matched into one chunk and fixed into one; replayed,
-    # the plan puts no two high parts of one size in a chunk at any row,
-    # and after the last every fixed set lies in exactly one chunk
-    g = _chunk_log(k, nbytes)
-    per = 1 << g
-    steps, highs = _chunk_plan(k, nbytes)
-    assert len(steps) == k - g
-    parts = [[0]]
-    for t, step in enumerate(steps, g):
-        n = t + 1 - g
-        assert len(step) == math.comb(n, n // 2)
-        assert sorted(c for matched, _ in step for c in matched) == list(range(len(parts)))
-        assert sorted(c for _, fixed in step for c in fixed) == list(range(len(parts)))
-        parts = [
-            [h for c in matched for h in parts[c]] + [h | 1 << t for c in fixed for h in parts[c]]
-            for matched, fixed in step
-        ]
-        for hs in parts:
-            assert len({h.bit_count() for h in hs}) == len(hs)
-    assert [sorted(hs) for hs in parts] == [sorted(hs) for hs in highs]
-    assert sorted(f | h for hs in highs for h in hs for f in range(per)) == list(range(1 << k))
-    assert all(h % per == 0 for hs in highs for h in hs)
-    assert highs[0][0] == 0  # table 0, whose top field is the layer's matchings
-
-
-def test_chunk_plan_merges_to_sperner_width(chunk_bytes):
-    # at each k's own chunk size, then at one table a chunk (g = 0) for
-    # every k <= 13
-    for k in range(1, 14):
-        check_plan(k, field_bytes(k))
-    chunk_bytes(1)
-    for k in range(1, 14):
-        assert _chunk_log(k, field_bytes(k)) == 0
-        check_plan(k, field_bytes(k))
-
-
-def test_layered_big_endian_field_order(monkeypatch):
-    # at k <= 5 a field is one byte, so the bytes of a chunk read as
-    # sys.byteorder = "big" are exactly those of a big-endian machine, where
-    # field f * 2^k + U of a chunk of 2^g tables is item
-    # (2^g - 1 - f) * 2^k + full ^ U of the view, and item f * 2^k + U of
-    # the reversed view the readers take; the counts must not change.  Every
-    # table of a layer shares one chunk here (g = k), and at ell >= 3 the
-    # packed columns, whose fields are wider than a byte, keep their own
-    # little-endian layout whatever sys.byteorder says
-    rng = random.Random(1955)
-    graphs = []
-    for k in range(2, 6):
-        assert field_bytes(k) == 1 and _chunk_log(k, 1) == k
-        base = build_blowup(k, rng.choice([2, 3, 4]))
-        for _ in range(8):
-            g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
-            graphs.append((g, count_permanent(to_general(g))))
-    monkeypatch.setattr(sys, "byteorder", "big")
-    for g, expected in graphs:
-        assert count_layered(g) == expected
+    for order in ("little", "big"):
+        monkeypatch.setattr(sys, "byteorder", order)
+        for g, expected in graphs:
+            assert count_layered(g) == expected
 
 
 def test_layered_middle_size_dies_in_second_layer():
@@ -701,9 +647,7 @@ def end_to_end(tables, span: int) -> int:
 
 def test_layer_table_matches_per_row_masks():
     # the chunks, and the tables split from them, laid end to end in the
-    # order of F, are the one-int table; k <= 9 packs several tables in a
-    # chunk (g > 0), k = 10 one table a chunk (g = 0)
-    assert [_chunk_log(k, field_bytes(k)) for k in (1, 5, 7, 8, 9, 10)] == [1, 5, 4, 3, 1, 0]
+    # order of F, are the one-int table
     rng = random.Random(15)
     for k in range(1, 11):
         full = (1 << k) - 1
@@ -714,13 +658,12 @@ def test_layer_table_matches_per_row_masks():
             layers.append(rows)
         nbytes = field_bytes(k)
         span = 8 * nbytes << k  # bits of one table's 2^k fields
-        chunk_span = span << _chunk_log(k, nbytes)
         for rows in layers:
             reference = per_row_mask_table(rows, k)
             chunks = _layer_tables(rows, k, nbytes)
-            # chunk c adds the reference's runs of 2^g tables at its high parts
-            highs = _chunk_plan(k, nbytes)[1]
-            runs = [sum((reference >> span * h) & ((1 << chunk_span) - 1) for h in hs) for hs in highs]
+            # chunk c adds the reference's tables at its fixed sets
+            sets = _chunk_plan(k)[1]
+            runs = [sum((reference >> span * f) & ((1 << span) - 1) for f in fs) for fs in sets]
             assert chunks == runs
             assert end_to_end(layer_tables(rows, k), span) == reference
 
@@ -822,14 +765,10 @@ def test_layered_forced_8_byte_fields(monkeypatch):
 
 
 def chunk_fields(tables, k: int) -> list[list[int]]:
-    # the fields of the tables grouped as the chunks of 8-byte fields hold
-    # them: slot by slot, the fields of the chunk's high parts added
-    per = 1 << _chunk_log(k, 8)
+    # the fields of the tables grouped as the chunks hold them: the fields
+    # of the chunk's fixed sets added
     fields = [table_fields(table, k) for table in tables]
-    return [
-        [sum(vs) for f in range(per) for vs in zip(*(fields[f | h] for h in hs))]
-        for hs in _chunk_plan(k, 8)[1]
-    ]
+    return [[sum(vs) for vs in zip(*(fields[f] for f in fs))] for fs in _chunk_plan(k)[1]]
 
 
 def naive_product(a, b):
@@ -897,10 +836,21 @@ def test_layered_interleaved_k():
 
 
 #: (k, ell, m, seed, X, Y) of sample_subgraph(build_blowup(k, ell), m, seed),
-#: m that of plan(0.3, k) at ell = 2 and of plan(0.45, k) at ell = 3: frozen
-#: values, recorded once with the counter whose layer tables kept one chunk
-#: per 2^g fixed sets, before chunks of different sizes were added together
-FROZEN_K9_TO_K11 = [
+#: m that of plan(0.3, k) at ell = 2 and of plan(0.45, k) at ell = 3, seed
+#: 2700 + k: frozen values, recorded once and never recomputed from the
+#: counter.  k = 9..11 were recorded when the layer tables kept one chunk
+#: per 2^g fixed sets, before chunks of different sizes were added
+#: together; k = 5..8 when chunks still held 2^g slots of one table each
+#: (g = 3..5) beside that merge, before the slots were dropped
+FROZEN_K5_TO_K11 = [
+    (5, 2, 40, 2705, 1564, 5196),
+    (5, 3, 73, 2705, 1105920, 2496052),
+    (6, 2, 57, 2706, 12672, 56132),
+    (6, 3, 106, 2706, 259200000, 573960255),
+    (7, 2, 78, 2707, 663080, 2370684),
+    (7, 3, 144, 2707, 80994816000, 180079184916),
+    (8, 2, 102, 2708, 37202688, 127075045),
+    (8, 3, 188, 2708, 38535243264000, 85530288755993),
     (9, 2, 129, 2709, 1346756544, 4991542770),
     (9, 3, 237, 2709, 23351589273600000, 52279915795909986),
     (10, 2, 159, 2710, 92638747080, 335988411551),
@@ -910,8 +860,8 @@ FROZEN_K9_TO_K11 = [
 ]
 
 
-def test_layered_frozen_k9_to_k11():
-    for k, ell, m, seed, der, per in FROZEN_K9_TO_K11:
+def test_layered_frozen_k5_to_k11():
+    for k, ell, m, seed, der, per in FROZEN_K5_TO_K11:
         g = sample_subgraph(build_blowup(k, ell), m, seed)
         assert count_layered(g) == CountPair(der, per)
 
