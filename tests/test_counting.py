@@ -501,10 +501,25 @@ def test_layered_big_endian_field_order(monkeypatch):
         for _ in range(8):
             g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
             graphs.append((g, count_permanent(to_general(g))))
+    for order in ("little", "big"):
+        monkeypatch.setattr(sys, "byteorder", order)
+        for g, expected in graphs:
+            assert count_layered(g) == expected
+
+
+def test_layered_merged_chunks_one_byte_fields(monkeypatch):
+    # at k <= 5 a field is one byte and the 2^k tables of a layer end added
+    # into C(k, floor(k/2)) chunks, fixed sets of different sizes sharing
+    # one; the full blow-ups and subgraphs of them at ell = 2..4 are read in
+    # both byte orders as in test_layered_big_endian_field_order, and the
+    # counts must not change
     rng = random.Random(2727)
+    graphs = []
     for k in range(1, 6):
+        assert field_bytes(k) == 1
         for ell in (2, 3, 4):
             base = build_blowup(k, ell)
+            assert len(_layer_tables(base.layers[0], k, 1)) == math.comb(k, k // 2)
             graphs.append((base, closed_form_counts(k, ell)))
             for _ in range(3):
                 g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
