@@ -21,11 +21,12 @@ Two counters:
   on k, so they are made once per process (functools.cache) and kept for
   every later layer and call (192 KB at k = 12).  Tables of fixed sets of
   different sizes never share a nonzero field, so one int, a chunk of 2^k
-  fields, adds several of them: a per-k plan, made once, merges the
-  chunks row by row, and a layer ends in C(k, floor(k/2)) chunks instead
-  of 2^k, Sperner's bound on an antichain of subsets (924 of 16 KB at
-  k = 12).  Each chunk is read once, as a typed view in native byte order,
-  one `operator.itemgetter` call per fixed set, by the size of the set.
+  fields, adds several of them: a per-k plan, made once, pairs each
+  chunk's matched form with at most one fixed form row by row, and a layer
+  ends in C(k, floor(k/2)) chunks instead of 2^k, Sperner's bound on an
+  antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read once,
+  as a typed view in native byte order, one `operator.itemgetter` call per
+  fixed set, by the size of the set, in the plan's order of the sets.
   Every layer but the last runs on its transposed rows, so it gives the
   columns of its matrices; the last gives rows.  The trace closes with one
   dot product per fixed set, a column of T_1 ... T_(ell-1) with a row of
@@ -48,7 +49,6 @@ of the adjacency matrix.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import struct
@@ -244,21 +244,22 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     tables (_layer_tables) are read once, one vector per fixed set, in the
     order the chunks hold them (_layer_vectors, _readers): every layer but
     the last runs on its transposed rows, so its vectors are the columns of
-    T_c, and the last one's are the rows of T_ell, in the same order.  With
+    T_c, and the last one's are the rows of T_ell, in the same order, with
+    entries in the order of the vectors of their size.  With
     P = T_1 ... T_(ell-1),
 
         trace(P T_ell) = sum_F column F of P . row F of T_ell.
 
     At ell = 2, P = T_1: its columns are read from its chunk views beside
     the last layer's rows, so no matrix is ever held as tuples.  Otherwise
-    each column of P is one Kronecker-packed int (_pack), kept at the rank
-    of its fixed set among the sets of its size, whose fields are
-    sized once for the whole chain by the C(k, i)^(ell-2) (k-i)!^(ell-1)
-    bound of any entry of P^(i) (_field_width): column y of P T_c is
-    sum_z T_c[z][y] * column z of P, one big-int multiply-add per entry,
-    and no field carries, since every addend is nonnegative and each field
-    ends at most at its bound.  Each packed column is unpacked once
-    (_unpack), in the order of the last layer's rows, for its closing dot.
+    each column of P is one Kronecker-packed int (_pack), kept in vector
+    order among those of its size, its fields sized once for the whole
+    chain by the C(k, i)^(ell-2) (k-i)!^(ell-1) bound of any entry of P^(i)
+    (_field_width): column y of P T_c is sum_z T_c[z][y] * column z of P,
+    one big-int multiply-add per entry, and no field carries, since every
+    addend is nonnegative and each field ends at most at its bound.  Each
+    packed column is unpacked once (_unpack), in the order of the last
+    layer's rows, for its closing dot.
     """
     k = g.k
     check_layered_k(k)
@@ -269,19 +270,20 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
     if len(heads) > 1:
         ell = len(g.layers)
-        slots = _readers(k)[1]  # (|F|, rank of F) in the order of the vectors
+        sizes = _readers(k)[1]  # |F| of each vector, in vector order
         widths = {
             i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
             for i in range(1, k)
         }
-        packed = {i: [0] * math.comb(k, i) for i in widths}
-        for (i, r), col in zip(slots, cols):
-            packed[i][r] = _pack(col, widths[i])
+        packed = {i: [] for i in widths}
+        for i, col in zip(sizes, cols):
+            packed[i].append(_pack(col, widths[i]))
         for rows in heads[1:]:
             matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
             derangements *= matchings
-            packed = _column_products(packed, layer_cols, slots)
-        cols = (_unpack(packed[i][r], widths[i], math.comb(k, i)) for i, r in slots)
+            packed = _column_products(packed, layer_cols, sizes)
+        columns = {i: iter(cols_i) for i, cols_i in packed.items()}
+        cols = (_unpack(next(columns[i]), widths[i], math.comb(k, i)) for i in sizes)
     matchings, rows = _layer_vectors(last, k, nbytes)
     # each column has as many entries as its row, so the dots run end to end
     traces = sum(map(mul, chain.from_iterable(cols), chain.from_iterable(rows)))
@@ -332,8 +334,9 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
     Matching row t to column j moves those fields of each table whose U
     lacks bit j up by W * 2^j bits: one mask (_column_masks), one shift and
     one add per column.  Fixing the row keeps each table as the one of
-    F | 1 << t, so each chunk after the row adds the matched and the fixed
-    chunks of the row before that _chunk_plan names.  The sum stays
+    F | 1 << t, so each chunk after the row adds the matched form of at
+    most one chunk of the row before and the fixed form of at most one,
+    as _chunk_plan names them.  The sum stays
     separable: after row t, table F is nonzero only at |U| = t + 1 - |F|,
     and the next row matches every table by the same linear map and
     relabels F alike.  No field carries: a field counts injections of the
@@ -364,80 +367,66 @@ def _chunk_plan(k: int):
     """(steps, sets): which chunks of _layer_tables add into which, made
     once per process per k.  steps[t] lists, for each chunk after row t,
     the pair (matched, fixed) of the chunks before the row whose matched
-    and whose fixed forms add into it; each chunk before the row is in one
-    matched and one fixed list.  sets[c] lists the fixed sets of the tables
-    in chunk c after the last row, chunk 0 holding the empty set first.
+    and whose fixed forms add into it, at most one of each; each chunk
+    before the row is in one matched and one fixed list.  sets[c] lists
+    the fixed sets of the tables in chunk c after the last row, one per
+    size, in increasing size, chunk 0 holding the empty set first.
 
     The tables of two fixed sets can share a chunk when their sizes differ
-    (see _layer_tables), so the plan merges chunks by their sets of
-    fixed-set sizes: the sizes of a chunk form an interval, its matched
-    chunk keeps them and its fixed chunk adds 1 to each.  Each row places
-    the matched chunks, then the fixed ones, in order, each into the first
-    chunk whose sizes end just below its own or start just above them, or
-    into a new chunk: first fit, keyed by interval.  That gives
-    C(t + 1, floor((t + 1)/2)) chunks after row t, the most sets of one
-    size among the subsets of t + 1 rows, so no plan has fewer (Sperner).
+    (see _layer_tables).  The sizes of a chunk run without a gap, so its
+    matched form keeps them and its fixed form adds 1 to each.  One
+    pairing rule: after row t, chunk c is the matched form of chunk c plus
+    the fixed form of the lowest-index chunk not yet placed whose smallest
+    size equals chunk c's largest; a fixed form that joins no chunk starts
+    a new chunk at the end, in index order.  That gives C(t + 1,
+    floor((t + 1)/2)) chunks after row t, the most sets of one size among
+    the subsets of t + 1 rows, so no plan has fewer (Sperner).
     """
-    sets, spans = [(0,)], [(0, 0)]
-    steps = []
+    sets, steps = [(0,)], []
     for t in range(k):
-        n = len(sets)
-        items = spans + [(a + 1, b + 1) for a, b in spans]  # matched, then fixed
-        groups: list[tuple[list[int], list[int]]] = []
-        merged: list[list[int]] = []
-        spans = []
-        ends: dict[int, list[int]] = {}  # chunks by their largest size, increasing
-        starts: dict[int, list[int]] = {}  # chunks by their smallest size, increasing
-        for x, (lo, hi) in enumerate(items):
-            fits = [cs[0] for cs in (ends.get(lo - 1), starts.get(hi + 1)) if cs]
-            if fits:
-                c = min(fits)
-                a, b = spans[c]
-                ends[b].remove(c)
-                starts[a].remove(c)
-                spans[c] = a, b = min(a, lo), max(b, hi)
-            else:
-                c, a, b = len(spans), lo, hi
-                spans.append((a, b))
-                groups.append(([], []))
-                merged.append([])
-            bisect.insort(ends.setdefault(b, []), c)
-            bisect.insort(starts.setdefault(a, []), c)
-            groups[c][x >= n].append(x % n)  # matched, or fixed
-            merged[c].extend(sets[x] if x < n else [f | 1 << t for f in sets[x - n]])
-        steps.append(tuple((tuple(m), tuple(f)) for m, f in groups))
+        waiting: dict[int, list[int]] = {}  # chunks by their smallest size, lowest index last
+        for d in reversed(range(len(sets))):
+            waiting.setdefault(sets[d][0].bit_count(), []).append(d)
+        step, merged = [], []
+        for c, fs in enumerate(sets):
+            ds = waiting.get(fs[-1].bit_count())
+            fixed = (ds.pop(),) if ds else ()
+            step.append(((c,), fixed))
+            merged.append(fs + tuple(f | 1 << t for d in fixed for f in sets[d]))
+        for d in sorted(chain.from_iterable(waiting.values())):
+            step.append(((), (d,)))
+            merged.append(tuple(f | 1 << t for f in sets[d]))
+        steps.append(tuple(step))
         sets = merged
-    return tuple(steps), tuple(map(tuple, sets))
+    return tuple(steps), tuple(sets)
 
 
 @functools.cache
 def _readers(k: int):
-    """(readers, slots): readers[c] reads, from chunk c of _layer_tables
+    """(readers, sizes): readers[c] reads, from chunk c of _layer_tables
     viewed with field U as item U, the vectors of its fixed sets F with
     0 < |F| < k, in the order of _chunk_plan's sets: row F of T^(i),
-    i = |F|, is the fields full ^ x of the chunk for every i-subset x, in
-    increasing x, since the chunk's other tables are 0 there.  One getter
-    per size i, shared by every chunk; slots[v] is (i, the rank of F among
-    the i-subsets) of vector v.  Made once per process per k, with about
-    one key per field of a chunk, 2^12 at k = 12."""
+    i = |F|, is the fields full ^ x of the chunk for the i-subsets x in
+    the order the plan lists them, since the chunk's other tables are 0
+    there.  That is the order of the size-i vectors, so the entries of
+    every vector line up with the vectors of its size.  One getter per
+    size i, shared by every chunk; sizes[v] is |F| of vector v.  Made once
+    per process per k, with about one key per field of a chunk, 2^12 at
+    k = 12."""
     full = (1 << k) - 1
-    subsets: list[list[int]] = [[] for _ in range(k + 1)]
-    for x in range(1 << k):
-        subsets[x.bit_count()].append(x)
-    rank = {x: r for sizes in subsets for r, x in enumerate(sizes)}
-    getters = {i: itemgetter(*[full ^ x for x in subsets[i]]) for i in range(1, k)}
-    readers, slots = [], []
-    for sets in _chunk_plan(k)[1]:
-        fixed = [f for f in sets if 0 < f.bit_count() < k]
-        readers.append(tuple(getters[f.bit_count()] for f in fixed))
-        slots.extend((f.bit_count(), rank[f]) for f in fixed)
-    return tuple(readers), tuple(slots)
+    sets = _chunk_plan(k)[1]
+    keys: list[list[int]] = [[] for _ in range(k + 1)]
+    for f in chain.from_iterable(sets):
+        keys[f.bit_count()].append(full ^ f)
+    getters = {i: itemgetter(*keys[i]) for i in range(1, k)}
+    inner = [[f.bit_count() for f in fs if 0 < f.bit_count() < k] for fs in sets]
+    return tuple(tuple(map(getters.get, sizes)) for sizes in inner), tuple(chain.from_iterable(inner))
 
 
 def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
-    fixed set F with 0 < |F| < k, in the order of _readers' slots.  Each
+    fixed set F with 0 < |F| < k, in the order of _readers' sizes (vector order).  Each
     chunk of _layer_tables is popped as it turns into bytes in native
     order, viewed as fields of its width (memoryview.cast, no copy), and
     read once by the getters of _readers.  The view keeps each field's own
@@ -464,14 +453,14 @@ def _read(views: list[memoryview], readers):
             yield get(chunk)
 
 
-def _column_products(packed: dict[int, list[int]], cols, slots) -> dict[int, list[int]]:
+def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:
     """The packed columns of P T^(i) for each size i, given packed[i], those
-    of P^(i) in rank order, and the columns of T in the order of `slots`,
-    the (size, rank) of each: column y of P T is sum_z T[z][y] * column z
-    of P."""
-    product = {i: [0] * len(cols_i) for i, cols_i in packed.items()}
-    for (i, r), col in zip(slots, cols):
-        product[i][r] = sum(map(mul, col, packed[i]))
+    of P^(i) in vector order, and the columns of T in vector order, sizes
+    giving the size of each: column y of P T is sum_z T[z][y] * column z
+    of P, entry z of a column of T lining up with column z of P^(i)."""
+    product: dict[int, list[int]] = {i: [] for i in packed}
+    for i, col in zip(sizes, cols):
+        product[i].append(sum(map(mul, col, packed[i])))
     return product
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -28,6 +29,7 @@ from dpratio.counting import (
     _glynn,
     _layer_tables,
     _pack,
+    _readers,
     _unpack,
 )
 from dpratio.digraph import (
@@ -459,13 +461,24 @@ def test_layered_k1_every_edge_subset():
             assert count_layered(g) == count_permanent(to_general(g)) == expected
 
 
+#: SHA-256 of repr([_chunk_plan(k) for k in range(1, 14)]): a frozen value,
+#: recorded from the first-fit plan this one replaced, which it must equal
+FROZEN_CHUNK_PLAN_SHA256 = "f5b61afa84014c9373be8755d832428dff23e4bcf59569b1df50c61ade7f2eeb"
+
+
+def test_chunk_plan_frozen_digest():
+    plans = repr([_chunk_plan(k) for k in range(1, 14)])
+    assert hashlib.sha256(plans.encode()).hexdigest() == FROZEN_CHUNK_PLAN_SHA256
+
+
 def test_chunk_plan_merges_to_sperner_width():
-    # at every k <= 13, every row t has C(t + 1, floor((t + 1)/2)) chunks
+    # at every k <= 14, every row t has C(t + 1, floor((t + 1)/2)) chunks
     # after it, each chunk before it matched into one chunk and fixed into
-    # one; replayed, the plan puts no two fixed sets of one size in a chunk
-    # at any row, and after the last every fixed set lies in exactly one
-    # chunk
-    for k in range(1, 14):
+    # one, and each chunk after it taking at most one matched and at most
+    # one fixed chunk; replayed, the fixed-set sizes of every chunk rise by
+    # 1 with no gap at any row, and after the last every fixed set lies in
+    # exactly one chunk
+    for k in range(1, 15):
         steps, sets = _chunk_plan(k)
         assert len(steps) == k
         parts = [[0]]
@@ -473,16 +486,37 @@ def test_chunk_plan_merges_to_sperner_width():
             assert len(step) == math.comb(t + 1, (t + 1) // 2)
             assert sorted(c for matched, _ in step for c in matched) == list(range(len(parts)))
             assert sorted(c for _, fixed in step for c in fixed) == list(range(len(parts)))
+            assert all(len(matched) <= 1 and len(fixed) <= 1 for matched, fixed in step)
             parts = [
                 [f for c in matched for f in parts[c]]
                 + [f | 1 << t for c in fixed for f in parts[c]]
                 for matched, fixed in step
             ]
             for fs in parts:
-                assert len({f.bit_count() for f in fs}) == len(fs)
+                sizes = [f.bit_count() for f in fs]
+                assert sizes == list(range(sizes[0], sizes[0] + len(fs)))
         assert [sorted(fs) for fs in parts] == [sorted(fs) for fs in sets]
         assert sorted(f for fs in sets for f in fs) == list(range(1 << k))
         assert sets[0][0] == 0  # table 0, whose top field is the layer's matchings
+
+
+def test_readers_follow_the_plan_order():
+    # read from the keys themselves, getter i gives full ^ F for the size-i
+    # fixed sets F in the order the plan lists them, the order of the
+    # size-i vectors, which the ell >= 3 chain relies on: entry z of every
+    # vector lines up with vector z of its size
+    for k in range(1, 11):
+        full = (1 << k) - 1
+        readers, sizes = _readers(k)
+        sets = _chunk_plan(k)[1]
+        assert len(readers) == len(sets)
+        inner = [f for f in itertools.chain.from_iterable(sets) if 0 < f.bit_count() < k]
+        assert list(sizes) == [f.bit_count() for f in inner]
+        keys = list(range(1 << k))
+        vectors = [get(keys) for gets in readers for get in gets]
+        assert len(vectors) == len(sizes) == (1 << k) - 2
+        for v, i in enumerate(sizes):
+            assert list(vectors[v]) == [full ^ f for f in inner if f.bit_count() == i]
 
 
 def test_layered_big_endian_field_order(monkeypatch):
@@ -805,10 +839,10 @@ def test_kronecker_column_products_past_64_bits():
         expected = naive_product(naive_product(a, b), c)
         assert max(map(max, expected)) >= 1 << 64
         assert max(map(max, expected)) < 1 << 8 * nbytes
-        slots = [(1, r) for r in range(n)]  # one size, so every column is one of one matrix
+        sizes = [1] * n  # one size, so every column is one of one matrix
         packed = {1: [_pack(col, nbytes) for col in zip(*a)]}
         for mat in (b, c):
-            packed = _column_products(packed, zip(*mat), slots)
+            packed = _column_products(packed, zip(*mat), sizes)
         assert [_unpack(x, nbytes, n) for x in packed[1]] == list(zip(*expected))
     # the struct widths pack and unpack to the same fields
     for nbytes in (1, 2, 4, 8):
