@@ -8,7 +8,8 @@ Two counters:
   the patterns with a zero row sum (most of them, for a sparse digraph),
   found with one table lookup per row in tables built once per pass, which
   map each value a row's field held before the walk to the patterns that
-  held it;
+  held it; for n <= 9 the walk has one step and builds no tables, and one
+  mask and one multiply find the patterns with a zero row sum;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -21,12 +22,14 @@ Two counters:
   on k, so they are made once per process (functools.cache) and kept for
   every later layer and call (192 KB at k = 12).  Tables of fixed sets of
   different sizes never share a nonzero field, so one int, a chunk of 2^k
-  fields, adds several of them: a per-k plan, made once, pairs each
-  chunk's matched form with at most one fixed form row by row, and a layer
-  ends in C(k, floor(k/2)) chunks instead of 2^k, Sperner's bound on an
-  antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read once,
-  as a typed view in native byte order, one `operator.itemgetter` call per
-  fixed set, by the size of the set, in the plan's order of the sets.
+  fields, adds several of them: a per-k layout, made once, gives row by
+  row each chunk's matched form the fixed form of at most one partner
+  chunk, each fixed form left over starting a chunk of its own, and a
+  layer ends in C(k, floor(k/2)) chunks instead of 2^k, Sperner's bound on
+  an antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read
+  once, as a typed view in native byte order, one `operator.itemgetter`
+  call per fixed set, by the size of the set, in the layout's order of the
+  sets.
   Every layer but the last runs on its transposed rows, so it gives the
   columns of its matrices; the last gives rows.  The trace closes with one
   dot product per fixed set, a column of T_1 ... T_(ell-1) with a row of
@@ -242,7 +245,7 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     count, the product of each layer's perfect-matching count, and the
     i = k term is 1, the identity.  For 0 < i < k, each layer's packed
     tables (_layer_tables) are read once, one vector per fixed set, in the
-    order the chunks hold them (_layer_vectors, _readers): every layer but
+    order the chunks hold them (_layer_vectors, _layout): every layer but
     the last runs on its transposed rows, so its vectors are the columns of
     T_c, and the last one's are the rows of T_ell, in the same order, with
     entries in the order of the vectors of their size.  With
@@ -270,7 +273,7 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
     if len(heads) > 1:
         ell = len(g.layers)
-        sizes = _readers(k)[1]  # |F| of each vector, in vector order
+        sizes = _layout(k)[3]  # |F| of each vector, in vector order
         widths = {
             i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
             for i in range(1, k)
@@ -326,112 +329,103 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
     that drops rows F and columns F' is field full ^ F' of table F, and
     every field with |F| + |U| != k is 0.  A field is W = 8 * nbytes bits.
     The tables come added into chunks of 2^k fields, chunk c holding the
-    fixed sets that _chunk_plan lists for it, all of different sizes, so
-    table F is the fields |U| = k - |F| of its chunk.
+    fixed sets that _layout lists for it, all of different sizes, so table
+    F is the fields |U| = k - |F| of its chunk.
 
     Walks the k rows in order; each row is either fixed (its bit joins F)
     or matched to a free column it has an edge to (that bit joins U).
     Matching row t to column j moves those fields of each table whose U
     lacks bit j up by W * 2^j bits: one mask (_column_masks), one shift and
     one add per column.  Fixing the row keeps each table as the one of
-    F | 1 << t, so each chunk after the row adds the matched form of at
-    most one chunk of the row before and the fixed form of at most one,
-    as _chunk_plan names them.  The sum stays
-    separable: after row t, table F is nonzero only at |U| = t + 1 - |F|,
-    and the next row matches every table by the same linear map and
-    relabels F alike.  No field carries: a field counts injections of the
-    non-fixed rows into U, at most |U|! <= k! < 2^W, every addend is
-    nonnegative, and the tables added into one chunk have no nonzero field
-    in common.
+    F | 1 << t, so chunk c after the row is the fixed form of its partner
+    chunk d, if _layout's step gives it one, plus the matched form of chunk
+    c, and the fixed forms of the chunks the step leaves over follow, each
+    a chunk of its own.  The sum stays separable: after row t, table F is
+    nonzero only at |U| = t + 1 - |F|, and the next row matches every table
+    by the same linear map and relabels F alike.  No field carries: a field
+    counts injections of the non-fixed rows into U, at most |U|! <= k! <
+    2^W, every addend is nonnegative, and the tables added into one chunk
+    have no nonzero field in common.
     """
     width = 8 * nbytes
     masks = _column_masks(k, nbytes)
     chunks = [1]  # before row 0: the empty state, one way
-    for row, step in zip(rows, _chunk_plan(k)[0]):
+    for row, (partners, rest) in zip(rows, _layout(k)[0]):
         cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
         grown = []
-        for matched, fixed in step:
-            x = 0
-            for c in fixed:
-                x += chunks[c]
-            for c in matched:
-                for mask, up in cols:
-                    x += (chunks[c] & mask) << up
-            grown.append(x)
-        chunks = grown
+        for x, d in zip(chunks, partners):
+            y = 0 if d is None else chunks[d]
+            for mask, up in cols:
+                y += (x & mask) << up
+            grown.append(y)
+        chunks = grown + [chunks[d] for d in rest]
     return chunks
 
 
 @functools.cache
-def _chunk_plan(k: int):
-    """(steps, sets): which chunks of _layer_tables add into which, made
-    once per process per k.  steps[t] lists, for each chunk after row t,
-    the pair (matched, fixed) of the chunks before the row whose matched
-    and whose fixed forms add into it, at most one of each; each chunk
-    before the row is in one matched and one fixed list.  sets[c] lists
-    the fixed sets of the tables in chunk c after the last row, one per
-    size, in increasing size, chunk 0 holding the empty set first.
+def _layout(k: int):
+    """(steps, sets, readers, sizes): how the chunks of _layer_tables add
+    up and are read, made once per process per k.
+
+    steps[t] is (partners, rest) for row t: chunk c after the row is the
+    matched form of chunk c before it plus the fixed form of chunk
+    partners[c], or of none when that is None, and the fixed forms of the
+    chunks in rest, in index order, start new chunks after those; each
+    chunk before the row is a partner or in rest, once.  sets[c] lists the
+    fixed sets of the tables in chunk c after the last row, one per size,
+    in increasing size, chunk 0 holding the empty set first.
 
     The tables of two fixed sets can share a chunk when their sizes differ
     (see _layer_tables).  The sizes of a chunk run without a gap, so its
     matched form keeps them and its fixed form adds 1 to each.  One
-    pairing rule: after row t, chunk c is the matched form of chunk c plus
-    the fixed form of the lowest-index chunk not yet placed whose smallest
-    size equals chunk c's largest; a fixed form that joins no chunk starts
-    a new chunk at the end, in index order.  That gives C(t + 1,
-    floor((t + 1)/2)) chunks after row t, the most sets of one size among
-    the subsets of t + 1 rows, so no plan has fewer (Sperner).
+    pairing rule: chunk c's partner is the lowest-index chunk not yet
+    placed whose smallest size equals chunk c's largest.  That gives C(t +
+    1, floor((t + 1)/2)) chunks after row t, the most sets of one size
+    among the subsets of t + 1 rows, so no plan has fewer (Sperner).
+
+    readers[c] reads, from chunk c viewed with field U as item U, the
+    vectors of its fixed sets F with 0 < |F| < k, in the order of sets:
+    row F of T^(i), i = |F|, is the fields full ^ x of the chunk for the
+    i-subsets x in the order sets lists them, since the chunk's other
+    tables are 0 there.  That is the order of the size-i vectors, so the
+    entries of every vector line up with the vectors of its size.  One
+    getter per size i, shared by every chunk; sizes[v] is |F| of vector v.
+    The getters hold about one key per field of a chunk, 2^12 at k = 12.
     """
     sets, steps = [(0,)], []
     for t in range(k):
         waiting: dict[int, list[int]] = {}  # chunks by their smallest size, lowest index last
         for d in reversed(range(len(sets))):
             waiting.setdefault(sets[d][0].bit_count(), []).append(d)
-        step, merged = [], []
-        for c, fs in enumerate(sets):
+        partners = []
+        for fs in sets:
             ds = waiting.get(fs[-1].bit_count())
-            fixed = (ds.pop(),) if ds else ()
-            step.append(((c,), fixed))
-            merged.append(fs + tuple(f | 1 << t for d in fixed for f in sets[d]))
-        for d in sorted(chain.from_iterable(waiting.values())):
-            step.append(((), (d,)))
-            merged.append(tuple(f | 1 << t for f in sets[d]))
-        steps.append(tuple(step))
-        sets = merged
-    return tuple(steps), tuple(sets)
-
-
-@functools.cache
-def _readers(k: int):
-    """(readers, sizes): readers[c] reads, from chunk c of _layer_tables
-    viewed with field U as item U, the vectors of its fixed sets F with
-    0 < |F| < k, in the order of _chunk_plan's sets: row F of T^(i),
-    i = |F|, is the fields full ^ x of the chunk for the i-subsets x in
-    the order the plan lists them, since the chunk's other tables are 0
-    there.  That is the order of the size-i vectors, so the entries of
-    every vector line up with the vectors of its size.  One getter per
-    size i, shared by every chunk; sizes[v] is |F| of vector v.  Made once
-    per process per k, with about one key per field of a chunk, 2^12 at
-    k = 12."""
+            partners.append(ds.pop() if ds else None)
+        rest = sorted(chain.from_iterable(waiting.values()))
+        fixed = [tuple(f | 1 << t for f in fs) for fs in sets]
+        sets = [fs + (() if d is None else fixed[d]) for fs, d in zip(sets, partners)]
+        sets += [fixed[d] for d in rest]
+        steps.append((tuple(partners), tuple(rest)))
     full = (1 << k) - 1
-    sets = _chunk_plan(k)[1]
     keys: list[list[int]] = [[] for _ in range(k + 1)]
     for f in chain.from_iterable(sets):
         keys[f.bit_count()].append(full ^ f)
     getters = {i: itemgetter(*keys[i]) for i in range(1, k)}
     inner = [[f.bit_count() for f in fs if 0 < f.bit_count() < k] for fs in sets]
-    return tuple(tuple(map(getters.get, sizes)) for sizes in inner), tuple(chain.from_iterable(inner))
+    readers = tuple(tuple(map(getters.get, sizes)) for sizes in inner)
+    return tuple(steps), tuple(sets), readers, tuple(chain.from_iterable(inner))
 
 
 def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
-    fixed set F with 0 < |F| < k, in the order of _readers' sizes (vector order).  Each
-    chunk of _layer_tables is popped as it turns into bytes in native
-    order, viewed as fields of its width (memoryview.cast, no copy), and
-    read once by the getters of _readers.  The view keeps each field's own
-    bytes in native order, but a big-endian int starts at its top field, so
-    there the view is read reversed (a negative stride, no copy either)."""
+    fixed set F with 0 < |F| < k, in the order of _layout's sizes (vector
+    order).  Each chunk of _layer_tables is popped as it turns into bytes
+    in native order, viewed as fields of its width (memoryview.cast, no
+    copy), and read once by _layout's readers.  The view keeps each
+    field's own bytes in native order, but a big-endian int starts at its
+    top field, so there the view is read reversed (a negative stride, no
+    copy either)."""
     order = sys.byteorder
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
@@ -441,7 +435,7 @@ def _layer_vectors(rows, k: int, nbytes: int):
     views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
     if order == "big":
         views = [view[::-1] for view in views]
-    return matchings, _read(views, _readers(k)[0])
+    return matchings, _read(views, _layout(k)[2])
 
 
 def _read(views: list[memoryview], readers):

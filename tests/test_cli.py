@@ -313,6 +313,23 @@ def test_file_errors_exit_2_without_traceback(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+    # an edge inside a part, an edge that skips a part, a negative vertex
+    # count: each with its own message
+    for i, (text, message) in enumerate((
+        (
+            '{"n": 4, "edges": [[0, 1]], "parts": [[0, 1], [2, 3]]}',
+            "edge (0, 1) does not go to the successor part",
+        ),
+        (
+            '{"n": 6, "edges": [[0, 4]], "parts": [[0, 1], [2, 3], [4, 5]]}',
+            "edge (0, 4) does not go to the successor part",
+        ),
+        ('{"n": -1, "edges": []}', "vertex count must be nonnegative, got -1"),
+    )):
+        path = tmp_path / f"bad_graph_{i}.json"
+        path.write_text(text)
+        assert main(["count", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @st.composite

@@ -23,13 +23,12 @@ from dpratio.counting import (
     count_layered,
     count_permanent,
     _CODES,
-    _chunk_plan,
     _column_products,
     _field_width,
     _glynn,
     _layer_tables,
+    _layout,
     _pack,
-    _readers,
     _unpack,
 )
 from dpratio.digraph import (
@@ -56,7 +55,7 @@ def layer_tables(rows, k: int) -> list[int]:
     # up to the chunk, so a field outside every table of its chunk is 0
     nbytes = field_bytes(k)
     chunks = _layer_tables(rows, k, nbytes)
-    sets = _chunk_plan(k)[1]
+    sets = _layout(k)[1]
     assert len(chunks) == len(sets)
     sized = size_masks(k, nbytes)
     tables = [None] * (1 << k)
@@ -461,37 +460,45 @@ def test_layered_k1_every_edge_subset():
             assert count_layered(g) == count_permanent(to_general(g)) == expected
 
 
-#: SHA-256 of repr([_chunk_plan(k) for k in range(1, 14)]): a frozen value,
-#: recorded from the first-fit plan this one replaced, which it must equal
+#: SHA-256 of repr([chunk_plan(k) for k in range(1, 14)]): a frozen value,
+#: recorded from the first-fit plan the layout replaced, which it must equal
 FROZEN_CHUNK_PLAN_SHA256 = "f5b61afa84014c9373be8755d832428dff23e4bcf59569b1df50c61ade7f2eeb"
 
 
+def chunk_plan(k: int):
+    # the layout's steps and sets in the form the frozen digest was recorded
+    # from: for each chunk after a row, the (matched, fixed) chunks before it
+    steps, sets = _layout(k)[:2]
+    paired = lambda partners: tuple(((c,), () if d is None else (d,)) for c, d in enumerate(partners))
+    return tuple(paired(partners) + tuple(((), (d,)) for d in rest) for partners, rest in steps), sets
+
+
 def test_chunk_plan_frozen_digest():
-    plans = repr([_chunk_plan(k) for k in range(1, 14)])
+    plans = repr([chunk_plan(k) for k in range(1, 14)])
     assert hashlib.sha256(plans.encode()).hexdigest() == FROZEN_CHUNK_PLAN_SHA256
 
 
 def test_chunk_plan_merges_to_sperner_width():
     # at every k <= 14, every row t has C(t + 1, floor((t + 1)/2)) chunks
-    # after it, each chunk before it matched into one chunk and fixed into
-    # one, and each chunk after it taking at most one matched and at most
-    # one fixed chunk; replayed, the fixed-set sizes of every chunk rise by
-    # 1 with no gap at any row, and after the last every fixed set lies in
-    # exactly one chunk
+    # after it: one per chunk before it, each chunk's matched form plus at
+    # most one partner's fixed form, then one per fixed form in rest; the
+    # partners and rest together name each chunk before the row exactly
+    # once; replayed, the fixed-set sizes of every chunk rise by 1 with no
+    # gap at any row, and after the last every fixed set lies in exactly
+    # one chunk
     for k in range(1, 15):
-        steps, sets = _chunk_plan(k)
+        steps, sets = _layout(k)[:2]
         assert len(steps) == k
         parts = [[0]]
-        for t, step in enumerate(steps):
-            assert len(step) == math.comb(t + 1, (t + 1) // 2)
-            assert sorted(c for matched, _ in step for c in matched) == list(range(len(parts)))
-            assert sorted(c for _, fixed in step for c in fixed) == list(range(len(parts)))
-            assert all(len(matched) <= 1 and len(fixed) <= 1 for matched, fixed in step)
-            parts = [
-                [f for c in matched for f in parts[c]]
-                + [f | 1 << t for c in fixed for f in parts[c]]
-                for matched, fixed in step
-            ]
+        for t, (partners, rest) in enumerate(steps):
+            assert len(partners) == len(parts)
+            assert len(partners) + len(rest) == math.comb(t + 1, (t + 1) // 2)
+            named = [d for d in partners if d is not None] + list(rest)
+            assert sorted(named) == list(range(len(parts)))
+            assert list(rest) == sorted(rest)
+            fixed = [[f | 1 << t for f in fs] for fs in parts]
+            parts = [fs + ([] if d is None else fixed[d]) for fs, d in zip(parts, partners)]
+            parts += [fixed[d] for d in rest]
             for fs in parts:
                 sizes = [f.bit_count() for f in fs]
                 assert sizes == list(range(sizes[0], sizes[0] + len(fs)))
@@ -507,8 +514,7 @@ def test_readers_follow_the_plan_order():
     # vector lines up with vector z of its size
     for k in range(1, 11):
         full = (1 << k) - 1
-        readers, sizes = _readers(k)
-        sets = _chunk_plan(k)[1]
+        sets, readers, sizes = _layout(k)[1:]
         assert len(readers) == len(sets)
         inner = [f for f in itertools.chain.from_iterable(sets) if 0 < f.bit_count() < k]
         assert list(sizes) == [f.bit_count() for f in inner]
@@ -523,7 +529,7 @@ def test_layered_big_endian_field_order(monkeypatch):
     # at k <= 5 a field is one byte, so the bytes of a chunk read as
     # sys.byteorder = "big" are exactly those of a big-endian machine, where
     # field U of a chunk is item full ^ U of the view, and item U of the
-    # reversed view the readers take; every row adds chunks as _chunk_plan
+    # reversed view the readers take; every row adds chunks as _layout
     # says, and the counts must not change in either byte order.  At
     # ell >= 3 the packed columns, whose fields are wider than a byte, keep
     # their own little-endian layout whatever sys.byteorder says
@@ -711,7 +717,7 @@ def test_layer_table_matches_per_row_masks():
             reference = per_row_mask_table(rows, k)
             chunks = _layer_tables(rows, k, nbytes)
             # chunk c adds the reference's tables at its fixed sets
-            sets = _chunk_plan(k)[1]
+            sets = _layout(k)[1]
             runs = [sum((reference >> span * f) & ((1 << span) - 1) for f in fs) for fs in sets]
             assert chunks == runs
             assert end_to_end(layer_tables(rows, k), span) == reference
@@ -732,12 +738,12 @@ def test_layer_tables_k11_one_edge_per_row():
 
 
 def test_import_keeps_no_masks():
-    # masks, chunk plans and getters are made by the first count at each k,
-    # never at import
+    # masks and layouts (chunk plans and getters) are made by the first
+    # count at each k, never at import
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
         "import dpratio, dpratio.counting as c; "
-        "print(*(f.cache_info().currsize for f in (c._column_masks, c._chunk_plan, c._readers)))"
+        "print(*(f.cache_info().currsize for f in (c._column_masks, c._layout)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -746,7 +752,7 @@ def test_import_keeps_no_masks():
         text=True,
         check=True,
     ).stdout
-    assert out.split() == ["0", "0", "0"]
+    assert out.split() == ["0", "0"]
 
 
 def test_field_width_bounds():
@@ -817,7 +823,7 @@ def chunk_fields(tables, k: int) -> list[list[int]]:
     # the fields of the tables grouped as the chunks hold them: the fields
     # of the chunk's fixed sets added
     fields = [table_fields(table, k) for table in tables]
-    return [[sum(vs) for vs in zip(*(fields[f] for f in fs))] for fs in _chunk_plan(k)[1]]
+    return [[sum(vs) for vs in zip(*(fields[f] for f in fs))] for fs in _layout(k)[1]]
 
 
 def naive_product(a, b):

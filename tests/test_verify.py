@@ -5,7 +5,7 @@ import sys
 import mpmath
 import pytest
 
-from dpratio import counting, moments, oracles, series, verify
+from dpratio import cli, counting, moments, oracles, series, verify
 
 
 def test_verify_rejects_unknown_profile():
@@ -85,3 +85,15 @@ def test_exhaustive_moments_calls_no_counter(monkeypatch):
     for name in ("count", "count_layered", "count_permanent"):
         monkeypatch.setattr(counting, name, refuse)
     assert [oracles.exhaustive_moments(2, 2, m) for m in (0, 4, 8)] == expected
+
+
+def test_verify_reports_a_ratio_bound_violation(monkeypatch):
+    # every layered count read as X = 3, Y = 5 breaks 2X <= Y: the last
+    # check, the ratio bound over every recorded count, must fail, and the
+    # verify command with it
+    monkeypatch.setattr(counting, "count_layered", lambda g: counting.CountPair(3, 5))
+    summary = verify.verify_all("tiny")
+    assert not summary.checks[-1].passed and not summary.passed
+    last = "  [FAIL] every counted graph satisfies 2X <= Y and Y >= X + 1"
+    assert summary.render().splitlines()[-2:] == [last, "overall: FAIL"]
+    assert cli.main(["verify", "--profile", "tiny"]) == 1
