@@ -231,8 +231,6 @@ def moment_report(
         p = m / total
     ex = expected_x_exact(k, ell, m)
     ey = expected_y_exact(k, ell, m)
-    ex2 = second_moment_x_exact(k, ell, m)
-    ey2 = second_moment_y_upper(k, ell, m)
     ratio = ex / ey
     ex_asym_log = ey_asym_log = None
     if p:
@@ -243,6 +241,9 @@ def moment_report(
             raise ValueError(
                 f"ey_asym_log is past the float range (f_{ell}(1/p) > 1.8e308 at p = {p})"
             ) from None
+    # the second moments last, so that a log past the float range fails before their cost
+    ex2 = second_moment_x_exact(k, ell, m)
+    ey2 = second_moment_y_upper(k, ell, m)
     return MomentReport(
         k=k,
         ell=ell,

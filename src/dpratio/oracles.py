@@ -10,7 +10,7 @@ cross-checks in `dpratio.verify` compare a production route against.
 * h_bruteforce             -- h(a, b) by enumerating permutations;
 * h_window_error           -- the deviation of the production table
                               `series.h_table` from a!/e, in exact rationals;
-* exhaustive_moments       -- the moments by enumerating every m-edge subgraph,
+* exact_law                -- the law of (X, Y) over every m-edge subgraph,
                               each counted by count_bruteforce.
 
 Each shares no code with the route it checks, except `h_window_error`,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -164,21 +165,11 @@ def h_window_error(a: int) -> float:
     return ends.pop()
 
 
-def exhaustive_moments(k: int, ell: int, m: int) -> tuple[Fraction, ...]:
-    """(E[X], E[Y], E[X^2], E[Y^2]) by enumerating every m-edge subgraph and
-    counting each by brute force (count_bruteforce, so n = k*ell <= 10)."""
+def exact_law(k: int, ell: int, m: int) -> Counter[counting.CountPair]:
+    """The law of (X, Y) over every m-edge subgraph of the (k, ell) blow-up:
+    each CountPair maps to the number of subgraphs that have it, each
+    counted by brute force (count_bruteforce, so n = k*ell <= 10)."""
     base = digraph.build_blowup(k, ell)
-    n = math.comb(base.edge_count, m)
-    sx = sy = sx2 = sy2 = 0
-    for g in enumerate_subgraphs(base, m):
-        c = count_bruteforce(digraph.to_general(g))
-        sx += c.derangements
-        sy += c.permutations
-        sx2 += c.derangements**2
-        sy2 += c.permutations**2
-    return (
-        Fraction(sx, n),
-        Fraction(sy, n),
-        Fraction(sx2, n),
-        Fraction(sy2, n),
+    return Counter(
+        count_bruteforce(digraph.to_general(g)) for g in enumerate_subgraphs(base, m)
     )

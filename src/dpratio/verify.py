@@ -12,6 +12,7 @@ attributes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -57,7 +58,7 @@ class Profile:
     fact1_max_a: int
     h_oracle_max_a: int
     solver_grid: int
-    moment_shapes: tuple[tuple[int, int], ...]  # (k, ell) of each exhaustive enumeration
+    moment_shapes: tuple[tuple[int, int], ...]  # (k, ell) of each exact_law enumeration
 
 
 _ROUND_ROBIN_SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (4, 3), (8, 2))
@@ -202,15 +203,20 @@ def check_solver(prof: Profile, record: Record) -> list[CheckResult]:
     return [CheckResult(f"root solver residual |f_ell(1/p) r - 1| <= 1e-9 on {n}-point grid", ok)]
 
 
+def law_mean(law: Counter[CountPair], f: Callable[[int, int], int]) -> Fraction:
+    """E[f(X, Y)] under a law of (X, Y), such as `oracles.exact_law`'s."""
+    return Fraction(sum(f(c.derangements, c.permutations) * w for c, w in law.items()), law.total())
+
+
 def check_moments(prof: Profile, record: Record) -> list[CheckResult]:
     ok = True
     for k, ell in prof.moment_shapes:
         for m in range(digraph.blowup_edge_count(k, ell) + 1):
-            ox, oy, ox2, oy2 = oracles.exhaustive_moments(k, ell, m)
-            ok &= moments.expected_x_exact(k, ell, m) == ox
-            ok &= moments.expected_y_exact(k, ell, m) == oy
-            ok &= moments.second_moment_x_exact(k, ell, m) == ox2
-            ok &= moments.second_moment_y_upper(k, ell, m) >= oy2
+            law = oracles.exact_law(k, ell, m)
+            ok &= moments.expected_x_exact(k, ell, m) == law_mean(law, lambda x, y: x)
+            ok &= moments.expected_y_exact(k, ell, m) == law_mean(law, lambda x, y: y)
+            ok &= moments.second_moment_x_exact(k, ell, m) == law_mean(law, lambda x, y: x * x)
+            ok &= moments.second_moment_y_upper(k, ell, m) >= law_mean(law, lambda x, y: y * y)
     # frozen spot values
     ok &= moments.expected_x_exact(2, 2, 6) == Fraction(6, 7)
     ok &= moments.expected_y_exact(2, 2, 6) == 4

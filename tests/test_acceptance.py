@@ -19,6 +19,7 @@ from dpratio.moments import (
     expected_y_exact,
     second_moment_x_exact,
 )
+from dpratio.oracles import exact_law
 from dpratio.params import ConstructionPlan, plan
 from dpratio.verify import (
     PROFILES,
@@ -29,6 +30,7 @@ from dpratio.verify import (
     check_h,
     check_moments,
     check_solver,
+    law_mean,
     ratio_bound_holds,
 )
 
@@ -148,6 +150,15 @@ def test_criterion_9_concentration(counted):
     se = math.sqrt(var / CONCENTRATION_TRIALS)
     mean_x = sum(x for _, x, _, _ in counted.mc2.per_trial) / CONCENTRATION_TRIALS
     ok &= abs(mean_x - ex) <= 5 * se
+    # the whole sample: its fraction within epsilon against the exact
+    # probability over every m-edge subgraph, with run_mc's float test
+    mc2 = counted.mc2
+    p = float(
+        law_mean(
+            exact_law(k, ell, m), lambda x, y: abs(x / y - mc2.exact_ratio) <= mc2.epsilon
+        )
+    )
+    ok &= abs(mc2.fraction_within - p) <= 5 * math.sqrt(p * (1 - p) / CONCENTRATION_TRIALS)
     _report("9 empirical concentration (pinned seeds)", ok)
 
 

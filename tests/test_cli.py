@@ -216,9 +216,17 @@ def test_value_error_exits_2_without_traceback(capsys):
         assert "Traceback" not in err
 
 
-def test_asymptotic_log_overflow_names_field(capsys):
-    # at a small p, f_ell(1/p) overflows a float while the exact moments exist
-    for k, ell, m, p in ((25, 2, 3, 0.0024), (20, 3, 2, 2 / 1200), (10, 4, 1, 0.0025)):
+def test_asymptotic_log_overflow_names_field(capsys, monkeypatch):
+    # at a small p, f_ell(1/p) overflows a float while the exact moments
+    # exist; the error comes before the second moments, which at (25, 1000, 5)
+    # and (25, 50, 5) would take minutes
+    def refuse(k, ell, m):
+        raise AssertionError("a second moment ran before the float-range error")
+
+    for name in ("second_moment_x_exact", "second_moment_y_upper"):
+        monkeypatch.setattr(dpratio.moments, name, refuse)
+    cases = ((25, 2, 3, 0.0024), (20, 3, 2, 2 / 1200), (10, 4, 1, 0.0025))
+    for k, ell, m, p in cases + ((25, 1000, 5, 8e-06), (25, 50, 5, 0.00016)):
         assert main(["expect", "--k", str(k), "--ell", str(ell), "--m", str(m)]) == 2
         err = capsys.readouterr().err
         assert err == (

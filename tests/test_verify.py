@@ -74,17 +74,29 @@ def test_check_falling_ratio_reads_the_production_walk(monkeypatch):
     assert not verify.verify_all("tiny").passed
 
 
-def test_exhaustive_moments_calls_no_counter(monkeypatch):
-    # the moment oracle counts each subgraph by brute force, never through
-    # a production counter
-    expected = [oracles.exhaustive_moments(2, 2, m) for m in (0, 4, 8)]
+def test_exact_law_calls_no_counter(monkeypatch):
+    # the law oracle counts each subgraph by brute force, never through a
+    # production counter
+    expected = [oracles.exact_law(2, 2, m) for m in (0, 4, 8)]
 
     def refuse(g):
         raise AssertionError("the oracle called a production counter")
 
     for name in ("count", "count_layered", "count_permanent"):
         monkeypatch.setattr(counting, name, refuse)
-    assert [oracles.exhaustive_moments(2, 2, m) for m in (0, 4, 8)] == expected
+    assert [oracles.exact_law(2, 2, m) for m in (0, 4, 8)] == expected
+
+
+def test_exact_law_identities():
+    # one atom per subgraph in all; the empty subgraph has only the identity
+    # permutation, and the full blow-up the closed-form counts
+    for k, ell in ((1, 2), (2, 2), (2, 3)):
+        total = k * k * ell
+        laws = [oracles.exact_law(k, ell, m) for m in range(total + 1)]
+        assert [law.total() for law in laws] == [math.comb(total, m) for m in range(total + 1)]
+        assert laws[0] == {counting.CountPair(0, 1): 1}
+        assert laws[-1] == {oracles.closed_form_counts(k, ell): 1}
+    assert len(oracles.exact_law(3, 2, 9)) == 22
 
 
 def test_verify_reports_a_ratio_bound_violation(monkeypatch):
