@@ -19,25 +19,34 @@ Two counters:
   of a table at once with big-int shifts and masks.  No field carries,
   since a count is at most |U|! <= k! and every addend is nonnegative.
   The k column masks span the 2^k fields of one table; they depend only
-  on k, so they are made once per process (functools.cache) and kept for
-  every later layer and call (192 KB at k = 12).  Tables of fixed sets of
+  on k and W, so they are made once per process (functools.cache) and kept
+  for every later layer and call (192 KB at k = 12, and 384 KB for the
+  8-byte fields of the ell = 2 route).  Tables of fixed sets of
   different sizes never share a nonzero field, so one int, a chunk of 2^k
   fields, adds several of them: a per-k layout, made once, gives row by
   row each chunk's matched form the fixed form of at most one partner
   chunk, each fixed form left over starting a chunk of its own, and a
   layer ends in C(k, floor(k/2)) chunks instead of 2^k, Sperner's bound on
-  an antichain of subsets (924 of 16 KB at k = 12).  Each chunk is read
-  once, as a typed view in native byte order, one `operator.itemgetter`
-  call per fixed set, by the size of the set, in the layout's order of the
-  sets.
-  Every layer but the last runs on its transposed rows, so it gives the
-  columns of its matrices; the last gives rows.  The trace closes with one
-  dot product per fixed set, a column of T_1 ... T_(ell-1) with a row of
-  T_ell; at ell >= 3 the product's columns are Kronecker-packed ints
-  (D. Harvey, J. Symbolic Comput. 2009, section 2), so each entry of a
-  layer adds one big-int multiple of a whole column.  The end sizes are
-  closed forms: i = 0 is the product of the layers' perfect-matching
-  counts and i = k the identity alone.
+  an antichain of subsets (924 of 16 KB at k = 12).  The first layer runs
+  on its transposed rows, so it gives the columns of its matrices.
+  At ell = 2 the trace is the dot of the first layer's chunks with the
+  last layer's, and by Tellegen's transposition principle (Bostan, Lecerf
+  and Schost, ISSAC 2003) it equals the last layer's DP run backward, each
+  row's step transposed, on the first layer's chunks: no chunk is read as
+  vectors and no dot is taken.  Its fields are sized for the full blow-up's
+  Y, sum_i (C(k, i) (k-i)!)^2, which bounds every one of them (a sum of
+  first-layer fields over the ways to walk the remaining rows), so none
+  carries; that covers the i = 0 and i = k terms too.
+  At ell >= 3 each chunk is read once, as a typed view in native byte
+  order, one `operator.itemgetter` call per fixed set, by the size of the
+  set, in the layout's order of the sets; the middle layers also give
+  columns, the last gives rows, and the trace closes with one dot product
+  per fixed set, a column of T_1 ... T_(ell-1) with a row of T_ell.  The
+  product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
+  Comput. 2009, section 2), so each entry of a layer adds one big-int
+  multiple of a whole column.  The end sizes are closed forms: i = 0 is
+  the product of the layers' perfect-matching counts and i = k the
+  identity alone.
 
 `count` takes the counter from the graph: layered for a `SampledSubgraph`
 (a blow-up subgraph, the full blow-up included), the permanent for a
@@ -243,19 +252,23 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     c+1) with entry = number of perfect matchings of layer c avoiding F and
     F'.  The end sizes take no matrices: the i = 0 term is the derangement
     count, the product of each layer's perfect-matching count, and the
-    i = k term is 1, the identity.  For 0 < i < k, each layer's packed
-    tables (_layer_tables) are read once, one vector per fixed set, in the
-    order the chunks hold them (_layer_vectors, _layout): every layer but
-    the last runs on its transposed rows, so its vectors are the columns of
-    T_c, and the last one's are the rows of T_ell, in the same order, with
-    entries in the order of the vectors of their size.  With
-    P = T_1 ... T_(ell-1),
+    i = k term is 1, the identity.
+
+    At ell = 2 the trace takes no vectors either: it is the first layer's
+    packed tables, transposed, dotted with the last layer's, which the
+    last layer's DP run backward over the first layer's chunks gives at
+    once, the end sizes included (_count_two_layers).
+
+    At ell >= 3, for 0 < i < k, each layer's packed tables (_layer_tables)
+    are read once, one vector per fixed set, in the order the chunks hold
+    them (_layer_vectors, _layout): every layer but the last runs on its
+    transposed rows, so its vectors are the columns of T_c, and the last
+    one's are the rows of T_ell, in the same order, with entries in the
+    order of the vectors of their size.  With P = T_1 ... T_(ell-1),
 
         trace(P T_ell) = sum_F column F of P . row F of T_ell.
 
-    At ell = 2, P = T_1: its columns are read from its chunk views beside
-    the last layer's rows, so no matrix is ever held as tuples.  Otherwise
-    each column of P is one Kronecker-packed int (_pack), kept in vector
+    Each column of P is one Kronecker-packed int (_pack), kept in vector
     order among those of its size, its fields sized once for the whole
     chain by the C(k, i)^(ell-2) (k-i)!^(ell-1) bound of any entry of P^(i)
     (_field_width): column y of P T_c is sum_z T_c[z][y] * column z of P,
@@ -269,29 +282,92 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     nbytes = _field_width(math.factorial(k))
     if nbytes > 8:
         raise ValueError(f"no layer-table field of at most 8 bytes holds {k}! at k = {k}")
-    *heads, last = g.layers
-    derangements, cols = _layer_vectors(_transpose(heads[0], k), k, nbytes)
-    if len(heads) > 1:
-        ell = len(g.layers)
-        sizes = _layout(k)[3]  # |F| of each vector, in vector order
-        widths = {
-            i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
-            for i in range(1, k)
-        }
-        packed = {i: [] for i in widths}
-        for i, col in zip(sizes, cols):
-            packed[i].append(_pack(col, widths[i]))
-        for rows in heads[1:]:
-            matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
-            derangements *= matchings
-            packed = _column_products(packed, layer_cols, sizes)
-        columns = {i: iter(cols_i) for i, cols_i in packed.items()}
-        cols = (_unpack(next(columns[i]), widths[i], math.comb(k, i)) for i in sizes)
+    first, *middle, last = g.layers
+    if not middle:
+        return _count_two_layers(first, last, k, nbytes)
+    ell = len(g.layers)
+    derangements, cols = _layer_vectors(_transpose(first, k), k, nbytes)
+    sizes = _layout(k)[3]  # |F| of each vector, in vector order
+    widths = {
+        i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
+        for i in range(1, k)
+    }
+    packed = {i: [] for i in widths}
+    for i, col in zip(sizes, cols):
+        packed[i].append(_pack(col, widths[i]))
+    for rows in middle:
+        matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
+        derangements *= matchings
+        packed = _column_products(packed, layer_cols, sizes)
+    columns = {i: iter(cols_i) for i, cols_i in packed.items()}
+    cols = (_unpack(next(columns[i]), widths[i], math.comb(k, i)) for i in sizes)
     matchings, rows = _layer_vectors(last, k, nbytes)
     # each column has as many entries as its row, so the dots run end to end
     traces = sum(map(mul, chain.from_iterable(cols), chain.from_iterable(rows)))
     derangements *= matchings
     return CountPair(derangements=derangements, permutations=derangements + 1 + traces)
+
+
+def _count_two_layers(first, last, k: int, nbytes: int) -> CountPair:
+    """count_layered at ell = 2: Y by the transposed DP of the last layer
+    applied to the first layer's chunks, X by one matched-only DP.
+
+    Y = sum_F <table F of the first layer, transposed, table F of the last>,
+    field by field, the i = 0 term (X) and the i = k term (1) included.
+    Both layers share _layout(k), so chunk c of each holds the same fixed
+    sets, and tables of different sizes in one chunk never share a nonzero
+    field: Y = sum_c <A_c, B_c>, A the first layer's chunks and B = L_(k-1)
+    ... L_0 e the last layer's, L_t the linear step of row t in
+    _layer_tables and e the one chunk before row 0, 1 in field 0.  By
+    transposition, Y = <L_0^T ... L_(k-1)^T A, e>: field 0 of the one chunk
+    left after the rows are walked back from k - 1 to 0 on A.  The step of
+    row t moves field U to field U | 1 << j for each column j of the row
+    that U lacks, and adds the fixed form of each chunk d to one chunk
+    after the row: chunk c with partners[c] = d, or d's slot among the
+    rest.  Its transpose gives chunk d before the row as sum_j ((after_d
+    >> W * 2^j) & mask_j), over the row's columns j, plus that chunk.  No
+    dot product is taken, and no chunk is read as a vector.
+
+    No field carries at width W = 8 * _field_width(Y of the full blow-up),
+    sum_i (C(k, i) (k - i)!)^2.  A field of chunk d before row t, at |U| =
+    u, sums a field of A, at most |U'|! for U' its used columns, over the
+    ways to walk rows t..k-1, each fixed or matched into a column outside
+    U: with j rows matched, at most C(k - t, j) (k - u)!/(k - u - j)!
+    walks, each ending at |U'| = u + j.  That bound is at most the full
+    blow-up's Y for every t and u at k <= 14, with equality only at t = u
+    = 0 (see the tests).  Every addend is nonnegative, so no field passes
+    its bound.  Each chunk is dropped once read, so the walk holds little
+    more than the first layer's chunks.
+
+    X is the product of the layers' perfect-matching counts: the top field
+    of the first layer's chunk 0, and field full of one chunk walked
+    through the last layer's rows, each matched only, at width nbytes."""
+    wide = _field_width(sum((math.comb(k, i) * math.factorial(k - i)) ** 2 for i in range(k + 1)))
+    width = 8 * wide
+    after = _layer_tables(_transpose(first, k), k, wide)
+    derangements = after[0] >> width * ((1 << k) - 1)  # the top field
+    masks = _column_masks(k, wide)
+    for row, (partners, rest) in zip(reversed(last), reversed(_layout(k)[0])):
+        cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
+        before = [0] * len(partners)
+        # after chunk c holds the matched form of chunk c, if c < len(partners),
+        # and the fixed form of chunk d, if d is not None
+        for c, d in enumerate(partners + rest):
+            y, after[c] = after[c], None
+            if d is not None:
+                before[d] += y
+            if c < len(before):
+                for mask, up in cols:
+                    before[c] += (y >> up) & mask
+        after = before
+    permutations = after[0] & ((1 << width) - 1)
+    width = 8 * nbytes
+    masks = _column_masks(k, nbytes)
+    matched = 1
+    for row in last:
+        matched = sum((matched & masks[j]) << (width << j) for j in range(k) if (row >> j) & 1)
+    derangements *= matched >> width * ((1 << k) - 1)
+    return CountPair(derangements=derangements, permutations=permutations)
 
 
 def _transpose(rows, k: int) -> list[int]:
@@ -314,9 +390,11 @@ _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 @functools.cache
 def _column_masks(k: int, nbytes: int) -> tuple[int, ...]:
-    """The k column masks of _layer_tables, made once per process per k:
-    mask j has all ones in the nbytes-wide fields of a chunk's 2^k whose
-    index lacks bit j.  At k = 12 they take 12 * 4 B * 4096, about 192 KB."""
+    """The k column masks of _layer_tables, made once per process per k
+    and width: mask j has all ones in the nbytes-wide fields of a chunk's
+    2^k whose index lacks bit j.  At k = 12 they take 12 * 4 B * 4096,
+    about 192 KB, and twice that at the 8-byte fields of the ell = 2
+    route."""
     # mask j repeats 2^j full fields then 2^j empty ones
     runs = [b"\xff" * (nbytes << j) + b"\x00" * (nbytes << j) for j in range(k)]
     return tuple(int.from_bytes(run * (1 << (k - j - 1)), "little") for j, run in enumerate(runs))

@@ -530,9 +530,11 @@ def test_layered_big_endian_field_order(monkeypatch):
     # sys.byteorder = "big" are exactly those of a big-endian machine, where
     # field U of a chunk is item full ^ U of the view, and item U of the
     # reversed view the readers take; every row adds chunks as _layout
-    # says, and the counts must not change in either byte order.  At
-    # ell >= 3 the packed columns, whose fields are wider than a byte, keep
-    # their own little-endian layout whatever sys.byteorder says
+    # says, and the counts must not change in either byte order.  Only
+    # ell >= 3 reads chunk views (ell = 2 takes no vectors), and every ell
+    # drawn here is 3 or 4, which the test pins.  The packed columns, whose
+    # fields are wider than a byte, keep their own little-endian layout
+    # whatever sys.byteorder says
     rng = random.Random(1955)
     graphs = []
     for k in range(2, 6):
@@ -541,6 +543,7 @@ def test_layered_big_endian_field_order(monkeypatch):
         for _ in range(8):
             g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
             graphs.append((g, count_permanent(to_general(g))))
+    assert all(g.ell >= 3 for g, _ in graphs)
     for order in ("little", "big"):
         monkeypatch.setattr(sys, "byteorder", order)
         for g, expected in graphs:
@@ -550,9 +553,10 @@ def test_layered_big_endian_field_order(monkeypatch):
 def test_layered_merged_chunks_one_byte_fields(monkeypatch):
     # at k <= 5 a field is one byte and the 2^k tables of a layer end added
     # into C(k, floor(k/2)) chunks, fixed sets of different sizes sharing
-    # one; the full blow-ups and subgraphs of them at ell = 2..4 are read in
-    # both byte orders as in test_layered_big_endian_field_order, and the
-    # counts must not change
+    # one; the full blow-ups and subgraphs of them at ell = 2..4 are counted
+    # in both byte orders as in test_layered_big_endian_field_order, the
+    # ell >= 3 ones, at every k, through chunk views, and the counts must
+    # not change
     rng = random.Random(2727)
     graphs = []
     for k in range(1, 6):
@@ -564,6 +568,7 @@ def test_layered_merged_chunks_one_byte_fields(monkeypatch):
             for _ in range(3):
                 g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
                 graphs.append((g, count_permanent(to_general(g))))
+    assert {g.k for g, _ in graphs if g.ell >= 3} == set(range(1, 6))
     for order in ("little", "big"):
         monkeypatch.setattr(sys, "byteorder", order)
         for g, expected in graphs:
@@ -591,12 +596,15 @@ def test_layered_middle_size_dies_in_second_layer():
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_layered_k12_peak_rss():
     # one count of the full k = LAYERED_MAX_K = 12, ell = 2 blow-up, the
-    # largest size count_layered admits, in a fresh process: peak RSS
-    # measured at 59.3 MB (Linux x86-64, CPython 3.11, about 0.7 s), the
-    # first layer's C(12, 6) = 924 chunk views of 16 KB (15 MB) beside the
-    # second layer's last row, 462 chunks before it and 924 after.  One
-    # chunk per table measured 160 MB, and CPython 3.10, 3.12 and 3.13
-    # measured 55.9, 58.5 and 58.3-60.9 MB; the bound is 5% over 59.3 MB
+    # largest size count_layered admits, in a fresh process.  The peak sits
+    # at the first layer's last row: 462 chunks before it and 462 matched
+    # forms, the 924 chunks after it, of 4096 8-byte fields (32 KB) each,
+    # about 30 MB beside the interpreter, the cached layout and masks
+    # (about 20 MB); measured 51.8 MB (Linux x86-64, CPython 3.11, about
+    # 0.35 s).  The transposed walk of the second layer drops each chunk
+    # once read, and added 0.1 MB.  The bound is 5% over 59.3 MB, the peak
+    # measured when the second layer built its own tables beside the first
+    # layer's 924 chunk views (one chunk per table measured 160 MB)
     assert LAYERED_MAX_K == 12
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
@@ -784,7 +792,7 @@ def test_layer_field_width(monkeypatch):
         raise AssertionError(f"tables built at k = {k}, {nbytes}-byte fields")
 
     monkeypatch.setattr(counting, "LAYERED_MAX_K", 21)
-    monkeypatch.setattr(counting, "_layer_vectors", refuse)
+    monkeypatch.setattr(counting, "_layer_tables", refuse)
     with pytest.raises(ValueError, match="k = 21"):
         count_layered(build_blowup(21, 2))
     # a full layer reaches k! at the empty fixed set, at the largest k of
@@ -792,6 +800,59 @@ def test_layer_field_width(monkeypatch):
     for k in (5, 8, 9):
         tables = layer_tables([(1 << k) - 1] * k, k)
         assert table_fields(tables[0], k)[(1 << k) - 1] == math.factorial(k)
+
+
+def transposed_field_bound(k: int, t: int, u: int) -> int:
+    # a field of the ell = 2 route's chunk before row t, at |U| = u: the
+    # walks of rows t..k-1 that match j of them into columns outside U, each
+    # ending at a first-layer field of at most (u + j)!
+    return sum(
+        math.comb(k - t, j) * math.perm(k - u, j) * math.factorial(u + j) for j in range(k - t + 1)
+    )
+
+
+def test_two_layer_fields_never_carry(monkeypatch):
+    # the transposed walk's fields stay at most the full blow-up's Y, which
+    # they reach only at row 0, |U| = 0, and the route sizes them for it
+    for k in range(1, 15):
+        full = closed_form_counts(k, 2).permutations
+        for t in range(k + 1):
+            for u in range(k + 1):
+                bound = transposed_field_bound(k, t, u)
+                assert bound <= full
+                assert (bound == full) == (t == u == 0)
+    widths = []
+
+    def tables(rows, k, nbytes):
+        widths.append(nbytes)
+        return _layer_tables(rows, k, nbytes)
+
+    monkeypatch.setattr(counting, "_layer_tables", tables)
+    for k in range(1, 11):
+        widths.clear()
+        assert count_layered(build_blowup(k, 2)) == closed_form_counts(k, 2)
+        assert widths == [_field_width(closed_form_counts(k, 2).permutations)]
+
+
+def test_two_layers_read_no_vectors(monkeypatch):
+    # ell = 2 counts with no vector read from any chunk: sampled subgraphs
+    # against the permanent, the full blow-ups against the closed form;
+    # ell = 3 still reads them
+    def refuse(*args):
+        raise AssertionError("chunk read as vectors")
+
+    monkeypatch.setattr(counting, "_layer_vectors", refuse)
+    monkeypatch.setattr(counting, "_read", refuse)
+    rng = random.Random(3232)
+    for k in range(1, 9):
+        base = build_blowup(k, 2)
+        for _ in range(6):
+            g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
+            assert count_layered(g) == count_permanent(to_general(g))
+    for k in range(1, 12):
+        assert count_layered(build_blowup(k, 2)) == closed_form_counts(k, 2)
+    with pytest.raises(AssertionError, match="vectors"):
+        count_layered(build_blowup(2, 3))
 
 
 def test_layered_forced_8_byte_fields(monkeypatch):
