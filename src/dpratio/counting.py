@@ -8,16 +8,16 @@ Two counters:
   the patterns with a zero row sum (most of them, for a sparse digraph),
   found with one table lookup per row in tables built once per pass, which
   map each value a row's field held before the walk to the patterns that
-  held it; for n <= 9 the walk has one step and builds no tables, and one
-  mask and one multiply find the patterns with a zero row sum;
+  held it (for n <= 9 the walk has one step);
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
   fixed-set size i at once.  The DP keeps one packed table per set F of
   fixed rows: the count of used columns U sits in field U, of W = 8, 16,
-  32 or 64 bits, the smallest with k! < 2^W, and each row moves every field
-  of a table at once with big-int shifts and masks.  No field carries,
-  since a count is at most |U|! <= k! and every addend is nonnegative.
+  32 or 64 bits (whole bytes past 64), the smallest with k! < 2^W, and
+  each row moves every field of a table at once with big-int shifts and
+  masks.  No field carries, since a count is at most |U|! <= k! and every
+  addend is nonnegative.
   The k column masks span the 2^k fields of one table; they depend only
   on k and W, so they are made once per process (functools.cache) and kept
   for every later layer and call (192 KB at k = 12, and 384 KB for the
@@ -37,11 +37,11 @@ Two counters:
   Y, sum_i (C(k, i) (k-i)!)^2, which bounds every one of them (a sum of
   first-layer fields over the ways to walk the remaining rows), so none
   carries; that covers the i = 0 and i = k terms too.
-  At ell >= 3 each chunk is read once, as a typed view in native byte
-  order, one `operator.itemgetter` call per fixed set, by the size of the
-  set, in the layout's order of the sets; the middle layers also give
-  columns, the last gives rows, and the trace closes with one dot product
-  per fixed set, a column of T_1 ... T_(ell-1) with a row of T_ell.  The
+  At ell >= 3 each chunk is unpacked once into its fields and read by one
+  `operator.itemgetter` call per fixed set, by the size of the set, in the
+  layout's order of the sets; the middle layers also give columns, the
+  last gives rows, and the trace closes with one dot product per fixed
+  set, a column of T_1 ... T_(ell-1) with a row of T_ell.  The
   product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
   Comput. 2009, section 2), so each entry of a layer adds one big-int
   multiple of a whole column.  The end sizes are closed forms: i = 0 is
@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -178,22 +177,13 @@ def _glynn_steps(cols: list[int], n: int, h: int):
     zeros[i] maps each value field i can match (_value_masks) to the blocks
     that held it before the walk, one byte per block, so one lookup per row
     and their OR give the step's blocks with a zero row sum.  A step in
-    which every block has one only moves `packed`.
-
-    A walk of one step (h = n - 1, no walked column) builds no per-row
-    tables: one mask flags every field at 128, and its product with n ones
-    counts each block's flags in the block's top byte, at most n < 256."""
+    which every block has one only moves `packed`.  A walk of one step (h =
+    n - 1, at n <= 9) has no walked column: walked is all 0, and each row
+    looks up 128 alone."""
     blocks = 1 << h
     size = n << h
     packed = _sign_blocks(cols, n, h)
     fields = packed.to_bytes(size, "little")
-    if h == n - 1:
-        flags = _value_masks(fields, range(128, 129)).get(128, 0)
-        counts = (flags * int.from_bytes(b"\x01" * n, "little")).to_bytes(size + n, "little")
-        keep = counts[n - 1 : size : n].translate(b"\x01" + bytes(255))  # no zero row sum: 1
-        if 1 in keep:
-            yield 0, packed, keep
-        return
     walked = sum(cols[h + 1 :]).to_bytes(n, "little")  # row i's walked entries sum to walked[i]
     zeros = [_value_masks(fields[i:size:n], range(128, 129 + 2 * w, 2)) for i, w in enumerate(walked)]
     every = int.from_bytes(b"\x01" * blocks, "little")
@@ -280,8 +270,6 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     k = g.k
     check_layered_k(k)
     nbytes = _field_width(math.factorial(k))
-    if nbytes > 8:
-        raise ValueError(f"no layer-table field of at most 8 bytes holds {k}! at k = {k}")
     first, *middle, last = g.layers
     if not middle:
         return _count_two_layers(first, last, k, nbytes)
@@ -384,8 +372,8 @@ def _field_width(bound: int) -> int:
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
 
-#: format code of each field width up to 8 bytes, the standard struct size
-#: of _pack and _unpack and the native item size of the chunk views alike
+#: struct format code of each field width up to 8 bytes, at its standard
+#: size (_struct, for _pack and _unpack)
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 @functools.cache
@@ -461,7 +449,7 @@ def _layout(k: int):
     1, floor((t + 1)/2)) chunks after row t, the most sets of one size
     among the subsets of t + 1 rows, so no plan has fewer (Sperner).
 
-    readers[c] reads, from chunk c viewed with field U as item U, the
+    readers[c] reads, from the fields of chunk c (_unpack), the
     vectors of its fixed sets F with 0 < |F| < k, in the order of sets:
     row F of T^(i), i = |F|, is the fields full ^ x of the chunk for the
     i-subsets x in the order sets lists them, since the chunk's other
@@ -498,31 +486,14 @@ def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
     fixed set F with 0 < |F| < k, in the order of _layout's sizes (vector
-    order).  Each chunk of _layer_tables is popped as it turns into bytes
-    in native order, viewed as fields of its width (memoryview.cast, no
-    copy), and read once by _layout's readers.  The view keeps each
-    field's own bytes in native order, but a big-endian int starts at its
-    top field, so there the view is read reversed (a negative stride, no
-    copy either)."""
-    order = sys.byteorder
+    order).  Each chunk of _layer_tables is unpacked once (_unpack), read
+    by _layout's readers and dropped."""
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
     matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
-    code, size = _CODES[nbytes], nbytes << k
-    # popped from the end, so views holds the chunks last first
-    views = [memoryview(chunks.pop().to_bytes(size, order)).cast(code) for _ in range(len(chunks))]
-    if order == "big":
-        views = [view[::-1] for view in views]
-    return matchings, _read(views, _layout(k)[2])
-
-
-def _read(views: list[memoryview], readers):
-    """The vectors of _layer_vectors from its chunk views, last chunk
-    first, each view dropped once read."""
-    for gets in readers:
-        chunk = views.pop()
-        for get in gets:
-            yield get(chunk)
+    chunks.reverse()  # popped, so chunk 0 first
+    fields = (_unpack(chunks.pop(), nbytes, 1 << k) for _ in range(len(chunks)))
+    return matchings, (get(f) for f, gets in zip(fields, _layout(k)[2]) for get in gets)
 
 
 def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:
@@ -536,10 +507,18 @@ def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, lis
     return product
 
 
+@functools.cache
+def _struct(nbytes: int, n: int) -> struct.Struct:
+    """n little-endian fields of nbytes in _CODES, compiled once per process
+    per (nbytes, n): _unpack reads every ell >= 3 layer chunk, and a format
+    string built and looked up per call left those counts 2-4% slower."""
+    return struct.Struct(f"<{n}{_CODES[nbytes]}")
+
+
 def _pack(col, nbytes: int) -> int:
     """col as one int, entry x in the nbytes-wide field at byte x * nbytes."""
     if nbytes in _CODES:
-        raw = struct.pack(f"<{len(col)}{_CODES[nbytes]}", *col)
+        raw = _struct(nbytes, len(col)).pack(*col)
     else:
         raw = b"".join(map(int.to_bytes, col, repeat(nbytes), repeat("little")))
     return int.from_bytes(raw, "little")
@@ -549,7 +528,7 @@ def _unpack(x: int, nbytes: int, n: int) -> tuple[int, ...]:
     """The n fields of x, low first, nbytes each: the inverse of _pack."""
     raw = x.to_bytes(n * nbytes, "little")
     if nbytes in _CODES:
-        return struct.unpack(f"<{n}{_CODES[nbytes]}", raw)
+        return _struct(nbytes, n).unpack(raw)
     return tuple(int.from_bytes(raw[j : j + nbytes], "little") for j in range(0, len(raw), nbytes))
 
 

@@ -6,7 +6,8 @@ probability that x specified edges all survive, with T = k^2*ell edges in
 the blow-up.  `_edge_expectation` takes it as one integer sum over the common
 denominator C(T, m), from one binomial walked down in x, and reduces a single
 Fraction at the end.  The second moments share one pair sum over the fixed
-vertices (i, j) per part of two permutations (`_pair_weights`); E[X^2] is
+vertices (i, j) per part of two permutations (`_pair_weights`), which
+leaves out the pairs whose unions all have more than m edges; E[X^2] is
 its (0, 0) term.  Sums over layer profiles are coefficients of the ell-th
 power of one packed layer polynomial per pair, never enumerations of the
 compositions; the powers of a row i add into packed ints that are each
@@ -151,9 +152,9 @@ def _run_fields(gs: list[list[int]], ell: int) -> tuple[int, ...]:
 _RUN_SLACK_BYTES = 8
 
 
-def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
+def _pair_weights(k: int, ell: int, n: int, m: int) -> dict[int, int]:
     """Weights x -> count of the E[Y^2] pair sum over 0 <= i, j <= n, for
-    _edge_expectation.
+    _edge_expectation at m sampled edges.
 
     i and j are the fixed vertices per part of the two permutations.  The
     per-layer weight g(t) = C(k-i, t) C(k-t, j) h(a, max(0, a-i-j)), with
@@ -171,15 +172,21 @@ def _pair_weights(k: int, ell: int, n: int) -> dict[int, int]:
     ell = 20), and a `pow` at a wider field costs more, so a row packs in
     runs of j at a width each: a run goes on while each pair's own width
     is within _RUN_SLACK_BYTES of its first pair's.
+
+    A pair's permutations have (k-i)*ell and (k-j)*ell edges, so its unions
+    have at least (k - min(i, j))*ell, more than m when min(i, j) < k -
+    m // ell: those pairs weigh nothing at m, and i and j start at that
+    bound.  The kept j form a suffix of each row, so the runs' shifts hold.
     """
     h = h_table(k)
     hs = [[h[a][max(0, a - s)] for a in range(k + 1)] for s in range(2 * n + 1)]  # h(a, a - s)
     comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(k + 1)]
     comb_j = [[comb[k - t][j] for t in range(k - j + 1)] for j in range(n + 1)]  # C(k-t, j)
     weights: dict[int, int] = {}
-    for i in range(n + 1):
+    kept = range(max(0, k - m // ell), n + 1)
+    for i in kept:
         runs: list[tuple[int, int, list[list[int]]]] = []  # (first width, first j, gs)
-        for j in range(n + 1):
+        for j in kept:
             top_t = k - max(i, j)
             binomials = map(mul, comb[k - i][: top_t + 1], comb_j[j])
             # a = k-j-t runs down from k - j to k - j - top_t
@@ -210,15 +217,16 @@ def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     and the union of a pair of derangements sharing b edges has
     2k*ell - b edges.
     """
-    return _edge_expectation(k, ell, m, _pair_weights(k, ell, 0))
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, 0, m))
 
 
 def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     """Exact-rational upper bound on E[Y^2]: the pair sum over (i, j) =
     fixed vertices per part of each permutation, 0 <= i, j <= k, one packed
-    row per i (see _pair_weights).
+    row per i (see _pair_weights), the pairs whose unions all pass m left
+    out.
     """
-    return _edge_expectation(k, ell, m, _pair_weights(k, ell, k))
+    return _edge_expectation(k, ell, m, _pair_weights(k, ell, k, m))
 
 
 def moment_report(

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,7 +172,31 @@ def test_pair_weights_match_naive_pair_sum():
     shapes = [(k, ell, n) for k in range(1, 10) for ell in range(1, 9) for n in (0, k)]
     shapes += [(12, 2, 12), (14, 2, 0), (14, 3, 14)]
     for k, ell, n in shapes:  # n = 0: E[X^2]; n = k: the E[Y^2] bound
-        assert _pair_weights(k, ell, n) == _naive_pair_weights(k, ell, n), (k, ell, n)
+        total = k * k * ell  # m = T keeps every pair
+        assert _pair_weights(k, ell, n, total) == _naive_pair_weights(k, ell, n), (k, ell, n)
+
+
+def test_pair_weights_bounded_by_m():
+    # the pairs left out at m weigh only unions of more than m edges: at
+    # every m the kept weights up to m, and the moments, equal the full
+    # ones (m = T); and the bound makes a small m cheap at a size whose full
+    # pair sum takes about a minute
+    for k in range(1, 6):
+        for ell in range(2, 5):
+            total = k * k * ell
+            for n in (0, k):
+                full = _pair_weights(k, ell, n, total)
+                for m in range(total + 1):
+                    weights = _pair_weights(k, ell, n, m)
+                    assert {x: w for x, w in weights.items() if x <= m} == {
+                        x: w for x, w in full.items() if x <= m
+                    }, (k, ell, n, m)
+                    assert _edge_expectation(k, ell, m, weights) == _edge_expectation(
+                        k, ell, m, full
+                    )
+    start = time.perf_counter()
+    second_moment_y_upper(25, 50, 5)
+    assert time.perf_counter() - start < 1.0
 
 
 def _naive_run(gs, ell):
