@@ -2,13 +2,17 @@
 
 Two counters:
 
-* count_permanent  -- Glynn permanents of A and of A+I, one pass each,
-  any digraph with n <= 30: the sign patterns of up to 8 columns side by
-  side in one packed int, a Gray-code walk over the rest; each step skips
-  the patterns with a zero row sum (most of them, for a sparse digraph),
-  found with one table lookup per row in tables built once per pass, which
-  map each value a row's field held before the walk to the patterns that
-  held it (for n <= 9 the walk has one step);
+* count_permanent  -- permanents of A and of A+I, any digraph with n <= 30,
+  each the product of its matrix's connected components' permanents (row
+  i joined to column j by a nonzero entry; 0 if a component is not
+  square), so A of a blow-up subgraph takes Glynns of at most k columns,
+  not one of k*ell.  Each component larger than 1 x 1 takes a Glynn
+  pass, which puts the sign patterns of up to 8 columns side by side in
+  one packed int, a Gray-code walk over the rest; each step skips the
+  patterns with a zero row sum (most of them, for a sparse digraph),
+  found with one table lookup per row in tables built once per pass,
+  which map each value a row's field held before the walk to the
+  patterns that held it (for n <= 9 the walk has one step);
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -208,9 +212,64 @@ def _glynn_steps(cols: list[int], n: int, h: int):
             yield walk, packed, (skip ^ every).to_bytes(blocks, "little")
 
 
+#: bytes.translate table of _permanent: a zero byte to "0", any other to "1"
+_NONZERO = b"0" + b"1" * 255
+
+
+def _permanent(cols: list[int], n: int) -> int:
+    """perm(M) for the n x n matrix M of _glynn, as the product of the
+    permanents of the connected components of M's bipartite graph, row i
+    joined to column j when M[i][j] != 0 (H. Minc, Permanents, 1978): every
+    permutation's entries lie in components that each take as many columns
+    as rows, so perm(M) is 0 if some component is not square.
+
+    Each column's rows are a bitmask, and a column merges every component
+    whose rows it meets.  One component is M itself, passed to _glynn as
+    it is; otherwise a 1 x 1 component is its one entry, and each larger
+    one's columns are repacked over its own rows, one byte per row, for a
+    _glynn of its own size.  A row keeps every nonzero entry in its
+    component, so its sum stays within the component's size, as _glynn's
+    byte fields need."""
+    comps: list[tuple[int, int]] = []  # (row mask, column mask), disjoint
+    for j, col in enumerate(cols):
+        rows = int(col.to_bytes(n, "big").translate(_NONZERO), 2)
+        columns = 1 << j
+        apart = []
+        for comp in comps:
+            if comp[0] & rows:
+                rows |= comp[0]
+                columns |= comp[1]
+            else:
+                apart.append(comp)
+        apart.append((rows, columns))
+        comps = apart
+    if any(rows.bit_count() != columns.bit_count() for rows, columns in comps):
+        return 0
+    if len(comps) == 1:
+        return _glynn(cols, n)
+    perm = 1
+    for rows, columns in comps:
+        if rows & (rows - 1) == 0:  # 1 x 1: the column's one nonzero byte
+            perm *= cols[columns.bit_length() - 1] >> 8 * (rows.bit_length() - 1)
+            continue
+        keep = [(rows >> i) & 1 for i in range(n)]
+        sub = [
+            int.from_bytes(bytes(compress(col.to_bytes(n, "little"), keep)), "little")
+            for col in compress(cols, [(columns >> j) & 1 for j in range(n)])
+        ]
+        perm *= _glynn(sub, len(sub))
+    return perm
+
+
 def count_permanent(g: Digraph) -> CountPair:
-    """derangements = perm(A), permutations = perm(A + I): two Glynn passes
-    (_glynn), one over the columns of A and one over those of A + I."""
+    """derangements = perm(A), permutations = perm(A + I), each a product
+    over the connected components of the matrix's bipartite graph
+    (_permanent), one Glynn pass (_glynn) per component larger than 1 x 1.
+    In a blow-up subgraph A joins the rows of one part only to the columns
+    of the next, so perm(A) takes Glynns of at most k columns, not one of
+    k*ell.  A + I also joins row v to column v, so its components are the
+    digraph's weakly connected ones, and Y of a weakly connected digraph
+    is one Glynn of all n columns."""
     n = g.n
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent counting limited to n <= {PERMANENT_MAX_N}")
@@ -218,8 +277,8 @@ def count_permanent(g: Digraph) -> CountPair:
     for u, v in g.edges:
         cols[v] += 1 << 8 * u
     return CountPair(
-        derangements=_glynn(cols, n),
-        permutations=_glynn([c + (1 << 8 * j) for j, c in enumerate(cols)], n),
+        derangements=_permanent(cols, n),
+        permutations=_permanent([c + (1 << 8 * j) for j, c in enumerate(cols)], n),
     )
 
 

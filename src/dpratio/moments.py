@@ -81,6 +81,14 @@ def _exact_float(name: str, q: Fraction) -> float:
         raise ValueError(f"{name} is past the float range (|value| > 1.8e308)") from None
 
 
+def _check_m(k: int, ell: int, m: int) -> int:
+    """T = k^2*ell, the blow-up's edge count; ValueError unless 0 <= m <= T."""
+    total = blowup_edge_count(k, ell)
+    if not 0 <= m <= total:
+        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
+    return total
+
+
 def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Fraction:
     """sum_x weights[x] * P[x specified edges survive uniform m-edge sampling
     of the k^2*ell blow-up edges], with P[x] = C(T-x, m-x) / C(T, m) and 0
@@ -88,9 +96,7 @@ def _edge_expectation(k: int, ell: int, m: int, weights: dict[int, int]) -> Frac
 
     One binomial at the largest x <= m; below it, C(T-x, m-x) =
     C(T-x-1, m-x-1) * (T-x) / (m-x) walks x down with exact divisions."""
-    total = blowup_edge_count(k, ell)
-    if not 0 <= m <= total:
-        raise ValueError(f"need 0 <= m <= {total}, got m={m}")
+    total = _check_m(k, ell, m)
     xs = [x for x in weights if x <= m]
     num = 0
     if xs:
@@ -177,6 +183,8 @@ def _pair_weights(k: int, ell: int, n: int, m: int) -> dict[int, int]:
     have at least (k - min(i, j))*ell, more than m when min(i, j) < k -
     m // ell: those pairs weigh nothing at m, and i and j start at that
     bound.  The kept j form a suffix of each row, so the runs' shifts hold.
+    Past T that bound keeps every pair, so the second moments refuse such
+    an m (_check_m) before they call this.
     """
     h = h_table(k)
     hs = [[h[a][max(0, a - s)] for a in range(k + 1)] for s in range(2 * n + 1)]  # h(a, a - s)
@@ -217,6 +225,7 @@ def second_moment_x_exact(k: int, ell: int, m: int) -> Fraction:
     and the union of a pair of derangements sharing b edges has
     2k*ell - b edges.
     """
+    _check_m(k, ell, m)
     return _edge_expectation(k, ell, m, _pair_weights(k, ell, 0, m))
 
 
@@ -226,6 +235,7 @@ def second_moment_y_upper(k: int, ell: int, m: int) -> Fraction:
     row per i (see _pair_weights), the pairs whose unions all pass m left
     out.
     """
+    _check_m(k, ell, m)
     return _edge_expectation(k, ell, m, _pair_weights(k, ell, k, m))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -121,17 +122,23 @@ def check_closed_form_layered(prof: Profile, record: Record) -> list[CheckResult
     return [CheckResult("closed-form counts vs layered transfer counter", ok)]
 
 
-def check_counters(prof: Profile, record: Record) -> list[CheckResult]:
-    ok = True
+def cross_check_graphs(prof: Profile) -> Iterator[digraph.SampledSubgraph]:
+    """The random subgraphs of check_counters, one per shape of the
+    profile's cross_shapes, each with a seeded edge count."""
     for t, (k, ell) in enumerate(prof.cross_shapes):
         base = digraph.build_blowup(k, ell)
         s = experiment.derive_seed(prof.cross_seed, t)
         m = experiment.derive_seed(s, 0) % (base.edge_count + 1)
-        g = digraph.sample_subgraph(base, m, s)
+        yield digraph.sample_subgraph(base, m, s)
+
+
+def check_counters(prof: Profile, record: Record) -> list[CheckResult]:
+    ok = True
+    for g in cross_check_graphs(prof):
         general = digraph.to_general(g)
         pm = counting.count_permanent(general)
         ok &= record(counting.count_layered(g)) == pm
-        if base.vertex_count <= 9:
+        if general.n <= 9:
             ok &= oracles.count_bruteforce(general) == pm
     return [
         CheckResult(

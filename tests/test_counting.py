@@ -6,6 +6,7 @@ import random
 import struct
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from dpratio.digraph import (
 from dpratio.experiment import derive_seed, run_mc
 from dpratio.oracles import closed_form_counts, count_bruteforce
 from dpratio.params import plan
+from dpratio.verify import PROFILES, cross_check_graphs
 
 
 def field_bytes(k: int) -> int:
@@ -424,6 +426,123 @@ def test_oracle_agreement_random_digraphs():
         assert bf == pm
         assert pm.permutations >= pm.derangements + 1
         assert 2 * pm.derangements <= pm.permutations
+
+
+def permanent_matrices(g: Digraph) -> tuple[list[int], list[int]]:
+    # the packed columns of A and of A + I, as count_permanent builds them
+    cols = [0] * g.n
+    for u, v in g.edges:
+        cols[v] += 1 << 8 * u
+    return cols, [c + (1 << 8 * j) for j, c in enumerate(cols)]
+
+
+def glynn_sizes(monkeypatch) -> list[list[int]]:
+    # the n of each _glynn call, one list per _permanent call
+    glynn, permanent, passes = counting._glynn, counting._permanent, []
+
+    def record(cols, n):
+        passes[-1].append(n)
+        return glynn(cols, n)
+
+    def per_pass(cols, n):
+        passes.append([])
+        return permanent(cols, n)
+
+    monkeypatch.setattr(counting, "_glynn", record)
+    monkeypatch.setattr(counting, "_permanent", per_pass)
+    return passes
+
+
+def test_permanent_by_components_equals_whole_matrix_glynn(monkeypatch):
+    # the split against the one kernel it factors: A and A + I of every
+    # cross-check graph of both profiles, and of random digraphs from empty
+    # to complete, which split into components of every shape
+    graphs = [
+        to_general(g) for name in ("tiny", "small") for g in cross_check_graphs(PROFILES[name])
+    ]
+    rng = random.Random(1978)
+    densities = (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+    graphs += [random_digraph(t % 15, densities[t % 8], rng) for t in range(520)]
+    passes = glynn_sizes(monkeypatch)
+    ns = []
+    for g in graphs:
+        for cols in permanent_matrices(g):
+            assert counting._permanent(cols, g.n) == _glynn(cols, g.n)
+            ns.append(g.n)
+    # of the 1540 passes, 266 run Glynns smaller than their matrix, and 642
+    # (70 of them at n = 0) run none: a component is not square, or every
+    # component is 1 x 1
+    assert sum(any(size < n for size in sizes) for sizes, n in zip(passes, ns)) > 200
+    assert sum(not sizes for sizes in passes) > 500
+
+
+def test_permanent_by_components_general_entries():
+    # entries 0-3 (row sums <= 30, as _glynn's byte fields allow) in blocks
+    # of rows and columns dealt at random, with one column of every fifth
+    # matrix moved to a random block: components of every size, 1 x 1 ones
+    # with any entry, and non-square ones
+    rng = random.Random(1934)
+    for t in range(300):
+        n = rng.randrange(11)
+        blocks = [rng.randrange(4) for _ in range(n)]
+        row_block, col_block = rng.sample(blocks, n), rng.sample(blocks, n)
+        if t % 5 == 0 and n:
+            col_block[0] = rng.randrange(4)
+        cols = [
+            sum(
+                rng.choice((0, 1, 2, 3)) << 8 * i
+                for i in range(n)
+                if row_block[i] == col_block[j] and rng.random() < 0.8
+            )
+            for j in range(n)
+        ]
+        assert counting._permanent(cols, n) == _glynn(cols, n)
+
+
+@pytest.mark.parametrize(
+    "edges, n, counts, sizes",
+    [
+        # vertex 2 is a sink: A's row 2 is empty
+        ({(0, 1), (1, 0), (1, 2)}, 3, (0, 2), [[], [3]]),
+        # no edge enters vertex 2: A's column 2 is empty
+        ({(0, 1), (1, 0), (2, 0)}, 3, (0, 2), [[], [3]]),
+        # an odd directed cycle: A is five 1 x 1 components, each its entry
+        ({(v, (v + 1) % 5) for v in range(5)}, 5, (1, 2), [[], [5]]),
+        # the empty digraph: A + I = I, five 1 x 1 components
+        (set(), 5, (0, 1), [[], []]),
+    ],
+)
+def test_permanent_components_hand_cases(monkeypatch, edges, n, counts, sizes):
+    g = Digraph(n=n, edges=frozenset(edges))
+    a, a_plus_i = permanent_matrices(g)
+    assert counting._permanent(a, n) == _glynn(a, n) == counts[0]
+    assert counting._permanent(a_plus_i, n) == _glynn(a_plus_i, n) == counts[1]
+    passes = glynn_sizes(monkeypatch)
+    assert count_permanent(g) == CountPair(*counts)
+    assert passes == sizes
+
+
+def test_derangement_pass_runs_one_glynn_per_part(monkeypatch):
+    # A of a blow-up subgraph joins the rows of part c only to the columns
+    # of part c + 1, so no Glynn of the derangement pass is wider than k;
+    # A + I of the full blow-up is one component, a Glynn of all 16
+    passes = glynn_sizes(monkeypatch)
+    assert count_permanent(to_general(build_blowup(8, 2))) == closed_form_counts(8, 2)
+    assert passes == [[8, 8], [16]]
+    for g in cross_check_graphs(PROFILES["small"]):
+        if g.k == 8:
+            passes.clear()
+            count_permanent(to_general(g))
+            assert max(passes[0], default=0) <= 8
+
+
+def test_permanent_of_disjoint_two_cycles_n30():
+    # 15 components of 2 x 2 in each pass; the whole-matrix walk would take
+    # 2^29 sign patterns a pass
+    g = Digraph(n=30, edges=frozenset(e for v in range(0, 30, 2) for e in ((v, v + 1), (v + 1, v))))
+    start = time.perf_counter()
+    assert count_permanent(g) == CountPair(1, 2**15)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_layered_full_d22():

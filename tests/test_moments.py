@@ -199,6 +199,17 @@ def test_pair_weights_bounded_by_m():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("moment", [second_moment_x_exact, second_moment_y_upper])
+@pytest.mark.parametrize("m", [-1, 25 * 25 * 20 + 1])
+def test_second_moments_refuse_m_before_the_pair_sum(moment, m):
+    # past T the m bound of _pair_weights keeps every pair, whose sum at
+    # (25, 20) takes seconds; the refusal must come first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"need 0 <= m <= 12500, got m={m}"):
+        moment(25, 20, m)
+    assert time.perf_counter() - start < 0.1
+
+
 def _naive_run(gs, ell):
     out = []
     for d, g in enumerate(gs):
