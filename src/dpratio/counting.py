@@ -17,33 +17,36 @@ Two counters:
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
   fixed-set size i at once.  The DP keeps one packed table per set F of
-  fixed rows: the count of used columns U sits in field U, of W = 8, 16,
-  32 or 64 bits (whole bytes past 64), the smallest with k! < 2^W, and
-  each row moves every field of a table at once with big-int shifts and
-  masks.  No field carries, since a count is at most |U|! <= k! and every
-  addend is nonnegative.
+  fixed rows: the count of used columns U sits in field U, of W whole
+  bytes with k! < 2^W, and each row moves every field of a table at once
+  with big-int shifts and masks.  No field carries, since a count is at
+  most |U|! <= k! and every addend is nonnegative.
   The k column masks span the 2^k fields of one table; they depend only
   on k and W, so they are made once per process (functools.cache) and kept
-  for every later layer and call (192 KB at k = 12, and 384 KB for the
-  8-byte fields of the ell = 2 route).  Tables of fixed sets of
-  different sizes never share a nonzero field, so one int, a chunk of 2^k
-  fields, adds several of them: a per-k layout, made once, gives row by
-  row each chunk's matched form the fixed form of at most one partner
-  chunk, each fixed form left over starting a chunk of its own, and a
-  layer ends in C(k, floor(k/2)) chunks instead of 2^k, Sperner's bound on
-  an antichain of subsets (924 of 16 KB at k = 12).  The first layer runs
+  for every later layer and call (192 KB at k = 12 and 4-byte fields, 1.5
+  MB for the 4- to 8-byte fields of the ell = 2 route).  Tables of fixed
+  sets of different sizes never share a nonzero field, so one int, a
+  chunk of 2^k fields, adds several of them: a per-k layout, made once,
+  gives row by row each chunk's matched form the fixed form of at most
+  one partner chunk, each fixed form left over starting a chunk of its
+  own, and a layer ends in C(k, floor(k/2)) chunks instead of 2^k,
+  Sperner's bound on an antichain of subsets (924 of 16 KB at k = 12).  The first layer runs
   on its transposed rows, so it gives the columns of its matrices.
   At ell = 2 the trace is the dot of the first layer's chunks with the
   last layer's, and by Tellegen's transposition principle (Bostan, Lecerf
   and Schost, ISSAC 2003) it equals the last layer's DP run backward, each
   row's step transposed, on the first layer's chunks: no chunk is read as
-  vectors and no dot is taken.  Its fields are sized for the full blow-up's
-  Y, sum_i (C(k, i) (k-i)!)^2, which bounds every one of them (a sum of
-  first-layer fields over the ways to walk the remaining rows), so none
-  carries; that covers the i = 0 and i = k terms too.
+  vectors and no dot is taken.  Its fields take whole bytes, as few as
+  each stage needs: the first layer's those of k!, and the walk's chunks
+  before row t those of a bound on any sum of first-layer fields over the
+  ways to walk rows t..k-1, which grows as the walk goes back (4 bytes at
+  row 0 at k = 8, the 2 of k! at the first layer); where it grows, the
+  walk re-spreads its chunks' fields once.  Only two fields are read, by
+  shifts, so these widths need no struct code.
   At ell >= 3 each chunk is unpacked once into its fields and read by one
   `operator.itemgetter` call per fixed set, by the size of the set, in the
-  layout's order of the sets; the middle layers also give columns, the
+  layout's order of the sets (getters made once per k, by this route
+  only); the middle layers also give columns, the
   last gives rows, and the trace closes with one dot product per fixed
   set, a column of T_1 ... T_(ell-1) with a row of T_ell.  The
   product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
@@ -310,7 +313,7 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
     At ell >= 3, for 0 < i < k, each layer's packed tables (_layer_tables)
     are read once, one vector per fixed set, in the order the chunks hold
-    them (_layer_vectors, _layout): every layer but the last runs on its
+    them (_layer_vectors, _readers): every layer but the last runs on its
     transposed rows, so its vectors are the columns of T_c, and the last
     one's are the rows of T_ell, in the same order, with entries in the
     order of the vectors of their size.  With P = T_1 ... T_(ell-1),
@@ -328,13 +331,13 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     """
     k = g.k
     check_layered_k(k)
-    nbytes = _field_width(math.factorial(k))
     first, *middle, last = g.layers
     if not middle:
-        return _count_two_layers(first, last, k, nbytes)
+        return _count_two_layers(first, last, k)
     ell = len(g.layers)
+    nbytes = _field_width(math.factorial(k))
     derangements, cols = _layer_vectors(_transpose(first, k), k, nbytes)
-    sizes = _layout(k)[3]  # |F| of each vector, in vector order
+    sizes = _readers(k)[1]  # |F| of each vector, in vector order
     widths = {
         i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
         for i in range(1, k)
@@ -355,7 +358,7 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     return CountPair(derangements=derangements, permutations=derangements + 1 + traces)
 
 
-def _count_two_layers(first, last, k: int, nbytes: int) -> CountPair:
+def _count_two_layers(first, last, k: int) -> CountPair:
     """count_layered at ell = 2: Y by the transposed DP of the last layer
     applied to the first layer's chunks, X by one matched-only DP.
 
@@ -367,47 +370,30 @@ def _count_two_layers(first, last, k: int, nbytes: int) -> CountPair:
     ... L_0 e the last layer's, L_t the linear step of row t in
     _layer_tables and e the one chunk before row 0, 1 in field 0.  By
     transposition, Y = <L_0^T ... L_(k-1)^T A, e>: field 0 of the one chunk
-    left after the rows are walked back from k - 1 to 0 on A.  The step of
-    row t moves field U to field U | 1 << j for each column j of the row
-    that U lacks, and adds the fixed form of each chunk d to one chunk
-    after the row: chunk c with partners[c] = d, or d's slot among the
-    rest.  Its transpose gives chunk d before the row as sum_j ((after_d
-    >> W * 2^j) & mask_j), over the row's columns j, plus that chunk.  No
-    dot product is taken, and no chunk is read as a vector.
+    left after the rows are walked back from k - 1 to 0 on A
+    (_transposed_row).  No dot product is taken, and no chunk is read as a
+    vector.
 
-    No field carries at width W = 8 * _field_width(Y of the full blow-up),
-    sum_i (C(k, i) (k - i)!)^2.  A field of chunk d before row t, at |U| =
-    u, sums a field of A, at most |U'|! for U' its used columns, over the
-    ways to walk rows t..k-1, each fixed or matched into a column outside
-    U: with j rows matched, at most C(k - t, j) (k - u)!/(k - u - j)!
-    walks, each ending at |U'| = u + j.  That bound is at most the full
-    blow-up's Y for every t and u at k <= 14, with equality only at t = u
-    = 0 (see the tests).  Every addend is nonnegative, so no field passes
-    its bound.  Each chunk is dropped once read, so the walk holds little
-    more than the first layer's chunks.
+    Each stage runs at its own exact byte width (_walk_widths): the first
+    layer at that of k!, which bounds its fields, and the chunks before row
+    t at that of row t's bound, which grows as the walk goes back, so a row
+    that needs more bytes widens its chunks once (_widen).  Only two fields
+    are ever read, both by shifts, so no width needs a struct code.  Each
+    chunk is dropped once read, so the walk holds little more than the
+    first layer's chunks.
 
     X is the product of the layers' perfect-matching counts: the top field
     of the first layer's chunk 0, and field full of one chunk walked
-    through the last layer's rows, each matched only, at width nbytes."""
-    wide = _field_width(sum((math.comb(k, i) * math.factorial(k - i)) ** 2 for i in range(k + 1)))
-    width = 8 * wide
-    after = _layer_tables(_transpose(first, k), k, wide)
-    derangements = after[0] >> width * ((1 << k) - 1)  # the top field
-    masks = _column_masks(k, wide)
-    for row, (partners, rest) in zip(reversed(last), reversed(_layout(k)[0])):
-        cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
-        before = [0] * len(partners)
-        # after chunk c holds the matched form of chunk c, if c < len(partners),
-        # and the fixed form of chunk d, if d is not None
-        for c, d in enumerate(partners + rest):
-            y, after[c] = after[c], None
-            if d is not None:
-                before[d] += y
-            if c < len(before):
-                for mask, up in cols:
-                    before[c] += (y >> up) & mask
-        after = before
-    permutations = after[0] & ((1 << width) - 1)
+    through the last layer's rows, each matched only, at the first layer's
+    width."""
+    widths = _walk_widths(k)
+    nbytes = widths[k]
+    after = _layer_tables(_transpose(first, k), k, nbytes)
+    derangements = after[0] >> 8 * nbytes * ((1 << k) - 1)  # the top field
+    steps = _layout(k)[0]
+    for t in reversed(range(k)):
+        after = _transposed_row(after, last[t], steps[t], k, widths[t + 1], widths[t])
+    permutations = after[0] & ((1 << 8 * widths[0]) - 1)
     width = 8 * nbytes
     masks = _column_masks(k, nbytes)
     matched = 1
@@ -417,6 +403,76 @@ def _count_two_layers(first, last, k: int, nbytes: int) -> CountPair:
     return CountPair(derangements=derangements, permutations=permutations)
 
 
+def _transposed_row(after: list[int], row: int, step, k: int, old: int, nbytes: int) -> list[int]:
+    """The chunks before row t of _count_two_layers' walk, nbytes a field,
+    from the chunks after it, old <= nbytes a field; row is the last
+    layer's row t and step its _layout step.
+
+    The step of row t in _layer_tables moves field U to field U | 1 << j
+    for each column j of the row that U lacks, and adds the fixed form of
+    each chunk d to one chunk after the row: chunk c with partners[c] = d,
+    or d's slot among the rest.  Its transpose gives chunk d before the row
+    as sum_j ((after_d >> W * 2^j) & mask_j), over the row's columns j, plus
+    that chunk, W = 8 * nbytes.  Each chunk after the row is widened to
+    nbytes once read (_widen) and dropped from after."""
+    partners, rest = step
+    width = 8 * nbytes
+    masks = _column_masks(k, nbytes)
+    cols = [(masks[j], width << j) for j in range(k) if (row >> j) & 1]
+    before = [0] * len(partners)
+    # after chunk c holds the matched form of chunk c, if c < len(partners),
+    # and the fixed form of chunk d, if d is not None
+    for c, d in enumerate(partners + rest):
+        y, after[c] = after[c], None
+        if old != nbytes:
+            y = _widen(y, k, old, nbytes)
+        if d is not None:
+            before[d] += y
+        if c < len(before):
+            for mask, up in cols:
+                before[c] += (y >> up) & mask
+    return before
+
+
+@functools.cache
+def _walk_widths(k: int) -> tuple[int, ...]:
+    """Bytes per field of _count_two_layers' chunks before row t, for t =
+    0..k, t = k being the first layer's chunks: the byte length of the
+    largest bound below on a field there, made once per process per k.
+
+    A field of a chunk before row t, at |U| = u, sums a field of the first
+    layer, at most |U'|! for U' its used columns, over the ways to walk rows
+    t..k-1, each fixed or matched into a column outside U: with j rows
+    matched, C(k - t, j) (k - u)!/(k - u - j)! walks, each ending at |U'| =
+    u + j.  Term j + 1 of that sum is term j times (k - t - j)(k - u - j)(u
+    + j + 1)/(j + 1), exactly.  At t = k the sum is u!, so the first layer
+    takes k!'s bytes.  Every addend is nonnegative, so no field passes its
+    bound and none carries."""
+    widths = []
+    for t in range(k + 1):
+        top = 0
+        fact = 1  # u!
+        for u in range(k + 1):
+            fact *= u or 1
+            term = total = fact
+            for j in range(min(k - t, k - u)):
+                term = term * (k - t - j) * (k - u - j) * (u + j + 1) // (j + 1)
+                total += term
+            top = max(top, total)
+        widths.append((top.bit_length() + 7) // 8)
+    return tuple(widths)
+
+
+def _widen(x: int, k: int, old: int, nbytes: int) -> int:
+    """The 2^k fields of x, old bytes each, re-spread to nbytes >= old
+    bytes each: byte b of each field moves by one extended slice."""
+    raw = x.to_bytes(old << k, "little")
+    wide = bytearray(nbytes << k)
+    for b in range(old):
+        wide[b::nbytes] = raw[b::old]
+    return int.from_bytes(wide, "little")
+
+
 def _transpose(rows, k: int) -> list[int]:
     """The row masks of a layer with its edges reversed: bit r of row j is
     bit j of rows[r]."""
@@ -424,9 +480,10 @@ def _transpose(rows, k: int) -> list[int]:
 
 
 def _field_width(bound: int) -> int:
-    """Bytes per field of the layer tables, the packed chain columns and the
-    moment runs: the fewest of 1, 2, 4 and 8 that hold bound, or whole bytes
-    past 8."""
+    """Bytes per field of the fields that _unpack reads, the ell >= 3 layer
+    tables and packed chain columns, and of the moment runs: the fewest of
+    1, 2, 4 and 8 that hold bound, or whole bytes past 8.  The ell = 2 route
+    reads no field by _unpack and takes exact bytes (_walk_widths)."""
     nbytes = max(1, (bound.bit_length() + 7) // 8)
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
@@ -440,8 +497,8 @@ def _column_masks(k: int, nbytes: int) -> tuple[int, ...]:
     """The k column masks of _layer_tables, made once per process per k
     and width: mask j has all ones in the nbytes-wide fields of a chunk's
     2^k whose index lacks bit j.  At k = 12 they take 12 * 4 B * 4096,
-    about 192 KB, and twice that at the 8-byte fields of the ell = 2
-    route."""
+    about 192 KB; the ell = 2 route adds its walk's widths, 5 to 8 bytes,
+    about 1.3 MB more."""
     # mask j repeats 2^j full fields then 2^j empty ones
     runs = [b"\xff" * (nbytes << j) + b"\x00" * (nbytes << j) for j in range(k)]
     return tuple(int.from_bytes(run * (1 << (k - j - 1)), "little") for j, run in enumerate(runs))
@@ -489,8 +546,8 @@ def _layer_tables(rows, k: int, nbytes: int) -> list[int]:
 
 @functools.cache
 def _layout(k: int):
-    """(steps, sets, readers, sizes): how the chunks of _layer_tables add
-    up and are read, made once per process per k.
+    """(steps, sets): how the chunks of _layer_tables add up, made once per
+    process per k.
 
     steps[t] is (partners, rest) for row t: chunk c after the row is the
     matched form of chunk c before it plus the fixed form of chunk
@@ -507,15 +564,6 @@ def _layout(k: int):
     placed whose smallest size equals chunk c's largest.  That gives C(t +
     1, floor((t + 1)/2)) chunks after row t, the most sets of one size
     among the subsets of t + 1 rows, so no plan has fewer (Sperner).
-
-    readers[c] reads, from the fields of chunk c (_unpack), the
-    vectors of its fixed sets F with 0 < |F| < k, in the order of sets:
-    row F of T^(i), i = |F|, is the fields full ^ x of the chunk for the
-    i-subsets x in the order sets lists them, since the chunk's other
-    tables are 0 there.  That is the order of the size-i vectors, so the
-    entries of every vector line up with the vectors of its size.  One
-    getter per size i, shared by every chunk; sizes[v] is |F| of vector v.
-    The getters hold about one key per field of a chunk, 2^12 at k = 12.
     """
     sets, steps = [(0,)], []
     for t in range(k):
@@ -531,6 +579,25 @@ def _layout(k: int):
         sets = [fs + (() if d is None else fixed[d]) for fs, d in zip(sets, partners)]
         sets += [fixed[d] for d in rest]
         steps.append((tuple(partners), tuple(rest)))
+    return tuple(steps), tuple(sets)
+
+
+@functools.cache
+def _readers(k: int):
+    """(readers, sizes): how the ell >= 3 route reads the chunks of
+    _layer_tables as vectors, made once per process per k, and only there:
+    the ell = 2 route reads no vector.
+
+    readers[c] reads, from the fields of chunk c (_unpack), the vectors of
+    its fixed sets F with 0 < |F| < k, in the order of _layout's sets: row
+    F of T^(i), i = |F|, is the fields full ^ x of the chunk for the
+    i-subsets x in the order sets lists them, since the chunk's other
+    tables are 0 there.  That is the order of the size-i vectors, so the
+    entries of every vector line up with the vectors of its size.  One
+    getter per size i, shared by every chunk; sizes[v] is |F| of vector v.
+    The getters hold about one key per field of a chunk, 2^12 at k = 12.
+    """
+    sets = _layout(k)[1]
     full = (1 << k) - 1
     keys: list[list[int]] = [[] for _ in range(k + 1)]
     for f in chain.from_iterable(sets):
@@ -538,21 +605,21 @@ def _layout(k: int):
     getters = {i: itemgetter(*keys[i]) for i in range(1, k)}
     inner = [[f.bit_count() for f in fs if 0 < f.bit_count() < k] for fs in sets]
     readers = tuple(tuple(map(getters.get, sizes)) for sizes in inner)
-    return tuple(steps), tuple(sets), readers, tuple(chain.from_iterable(inner))
+    return readers, tuple(chain.from_iterable(inner))
 
 
 def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
-    fixed set F with 0 < |F| < k, in the order of _layout's sizes (vector
+    fixed set F with 0 < |F| < k, in the order of _readers' sizes (vector
     order).  Each chunk of _layer_tables is unpacked once (_unpack), read
-    by _layout's readers and dropped."""
+    by _readers' readers and dropped."""
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
     matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
     chunks.reverse()  # popped, so chunk 0 first
     fields = (_unpack(chunks.pop(), nbytes, 1 << k) for _ in range(len(chunks)))
-    return matchings, (get(f) for f, gets in zip(fields, _layout(k)[2]) for get in gets)
+    return matchings, (get(f) for f, gets in zip(fields, _readers(k)[0]) for get in gets)
 
 
 def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, list[int]]:

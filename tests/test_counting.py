@@ -29,7 +29,10 @@ from dpratio.counting import (
     _layer_tables,
     _layout,
     _pack,
+    _readers,
     _unpack,
+    _walk_widths,
+    _widen,
 )
 from dpratio.digraph import (
     Digraph,
@@ -634,7 +637,8 @@ def test_readers_follow_the_plan_order():
     # vector lines up with vector z of its size
     for k in range(1, 11):
         full = (1 << k) - 1
-        sets, readers, sizes = _layout(k)[1:]
+        sets = _layout(k)[1]
+        readers, sizes = _readers(k)
         assert len(readers) == len(sets)
         inner = [f for f in itertools.chain.from_iterable(sets) if 0 < f.bit_count() < k]
         assert list(sizes) == [f.bit_count() for f in inner]
@@ -714,17 +718,19 @@ def test_layered_middle_size_dies_in_second_layer():
 def test_layered_k12_peak_rss():
     # one count of the full k = LAYERED_MAX_K = 12, ell = 2 blow-up, the
     # largest size count_layered admits, in a fresh process.  The peak sits
-    # at the first layer's last row: 462 chunks before it and 462 matched
-    # forms, the 924 chunks after it, of 4096 8-byte fields (32 KB) each,
-    # about 30 MB beside the interpreter, the cached layout and masks
-    # (about 20 MB); measured 51.8-52.0 MB (Linux x86-64, CPython 3.11,
-    # about 0.35 s).  The transposed walk of the second layer drops each
-    # chunk once read, and added 0.1 MB.  The bound is 10% over 51.8 MB,
-    # 57.0 MB, so keeping one more layer's chunks (about 15 MB at 4-byte
-    # fields) fails it.  The peak read is the child's VmHWM, in KiB, that of
-    # its own memory since exec: its ru_maxrss also keeps the peak of the
-    # memory it ran in before exec, the test process's own when spawned by
-    # vfork, and the suite's process grows past 57 MB
+    # at the first layer's last row, and again at the first row of the
+    # transposed walk: the 924 chunks after that row, of 4096 4-byte fields
+    # (16 KB) each, about 15 MB beside the interpreter, the cached layout
+    # and masks (about 20 MB); measured 35.4-35.5 MB (Linux x86-64, CPython
+    # 3.11, about 0.21 s).  The walk drops each chunk once read, and its
+    # wider rows hold few chunks, C(t, floor(t/2)) before row t: at most 70
+    # at 5 bytes, 10 at 6 and 3 at 7 or 8.  The bound is 10% over 35.5 MB,
+    # 39.1 MB, so keeping one more layer's chunks (about 15 MB), or running
+    # the first layer at 8-byte fields, fails it.  The peak read is the
+    # child's VmHWM, in KiB, that of its own memory since exec: its
+    # ru_maxrss also keeps the peak of the memory it ran in before exec, the
+    # test process's own when spawned by vfork, and the suite's process
+    # grows past 57 MB
     assert LAYERED_MAX_K == 12
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
     probe = (
@@ -742,7 +748,7 @@ def test_layered_k12_peak_rss():
         check=True,
     ).stdout.split()
     assert CountPair(int(out[0]), int(out[1])) == closed_form_counts(12, 2)
-    assert int(out[2]) / 1024 <= 1.1 * 51.8
+    assert int(out[2]) / 1024 <= 1.1 * 35.5
 
 
 def test_closed_form_examples():
@@ -865,22 +871,38 @@ def test_layer_tables_k11_one_edge_per_row():
         assert table == 1 << width * image
 
 
-def test_import_keeps_no_masks():
-    # masks and layouts (chunk plans and getters) are made by the first
-    # count at each k, never at import
+def cache_sizes_after(statement: str) -> list[str]:
+    # in a fresh process: the entries of the column mask, layout (chunk
+    # plans), reader (getters) and walk width caches after the statement
     src = os.path.dirname(os.path.dirname(dpratio.__file__))
+    caches = "c._column_masks, c._layout, c._readers, c._walk_widths"
     probe = (
         "import dpratio, dpratio.counting as c; "
-        "print(*(f.cache_info().currsize for f in (c._column_masks, c._layout)))"
+        "from dpratio.digraph import build_blowup; "
+        f"{statement}; "
+        f"print(*(f.cache_info().currsize for f in ({caches})))"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    assert out.split() == ["0", "0"]
+    ).stdout.split()
+
+
+def test_import_keeps_no_masks():
+    # masks, layouts, readers and walk widths are made by the first count at
+    # each k, never at import
+    assert cache_sizes_after("pass") == ["0", "0", "0", "0"]
+
+
+def test_two_layer_count_makes_no_readers():
+    # an ell = 2 count reads no vector, so it leaves the reader cache empty;
+    # it makes one layout and one width table, and the masks of its widths
+    # (k = 8: 2, 3 and 4 bytes); an ell = 3 count makes the readers
+    assert cache_sizes_after("c.count_layered(build_blowup(8, 2))") == ["3", "1", "0", "1"]
+    assert cache_sizes_after("c.count_layered(build_blowup(8, 3))")[2] == "1"
 
 
 def test_field_width_bounds():
@@ -920,27 +942,88 @@ def transposed_field_bound(k: int, t: int, u: int) -> int:
     )
 
 
+def byte_length(x: int) -> int:
+    return max(1, (x.bit_length() + 7) // 8)
+
+
 def test_two_layer_fields_never_carry(monkeypatch):
-    # the transposed walk's fields stay at most the full blow-up's Y, which
-    # they reach only at row 0, |U| = 0, and the route sizes them for it
+    # the ell = 2 route runs its first layer at the byte length of k!, and
+    # the chunks before row t of its transposed walk at that of the largest
+    # bound of the row, which the production recurrence must give as the
+    # direct formula does; the bounds grow as the walk goes back, and reach
+    # the full blow-up's Y only at row 0, |U| = 0
     for k in range(1, 15):
         full = closed_form_counts(k, 2).permutations
+        widths = _walk_widths(k)
+        assert len(widths) == k + 1
+        assert widths[k] == byte_length(math.factorial(k))
         for t in range(k + 1):
-            for u in range(k + 1):
-                bound = transposed_field_bound(k, t, u)
+            bounds = [transposed_field_bound(k, t, u) for u in range(k + 1)]
+            assert widths[t] == byte_length(max(bounds))
+            for u, bound in enumerate(bounds):
                 assert bound <= full
                 assert (bound == full) == (t == u == 0)
-    widths = []
+        assert list(widths) == sorted(widths, reverse=True)
+    assert _walk_widths(8) == (4, 4, 4, 3, 3, 3, 3, 2, 2)
+    assert _walk_widths(12) == (8, 7, 7, 7, 6, 6, 5, 5, 5, 4, 4, 4, 4)
+    # spy on the walk: every field of every chunk before row t, unpacked at
+    # the row's width, is at most its bound at |U|, for the full blow-ups
+    # and for sampled subgraphs, and the counts do not change
+    firsts, rows = [], []
 
-    def tables(rows, k, nbytes):
-        widths.append(nbytes)
-        return _layer_tables(rows, k, nbytes)
+    def tables(rows_, k, nbytes):
+        firsts.append(nbytes)
+        return _layer_tables(rows_, k, nbytes)
 
+    def walk_row(after, row, step, k, old, nbytes):
+        before = transposed_row(after, row, step, k, old, nbytes)
+        rows.append((k, nbytes, list(before)))
+        return before
+
+    transposed_row = counting._transposed_row
     monkeypatch.setattr(counting, "_layer_tables", tables)
-    for k in range(1, 11):
-        widths.clear()
-        assert count_layered(build_blowup(k, 2)) == closed_form_counts(k, 2)
-        assert widths == [_field_width(closed_form_counts(k, 2).permutations)]
+    monkeypatch.setattr(counting, "_transposed_row", walk_row)
+    rng = random.Random(3535)
+    graphs = []
+    for k in range(1, 12):
+        base = build_blowup(k, 2)
+        graphs.append((base, closed_form_counts(k, 2)))
+        if k <= 9:
+            for _ in range(3):
+                g = sample_subgraph(base, rng.randrange(base.edge_count + 1), rng.randrange(1 << 30))
+                graphs.append((g, count_permanent(to_general(g))))
+    for g, expected in graphs:
+        k = g.k
+        firsts.clear()
+        rows.clear()
+        assert count_layered(g) == expected
+        assert firsts == [_walk_widths(k)[k]]
+        assert [kk for kk, _, _ in rows] == [k] * k
+        for t, (_, nbytes, before) in zip(reversed(range(k)), rows):
+            assert nbytes == _walk_widths(k)[t]
+            assert len(before) == math.comb(t, t // 2)
+            for chunk in before:
+                fields = _unpack(chunk, nbytes, 1 << k)
+                assert all(v <= transposed_field_bound(k, t, u.bit_count()) for u, v in enumerate(fields))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 10),
+    st.data(),
+    st.randoms(use_true_random=False),
+)
+def test_widen_keeps_every_field(k, old, data, rng):
+    # random fields of 1..10 bytes at k = 1..12, widened to every larger
+    # width up to 12 bytes, read back unchanged; the first fields are drawn
+    # (so 0 and the largest value turn up), the rest, up to 2^k, at random
+    top = (1 << 8 * old) - 1
+    head = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=16), label="head")
+    fields = (head + [rng.randint(0, top) for _ in range(1 << k)])[: 1 << k]
+    x = _pack(fields, old)
+    for nbytes in range(old, 13):
+        assert _unpack(_widen(x, k, old, nbytes), nbytes, 1 << k) == tuple(fields)
 
 
 def test_two_layers_read_no_vectors(monkeypatch):
@@ -966,9 +1049,10 @@ def test_two_layers_read_no_vectors(monkeypatch):
 @pytest.mark.parametrize("nbytes", [8, 9, 16])
 def test_layered_forced_wide_fields(monkeypatch, nbytes):
     # the 8-byte width (k = 13..20) and two wider ones, past any struct
-    # code, at small k: every field of every table, and of every packed
-    # column, nbytes wide, the tables unpacked through typecode "Q" at 8
-    # bytes and by byte slices past it; the counts must not change
+    # code, at small k: at ell >= 3 every field of every table, and of every
+    # packed column, nbytes wide, the tables unpacked through typecode "Q"
+    # at 8 bytes and by byte slices past it (ell = 2 sizes its fields by
+    # _walk_widths, not _field_width); the counts must not change
     rng = random.Random(1313)
     graphs = []
     for k in range(1, 6):
