@@ -3,16 +3,9 @@
 Two counters:
 
 * count_permanent  -- permanents of A and of A+I, any digraph with n <= 30,
-  each the product of its matrix's connected components' permanents (row
-  i joined to column j by a nonzero entry; 0 if a component is not
-  square), so A of a blow-up subgraph takes Glynns of at most k columns,
-  not one of k*ell.  Each component larger than 1 x 1 takes a Glynn
-  pass, which puts the sign patterns of up to 8 columns side by side in
-  one packed int, a Gray-code walk over the rest; each step skips the
-  patterns with a zero row sum (most of them, for a sparse digraph),
-  found with one table lookup per row in tables built once per pass,
-  which map each value a row's field held before the walk to the
-  patterns that held it (for n <= 9 the walk has one step);
+  by the Glynn kernel of `dpratio.permanent`, each the product of its
+  matrix's connected components' permanents, so A of a blow-up subgraph
+  takes Glynns of at most k columns, not one of k*ell;
 * count_layered    -- transfer-matrix over per-part fixed sets, the
   workhorse for blow-up subgraphs (cost exponential in k, not in k*ell);
   one perfect-matching DP per layer gives its matrix entries for every
@@ -43,11 +36,11 @@ Two counters:
   row 0 at k = 8, the 2 of k! at the first layer); where it grows, the
   walk re-spreads its chunks' fields once.  Only two fields are read, by
   shifts, so these widths need no struct code.
-  At ell >= 3 each chunk is unpacked once into its fields and read by one
-  `operator.itemgetter` call per fixed set, by the size of the set, in the
-  layout's order of the sets (getters made once per k, by this route
-  only); the middle layers also give columns, the
-  last gives rows, and the trace closes with one dot product per fixed
+  At ell >= 3 each chunk is unpacked once into its fields (`dpratio.packed`)
+  and read by one `operator.itemgetter` call per fixed set, by the size of
+  the set, in the layout's order of the sets (getters made once per k, by
+  this route only); the middle layers also give columns, the last gives
+  rows, and the trace closes with one dot product per fixed
   set, a column of T_1 ... T_(ell-1) with a row of T_ell.  The
   product's columns are Kronecker-packed ints (D. Harvey, J. Symbolic
   Comput. 2009, section 2), so each entry of a layer adds one big-int
@@ -70,13 +63,14 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import itemgetter, mul, or_
+from itertools import chain
+from operator import itemgetter, mul
 
+from . import permanent
 from .digraph import Digraph, SampledSubgraph
+from .packed import field_width, pack, unpack
 
 PERMANENT_MAX_N = 30
 LAYERED_MAX_K = 12
@@ -93,181 +87,10 @@ class CountPair:
         return Fraction(self.derangements, self.permutations)
 
 
-#: Columns 1.._GLYNN_BATCH have their sign patterns side by side in one
-#: packed int of _glynn, 256 patterns a step.  With the per-row lookup,
-#: widths 6..10 took, in ms (the fastest of 8 fresh processes, each the
-#: fastest of 7 runs; 2 vCPUs): the permanents of the 50 `verify --profile
-#: tiny` cross-check graphs 55/44/44/43/47, K_16 31/29/27/26/27, K_18
-#: 135/128/124/117/123; over 10 more alternating processes widths 9 and 10
-#: beat 8 in 6/6/5 and 6/4/2 of 10 (cross-check, K_16, K_18): a tie, so 8
-_GLYNN_BATCH = 8
-
-
-def _sign_blocks(cols: list[int], n: int, h: int) -> int:
-    """One n-byte block per sign pattern T of columns 1..h (negative on T,
-    positive elsewhere), even |T| first: the block's byte i is 128 + sum_j
-    delta_j * cols[j] byte i.  Built by doubling: column j extends each
-    pattern so far by a negative sign, which moves it from the even to the
-    odd half or back."""
-    base = int.from_bytes(b"\x80" * n, "little") + sum(cols)
-    if h == 0:
-        return base
-    width = 8 * n
-    even, odd = base, base - 2 * cols[1]
-    ones = 1  # 1 in the low byte of each block of one half
-    for j in range(2, h + 1):
-        shift = width << (j - 2)
-        two = 2 * cols[j] * ones
-        even, odd = even | ((odd - two) << shift), odd | ((even - two) << shift)
-        ones |= ones << shift
-    return even | (odd << (width << (h - 1)))
-
-
-def _value_masks(fields: bytes, values: range) -> dict[int, int]:
-    """For each v of values that fields holds, the int with a 1 in byte b
-    for each b with fields[b] == v, and 0 in every other byte."""
-    flags = {v: bytes(v) + b"\x01" + bytes(255 - v) for v in values if v in fields}  # v -> 1
-    return {v: int.from_bytes(fields.translate(flag), "little") for v, flag in flags.items()}
-
-
-def _glynn(cols: list[int], n: int) -> int:
-    """perm(M) for the n x n matrix M whose column j is cols[j], packed one
-    byte per row (row i in bits 8*i .. 8*i + 7).
-
-    Glynn: 2^(n-1) perm = sum over column signs delta with delta_0 = +1 of
-    prod_j delta_j * prod_i (sum_j delta_j m_ij), by perm(M) = perm(M^T).
-    The 2^h patterns of columns 1..h, h = min(n - 1, _GLYNN_BATCH), sit in
-    n-byte blocks of one int (_sign_blocks).  The other n - 1 - h signs walk
-    the Gray code (_glynn_steps), so each step flips one sign and moves
-    every block at once by one add or subtract of twice that packed column.
-
-    Each field is 128 + sum_j delta_j m_ij.  count_permanent passes A or
-    A + I of a digraph, whose rows sum to at most n <= PERMANENT_MAX_N = 30,
-    so every field stays in [98, 158] within its byte: the packed sums equal
-    the per-field sums, with no borrow or carry between fields.  XOR with
-    0x80 in every byte turns each field into its row sum as a two's
-    complement byte.  A block with a zero row sum adds nothing, so only the
-    blocks a step keeps are read, each as n signed bytes (struct "b"), and
-    their row-sum products are summed in C.
-    O(2^(n-1) * n).
-    """
-    if n == 0:
-        return 1
-    h = min(n - 1, _GLYNN_BATCH)
-    size = n << h
-    evens = ((1 << h) + 1) >> 1
-    high = int.from_bytes(b"\x80" * size, "little")
-    even_offsets = range(0, evens * n, n)
-    odd_offsets = range(evens * n, size, n)
-    unpack_from = struct.Struct(f"{n}b").unpack_from
-    acc = 0
-    for walk, packed, keep in _glynn_steps(cols, n, h):
-        signed = repeat((packed ^ high).to_bytes(size, "little"))
-        p = sum(map(math.prod, map(unpack_from, signed, compress(even_offsets, keep)))) - sum(
-            map(math.prod, map(unpack_from, signed, compress(odd_offsets, keep[evens:])))
-        )
-        acc += -p if walk & 1 else p  # odd walk: an odd number of walked signs negative
-    return acc >> (n - 1)
-
-
-def _glynn_steps(cols: list[int], n: int, h: int):
-    """(walk, packed, keep) for each step of _glynn's Gray walk that keeps
-    a block: packed holds the step's blocks, and keep is 1 in the byte of
-    each block with no zero row sum, 0 in the others.
-
-    Most blocks of a sparse matrix have a zero row sum, so the search for
-    them is done once, before the walk.  A step moves field i of every
-    block by the same amount, minus twice the walked entries of row i that
-    are negative, so row i's sum is zero at a step exactly in the blocks
-    whose field i was, before the walk, 128 plus twice those entries: byte
-    i of `target`, which stays in [128, 128 + 2 * (n + 1)] within its byte.
-    zeros[i] maps each value field i can match (_value_masks) to the blocks
-    that held it before the walk, one byte per block, so one lookup per row
-    and their OR give the step's blocks with a zero row sum.  A step in
-    which every block has one only moves `packed`.  A walk of one step (h =
-    n - 1, at n <= 9) has no walked column: walked is all 0, and each row
-    looks up 128 alone."""
-    blocks = 1 << h
-    size = n << h
-    packed = _sign_blocks(cols, n, h)
-    fields = packed.to_bytes(size, "little")
-    walked = sum(cols[h + 1 :]).to_bytes(n, "little")  # row i's walked entries sum to walked[i]
-    zeros = [_value_masks(fields[i:size:n], range(128, 129 + 2 * w, 2)) for i, w in enumerate(walked)]
-    every = int.from_bytes(b"\x01" * blocks, "little")
-    twos = int.from_bytes((b"\x02" + b"\x00" * (n - 1)) * blocks, "little")
-    steps = [(twos * cols[j], 2 * cols[j]) for j in range(h + 1, n)]
-    target = int.from_bytes(b"\x80" * n, "little")
-    nothing = repeat(0)  # dict.get's default: no block held that value
-    signs = 0
-    for walk in range(1 << (n - 1 - h)):
-        if walk:
-            bit = walk & -walk
-            signs ^= bit
-            step, row_step = steps[bit.bit_length() - 1]
-            if signs & bit:
-                packed -= step
-                target += row_step
-            else:
-                packed += step
-                target -= row_step
-        skip = functools.reduce(or_, map(dict.get, zeros, target.to_bytes(n, "little"), nothing))
-        if skip != every:
-            yield walk, packed, (skip ^ every).to_bytes(blocks, "little")
-
-
-#: bytes.translate table of _permanent: a zero byte to "0", any other to "1"
-_NONZERO = b"0" + b"1" * 255
-
-
-def _permanent(cols: list[int], n: int) -> int:
-    """perm(M) for the n x n matrix M of _glynn, as the product of the
-    permanents of the connected components of M's bipartite graph, row i
-    joined to column j when M[i][j] != 0 (H. Minc, Permanents, 1978): every
-    permutation's entries lie in components that each take as many columns
-    as rows, so perm(M) is 0 if some component is not square.
-
-    Each column's rows are a bitmask, and a column merges every component
-    whose rows it meets.  One component is M itself, passed to _glynn as
-    it is; otherwise a 1 x 1 component is its one entry, and each larger
-    one's columns are repacked over its own rows, one byte per row, for a
-    _glynn of its own size.  A row keeps every nonzero entry in its
-    component, so its sum stays within the component's size, as _glynn's
-    byte fields need."""
-    comps: list[tuple[int, int]] = []  # (row mask, column mask), disjoint
-    for j, col in enumerate(cols):
-        rows = int(col.to_bytes(n, "big").translate(_NONZERO), 2)
-        columns = 1 << j
-        apart = []
-        for comp in comps:
-            if comp[0] & rows:
-                rows |= comp[0]
-                columns |= comp[1]
-            else:
-                apart.append(comp)
-        apart.append((rows, columns))
-        comps = apart
-    if any(rows.bit_count() != columns.bit_count() for rows, columns in comps):
-        return 0
-    if len(comps) == 1:
-        return _glynn(cols, n)
-    perm = 1
-    for rows, columns in comps:
-        if rows & (rows - 1) == 0:  # 1 x 1: the column's one nonzero byte
-            perm *= cols[columns.bit_length() - 1] >> 8 * (rows.bit_length() - 1)
-            continue
-        keep = [(rows >> i) & 1 for i in range(n)]
-        sub = [
-            int.from_bytes(bytes(compress(col.to_bytes(n, "little"), keep)), "little")
-            for col in compress(cols, [(columns >> j) & 1 for j in range(n)])
-        ]
-        perm *= _glynn(sub, len(sub))
-    return perm
-
-
 def count_permanent(g: Digraph) -> CountPair:
     """derangements = perm(A), permutations = perm(A + I), each a product
     over the connected components of the matrix's bipartite graph
-    (_permanent), one Glynn pass (_glynn) per component larger than 1 x 1.
+    (permanent.permanent), one Glynn pass per component larger than 1 x 1.
     In a blow-up subgraph A joins the rows of one part only to the columns
     of the next, so perm(A) takes Glynns of at most k columns, not one of
     k*ell.  A + I also joins row v to column v, so its components are the
@@ -280,8 +103,8 @@ def count_permanent(g: Digraph) -> CountPair:
     for u, v in g.edges:
         cols[v] += 1 << 8 * u
     return CountPair(
-        derangements=_permanent(cols, n),
-        permutations=_permanent([c + (1 << 8 * j) for j, c in enumerate(cols)], n),
+        derangements=permanent.permanent(cols, n),
+        permutations=permanent.permanent([c + (1 << 8 * j) for j, c in enumerate(cols)], n),
     )
 
 
@@ -320,13 +143,13 @@ def count_layered(g: SampledSubgraph) -> CountPair:
 
         trace(P T_ell) = sum_F column F of P . row F of T_ell.
 
-    Each column of P is one Kronecker-packed int (_pack), kept in vector
+    Each column of P is one Kronecker-packed int (pack), kept in vector
     order among those of its size, its fields sized once for the whole
     chain by the C(k, i)^(ell-2) (k-i)!^(ell-1) bound of any entry of P^(i)
-    (_field_width): column y of P T_c is sum_z T_c[z][y] * column z of P,
+    (field_width): column y of P T_c is sum_z T_c[z][y] * column z of P,
     one big-int multiply-add per entry, and no field carries, since every
     addend is nonnegative and each field ends at most at its bound.  Each
-    packed column is unpacked once (_unpack), in the order of the last
+    packed column is unpacked once (unpack), in the order of the last
     layer's rows, for its closing dot.
     """
     k = g.k
@@ -335,22 +158,22 @@ def count_layered(g: SampledSubgraph) -> CountPair:
     if not middle:
         return _count_two_layers(first, last, k)
     ell = len(g.layers)
-    nbytes = _field_width(math.factorial(k))
+    nbytes = field_width(math.factorial(k))
     derangements, cols = _layer_vectors(_transpose(first, k), k, nbytes)
     sizes = _readers(k)[1]  # |F| of each vector, in vector order
     widths = {
-        i: _field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
+        i: field_width(math.comb(k, i) ** (ell - 2) * math.factorial(k - i) ** (ell - 1))
         for i in range(1, k)
     }
     packed = {i: [] for i in widths}
     for i, col in zip(sizes, cols):
-        packed[i].append(_pack(col, widths[i]))
+        packed[i].append(pack(col, widths[i]))
     for rows in middle:
         matchings, layer_cols = _layer_vectors(_transpose(rows, k), k, nbytes)
         derangements *= matchings
         packed = _column_products(packed, layer_cols, sizes)
     columns = {i: iter(cols_i) for i, cols_i in packed.items()}
-    cols = (_unpack(next(columns[i]), widths[i], math.comb(k, i)) for i in sizes)
+    cols = (unpack(next(columns[i]), widths[i], math.comb(k, i)) for i in sizes)
     matchings, rows = _layer_vectors(last, k, nbytes)
     # each column has as many entries as its row, so the dots run end to end
     traces = sum(map(mul, chain.from_iterable(cols), chain.from_iterable(rows)))
@@ -479,19 +302,6 @@ def _transpose(rows, k: int) -> list[int]:
     return [sum(((row >> j) & 1) << r for r, row in enumerate(rows)) for j in range(k)]
 
 
-def _field_width(bound: int) -> int:
-    """Bytes per field of the fields that _unpack reads, the ell >= 3 layer
-    tables and packed chain columns, and of the moment runs: the fewest of
-    1, 2, 4 and 8 that hold bound, or whole bytes past 8.  The ell = 2 route
-    reads no field by _unpack and takes exact bytes (_walk_widths)."""
-    nbytes = max(1, (bound.bit_length() + 7) // 8)
-    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
-
-
-#: struct format code of each field width up to 8 bytes, at its standard
-#: size (_struct, for _pack and _unpack)
-_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
 @functools.cache
 def _column_masks(k: int, nbytes: int) -> tuple[int, ...]:
     """The k column masks of _layer_tables, made once per process per k
@@ -588,7 +398,7 @@ def _readers(k: int):
     _layer_tables as vectors, made once per process per k, and only there:
     the ell = 2 route reads no vector.
 
-    readers[c] reads, from the fields of chunk c (_unpack), the vectors of
+    readers[c] reads, from the fields of chunk c (unpack), the vectors of
     its fixed sets F with 0 < |F| < k, in the order of _layout's sets: row
     F of T^(i), i = |F|, is the fields full ^ x of the chunk for the
     i-subsets x in the order sets lists them, since the chunk's other
@@ -612,13 +422,13 @@ def _layer_vectors(rows, k: int, nbytes: int):
     """(m, vectors) of one layer: m its perfect-matching count, field full
     of table 0, and vectors, lazily, row F of T^(|F|) as a tuple for each
     fixed set F with 0 < |F| < k, in the order of _readers' sizes (vector
-    order).  Each chunk of _layer_tables is unpacked once (_unpack), read
+    order).  Each chunk of _layer_tables is unpacked once (unpack), read
     by _readers' readers and dropped."""
     width = 8 * nbytes
     chunks = _layer_tables(rows, k, nbytes)
     matchings = (chunks[0] >> width * ((1 << k) - 1)) & ((1 << width) - 1)
     chunks.reverse()  # popped, so chunk 0 first
-    fields = (_unpack(chunks.pop(), nbytes, 1 << k) for _ in range(len(chunks)))
+    fields = (unpack(chunks.pop(), nbytes, 1 << k) for _ in range(len(chunks)))
     return matchings, (get(f) for f, gets in zip(fields, _readers(k)[0]) for get in gets)
 
 
@@ -631,31 +441,6 @@ def _column_products(packed: dict[int, list[int]], cols, sizes) -> dict[int, lis
     for i, col in zip(sizes, cols):
         product[i].append(sum(map(mul, col, packed[i])))
     return product
-
-
-@functools.cache
-def _struct(nbytes: int, n: int) -> struct.Struct:
-    """n little-endian fields of nbytes in _CODES, compiled once per process
-    per (nbytes, n): _unpack reads every ell >= 3 layer chunk, and a format
-    string built and looked up per call left those counts 2-4% slower."""
-    return struct.Struct(f"<{n}{_CODES[nbytes]}")
-
-
-def _pack(col, nbytes: int) -> int:
-    """col as one int, entry x in the nbytes-wide field at byte x * nbytes."""
-    if nbytes in _CODES:
-        raw = _struct(nbytes, len(col)).pack(*col)
-    else:
-        raw = b"".join(map(int.to_bytes, col, repeat(nbytes), repeat("little")))
-    return int.from_bytes(raw, "little")
-
-
-def _unpack(x: int, nbytes: int, n: int) -> tuple[int, ...]:
-    """The n fields of x, low first, nbytes each: the inverse of _pack."""
-    raw = x.to_bytes(n * nbytes, "little")
-    if nbytes in _CODES:
-        return _struct(nbytes, n).unpack(raw)
-    return tuple(int.from_bytes(raw[j : j + nbytes], "little") for j in range(0, len(raw), nbytes))
 
 
 def count(g: Digraph | SampledSubgraph) -> tuple[str, CountPair]:

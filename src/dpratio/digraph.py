@@ -154,7 +154,8 @@ def to_general(g: SampledSubgraph) -> Digraph:
 #
 # Every JSON object carries "schema": SCHEMA_VERSION.  One value rule for
 # every report: a Fraction is written "n/d", and None (a value that does not
-# exist, such as log p at p = 0) is JSON null or an empty CSV cell.
+# exist, such as log p at p = 0) is JSON null or an empty CSV cell; a float
+# taken from a Fraction past the float range is an error naming its field.
 
 
 def _value(v):
@@ -164,6 +165,14 @@ def _value(v):
 def report_json(report) -> dict:
     """A report dataclass as JSON: "schema", then its fields in order."""
     return {"schema": SCHEMA_VERSION, **{k: _value(v) for k, v in vars(report).items()}}
+
+
+def exact_float(name: str, q: Fraction) -> float:
+    """q as a float; ValueError naming the report field when q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range (|value| > 1.8e308)") from None
 
 
 def json_text(d: dict) -> str:

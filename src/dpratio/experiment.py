@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .counting import check_layered_k, count_layered
-from .digraph import build_blowup, csv_text, report_json, sample_subgraph
+from .digraph import build_blowup, csv_text, exact_float, report_json, sample_subgraph
 from .moments import (
-    _exact_float,
     check_second_moment_k,
     expected_x_exact,
     expected_y_exact,
@@ -158,7 +157,7 @@ def convergence_sweep(
         check_second_moment_k(k)
         ell, m = cplan.ell, cplan.m
         ex = expected_x_exact(k, ell, m)
-        ratio = _exact_float("ratio_exact_float", ex / expected_y_exact(k, ell, m))
+        ratio = exact_float("ratio_exact_float", ex / expected_y_exact(k, ell, m))
         rows.append({
             "k": k,
             "ell": ell,
@@ -167,7 +166,7 @@ def convergence_sweep(
             "exact_ratio": ratio,
             "abs_error": abs(ratio - r),
             "x_concentration": (
-                _exact_float("x_concentration", second_moment_x_exact(k, ell, m) / (ex * ex) - 1)
+                exact_float("x_concentration", second_moment_x_exact(k, ell, m) / (ex * ex) - 1)
                 if ex
                 else None
             ),

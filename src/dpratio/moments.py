@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .counting import _field_width, _pack, _unpack
-from .digraph import blowup_edge_count, csv_text, report_json
+from .digraph import blowup_edge_count, csv_text, exact_float, report_json
+from .packed import field_width, pack, unpack
 from .params import ConstructionPlan
 from .series import f_eval, h_table
 
@@ -67,18 +67,10 @@ class MomentReport:
         row = {
             **vars(self),
             "ratio_exact": self.ratio_exact_float,
-            "ex_float": _exact_float("ex_float", self.ex),
-            "ey_float": _exact_float("ey_float", self.ey),
+            "ex_float": exact_float("ex_float", self.ex),
+            "ey_float": exact_float("ey_float", self.ey),
         }
         return csv_text(self.CSV_COLUMNS, [row])
-
-
-def _exact_float(name: str, q: Fraction) -> float:
-    """q as a float; ValueError naming the report field when q is past the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        raise ValueError(f"{name} is past the float range (|value| > 1.8e308)") from None
 
 
 def _check_m(k: int, ell: int, m: int) -> int:
@@ -145,12 +137,12 @@ def _run_fields(gs: list[list[int]], ell: int) -> tuple[int, ...]:
     packed in nb-byte fields and added shifted into one int, unpacked once
     (Kronecker substitution, D. Harvey, J. Symbolic Comput. 2009, section 2).
     No field carries: a coefficient is at most the value at z = 1,
-    sum_d sum(gs[d])^ell, which nb-byte fields hold (_field_width)."""
-    nb = _field_width(sum(sum(g) ** ell for g in gs))
+    sum_d sum(gs[d])^ell, which nb-byte fields hold (field_width)."""
+    nb = field_width(sum(sum(g) ** ell for g in gs))
     row = 0
     for d, g in enumerate(gs):
-        row += pow(_pack(g, nb), ell) << (8 * nb * ell * d)
-    return _unpack(row, nb, -(-row.bit_length() // (8 * nb)))
+        row += pow(pack(g, nb), ell) << (8 * nb * ell * d)
+    return unpack(row, nb, -(-row.bit_length() // (8 * nb)))
 
 
 #: a run of a row of _pair_weights goes on while each pair's own field
@@ -275,9 +267,9 @@ def moment_report(
         ex_asym_log=ex_asym_log,
         ey_asym_log=ey_asym_log,
         ratio_exact=ratio,
-        ratio_exact_float=_exact_float("ratio_exact_float", ratio),
-        x_concentration=_exact_float("x_concentration", ex2 / (ex * ex) - 1) if ex else None,
-        y_concentration_bound=_exact_float("y_concentration_bound", ey2 / (ey * ey) - 1),
+        ratio_exact_float=exact_float("ratio_exact_float", ratio),
+        x_concentration=exact_float("x_concentration", ex2 / (ex * ex) - 1) if ex else None,
+        y_concentration_bound=exact_float("y_concentration_bound", ey2 / (ey * ey) - 1),
     )
 
 

@@ -1,7 +1,7 @@
-"""Nine scans: names nothing reads, imports outside the standard library,
-the boundary around the oracles, production functions only checks read, the
-benchmark's hold on the library, the README's CLI synopsis, and the
-benchmark records at the repository root.
+"""Ten scans: names nothing reads, imports outside the standard library,
+private names read across modules, the boundary around the oracles,
+production functions only checks read, the benchmark's hold on the library,
+the README's CLI synopsis, and the benchmark records at the repository root.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -16,6 +16,10 @@ an import or a re-export alone is not a read.  Dunder names such as
 Every import in the library, module-level or inside a function, is
 relative or of a standard-library module: the package has no runtime
 dependency.
+
+No library module imports an underscore name of another `dpratio` module,
+by `from .x import _y` or as `x._y` of a module it imported: what two
+modules share has a public name in the module that owns it.
 
 `dpratio.oracles` holds the reference routes the cross-checks compare the
 production routes against.  No library module but `verify.py` imports it,
@@ -150,6 +154,72 @@ def test_library_imports_only_the_standard_library():
     found = {
         p.name: names for p in LIBRARY if (names := third_party_imports(p.read_text()))
     }
+    assert found == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """`module._name`, sorted, for each underscore name of a `dpratio`
+    module that `source`, a module of the package, imports by name or reads
+    as an attribute of a module it imported; dunder names are skipped."""
+    tree = ast.parse(source)
+    found = set()
+    modules = {}  # bound name -> the dpratio module it is
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: the package is flat, so this is dpratio
+                package = f"dpratio.{node.module}" if node.module else "dpratio"
+            else:
+                package = node.module
+            if package.split(".")[0] != "dpratio":
+                continue
+            for a in node.names:
+                if package == "dpratio":
+                    modules[a.asname or a.name] = f"dpratio.{a.name}"
+                elif a.name.startswith("_"):
+                    found.add(f"{package}.{a.name}")
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "dpratio":  # `import dpratio.x` binds dpratio
+                    modules[a.asname or "dpratio"] = a.name if a.asname else "dpratio"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or node.attr[:1] != "_" or node.attr[:2] == "__":
+            continue
+        parts, value = [], node.value
+        while isinstance(value, ast.Attribute):
+            parts.append(value.attr)
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in modules:
+            module = ".".join([modules[value.id], *reversed(parts)])
+            if module != "dpratio":
+                found.add(f"{module}.{node.attr}")
+    return sorted(found)
+
+
+def test_scan_finds_private_import():
+    source = (
+        "import os\n"
+        "from .counting import _pack, count\n"
+        "from dpratio.moments import _exact_float\n"
+        "from . import digraph, series as s\n"
+        "import dpratio.params\n"
+        "import dpratio.oracles as o\n"
+        "def f():\n"
+        "    from .packed import pack\n"
+        "    x = digraph._value(1), s._x, s.h_table, dpratio.params._y, o._z, os._exit\n"
+        "    return x, f.__name__, digraph.__name__, pack._cache\n"
+    )
+    assert private_imports(source) == [
+        "dpratio.counting._pack",
+        "dpratio.digraph._value",
+        "dpratio.moments._exact_float",
+        "dpratio.oracles._z",
+        "dpratio.params._y",
+        "dpratio.series._x",
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    found = {p.name: names for p in LIBRARY if (names := private_imports(p.read_text()))}
     assert found == {}
 
 

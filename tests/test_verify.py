@@ -5,7 +5,7 @@ import sys
 import mpmath
 import pytest
 
-from dpratio import cli, counting, moments, oracles, series, verify
+from dpratio import cli, counting, moments, oracles, permanent, series, verify
 
 
 def test_verify_rejects_unknown_profile():
@@ -76,14 +76,16 @@ def test_check_falling_ratio_reads_the_production_walk(monkeypatch):
 
 def test_exact_law_calls_no_counter(monkeypatch):
     # the law oracle counts each subgraph by brute force, never through a
-    # production counter
+    # production counter or the Glynn kernel behind count_permanent
     expected = [oracles.exact_law(2, 2, m) for m in (0, 4, 8)]
 
-    def refuse(g):
+    def refuse(*args):
         raise AssertionError("the oracle called a production counter")
 
     for name in ("count", "count_layered", "count_permanent"):
         monkeypatch.setattr(counting, name, refuse)
+    for name in ("permanent", "_glynn"):
+        monkeypatch.setattr(permanent, name, refuse)
     assert [oracles.exact_law(2, 2, m) for m in (0, 4, 8)] == expected
 
 
