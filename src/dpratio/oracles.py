@@ -15,12 +15,12 @@ cross-checks in `dpratio.verify` compare a production route against.
 
 Each shares no code with the route it checks, except `h_window_error`,
 which measures the production table itself, and none calls a counter of
-`dpratio.counting` or the kernel of `dpratio.permanent`; the enumerations
-are slow by design.  Only `dpratio.verify` imports this module, so no
-production route rests on an oracle (`tests/test_hygiene.py` enforces
-this).  Calls go through the module attributes (`counting.x`, not a bare
-`x`), so wrappers installed on those modules (as `bench/spans.py` does)
-see them.
+`dpratio.counting` or the kernels behind them, `dpratio.permanent`'s and
+`dpratio.layered`'s; the enumerations are slow by design.  Only
+`dpratio.verify` imports this module, so no production route rests on an
+oracle (`tests/test_hygiene.py` enforces this).  Calls go through the
+module attributes (`counting.x`, not a bare `x`), so wrappers installed on
+those modules (as `bench/spans.py` does) see them.
 """
 
 from __future__ import annotations

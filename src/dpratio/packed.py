@@ -1,7 +1,7 @@
 """Packed fields: a sequence of nonnegative ints as one int, entry x in the
 nbytes-wide little-endian field at byte x * nbytes.
 
-The one format that `dpratio.counting` (the ell >= 3 layer chunks and chain
+The one format that `dpratio.layered` (the ell >= 3 layer chunks and chain
 columns) and `dpratio.moments` (the Kronecker-packed layer polynomials)
 share: `field_width` sizes a field from a bound on its values, `pack` and
 `unpack` convert, by struct at 1, 2, 4 and 8 bytes and by byte slices past 8.
@@ -18,7 +18,7 @@ def field_width(bound: int) -> int:
     """Bytes per field of the fields that unpack reads, the ell >= 3 layer
     tables and packed chain columns, and of the moment runs: the fewest of
     1, 2, 4 and 8 that hold bound, or whole bytes past 8.  The ell = 2 route
-    reads no field by unpack and takes exact bytes (counting._walk_widths)."""
+    reads no field by unpack and takes exact bytes (layered._walk_widths)."""
     nbytes = max(1, (bound.bit_length() + 7) // 8)
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 

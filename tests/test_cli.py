@@ -430,6 +430,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("expect_r0.45_k18.json", "expect --r 0.45 --k 18"),
         ("expect_r0.3_k25.csv", "expect --r 0.3 --k 25 --format csv"),
         ("mc_r0.3_k4_trials3.json", "mc --r 0.3 --k 4 --trials 3"),
+        ("mc_r0.45_k6_trials8_seed1.json", "mc --r 0.45 --k 6 --trials 8 --seed 1"),
         ("sweep_r0.3_k2-3_trials2.csv", "sweep --r 0.3 --k-list 2,3 --trials 2"),
         ("verify_tiny.txt", "verify --profile tiny"),
     ],

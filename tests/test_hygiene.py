@@ -1,7 +1,8 @@
-"""Ten scans: names nothing reads, imports outside the standard library,
-private names read across modules, the boundary around the oracles,
-production functions only checks read, the benchmark's hold on the library,
-the README's CLI synopsis, and the benchmark records at the repository root.
+"""Eleven scans: names nothing reads, imports outside the standard library,
+private names read across modules, the boundaries around the oracles and
+around the counting kernels, production functions only checks read, the
+benchmark's hold on the library, the README's CLI synopsis, and the
+benchmark records at the repository root.
 
 Every name an import binds is read somewhere in its module.  Covers the
 library modules (except `__init__.py`, whose imports are the package's
@@ -26,6 +27,10 @@ production routes against.  No library module but `verify.py` imports it,
 so no production route can rest on an oracle, and every public function of
 `oracles.py` is read in `verify.py` or in `oracles.py` itself: an oracle no
 check uses is not kept.
+
+`dpratio.layered` and `dpratio.permanent` hold the counting kernels.  No
+library module but `counting.py` imports them, so every library route to a
+kernel passes counting's guards, `LAYERED_MAX_K` and `PERMANENT_MAX_N`.
 
 Every module-level function of a production module (every library module
 but `oracles.py`, `verify.py` and `__init__.py`) is read by a production
@@ -223,9 +228,9 @@ def test_no_module_imports_a_private_name():
     assert found == {}
 
 
-def oracle_imports(source: str) -> list[int]:
-    """Line numbers of the imports of `dpratio.oracles`, in any form, in a
-    module of the package."""
+def module_imports(source: str, module: str) -> list[int]:
+    """Line numbers of the imports of the `dpratio` module `module` (as
+    `dpratio.x`), in any form, in a module of the package."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -238,7 +243,7 @@ def oracle_imports(source: str) -> list[int]:
             modules = [package] + [f"{package}.{a.name}" for a in node.names]
         else:
             continue
-        if any(m == "dpratio.oracles" or m.startswith("dpratio.oracles.") for m in modules):
+        if any(m == module or m.startswith(f"{module}.") for m in modules):
             found.append(node.lineno)
     return found
 
@@ -254,17 +259,48 @@ def test_scan_finds_oracle_import():
         "from .counting import oracles_like\n"
         "import oracles\n"
     )
-    assert oracle_imports(source) == [1, 2, 3, 5]
+    assert module_imports(source, "dpratio.oracles") == [1, 2, 3, 5]
 
 
 def test_only_verify_imports_the_oracles():
     found = {
         p.name: lines
         for p in LIBRARY
-        if p.name != "verify.py" and (lines := oracle_imports(p.read_text()))
+        if p.name != "verify.py" and (lines := module_imports(p.read_text(), "dpratio.oracles"))
     }
     assert found == {}
-    assert oracle_imports((ROOT / "src" / "dpratio" / "verify.py").read_text()) != []
+    verify = (ROOT / "src" / "dpratio" / "verify.py").read_text()
+    assert module_imports(verify, "dpratio.oracles") != []
+
+
+KERNELS = ("dpratio.layered", "dpratio.permanent")
+
+
+def test_scan_finds_kernel_import():
+    source = (
+        "from . import counting, layered\n"
+        "from .permanent import permanent\n"
+        "import dpratio.layered as l\n"
+        "def f():\n"
+        "    from dpratio import permanent\n"
+        "from .layered_like import x\n"
+        "from .counting import count_layered\n"
+    )
+    assert [module_imports(source, m) for m in KERNELS] == [[1, 3], [2, 5]]
+
+
+def test_only_counting_imports_the_kernels():
+    # every library route to the layered and Glynn kernels passes
+    # counting's guards, LAYERED_MAX_K and PERMANENT_MAX_N
+    found = {
+        (p.name, m): lines
+        for p in LIBRARY
+        for m in KERNELS
+        if p.name != "counting.py" and (lines := module_imports(p.read_text(), m))
+    }
+    assert found == {}
+    counting = (ROOT / "src" / "dpratio" / "counting.py").read_text()
+    assert all(module_imports(counting, m) for m in KERNELS)
 
 
 def unread_oracles(oracles_source: str, verify_source: str) -> list[str]:

@@ -5,7 +5,7 @@ import sys
 import mpmath
 import pytest
 
-from dpratio import cli, counting, moments, oracles, permanent, series, verify
+from dpratio import cli, counting, layered, moments, oracles, permanent, series, verify
 
 
 def test_verify_rejects_unknown_profile():
@@ -76,7 +76,8 @@ def test_check_falling_ratio_reads_the_production_walk(monkeypatch):
 
 def test_exact_law_calls_no_counter(monkeypatch):
     # the law oracle counts each subgraph by brute force, never through a
-    # production counter or the Glynn kernel behind count_permanent
+    # production counter or the kernels behind them: the Glynn kernel of
+    # count_permanent and the transfer-matrix kernel of count_layered
     expected = [oracles.exact_law(2, 2, m) for m in (0, 4, 8)]
 
     def refuse(*args):
@@ -86,6 +87,7 @@ def test_exact_law_calls_no_counter(monkeypatch):
         monkeypatch.setattr(counting, name, refuse)
     for name in ("permanent", "_glynn"):
         monkeypatch.setattr(permanent, name, refuse)
+    monkeypatch.setattr(layered, "counts", refuse)
     assert [oracles.exact_law(2, 2, m) for m in (0, 4, 8)] == expected
 
 
